@@ -29,10 +29,12 @@ from .paths import find_paths, silent_closure
 from .scenario_io import (
     emit_report,
     export_dot,
+    format_rational,
+    json_text,
     parse_connection_doc,
     parse_scenario,
+    render_document,
     serialize_scenario,
-    format_rational,
 )
 
 USAGE_ERROR = 64
@@ -113,10 +115,6 @@ def _fmt(args: argparse.Namespace) -> str:
     return _REPORT_FORMATS[args.format or args.format_root or "table"]
 
 
-def _machine(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=True)
-
-
 def _write_output(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "output", None):
         Path(args.output).write_text(text, encoding="utf-8")
@@ -128,7 +126,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     result = parse_scenario(_read_text(args.file))
     if _fmt(args) == "machine":
         print(
-            _machine(
+            json_text(
                 {
                     "type": "validation_report",
                     "valid": result.ok,
@@ -166,26 +164,14 @@ def _cmd_quality(args: argparse.Namespace) -> int:
         )
     score = connectivity_score(scenario)
     percent = quality(score, scenario.desired_connectivity)
-    band = classify_quality(percent)
-    if _fmt(args) == "machine":
-        print(
-            _machine(
-                {
-                    "type": "quality_report",
-                    "score": format_rational(score),
-                    "desired": format_rational(scenario.desired_connectivity),
-                    "quality_percent": format_rational(percent),
-                    "band": band.value,
-                }
-            )
-        )
-    else:
-        print(
-            f"score={format_rational(score)}"
-            f" desired={format_rational(scenario.desired_connectivity)}"
-            f" quality={format_rational(percent)}%"
-            f" band={band.value}"
-        )
+    doc = {
+        "type": "quality_report",
+        "score": format_rational(score),
+        "desired": format_rational(scenario.desired_connectivity),
+        "quality_percent": format_rational(percent),
+        "band": classify_quality(percent).value,
+    }
+    print(render_document(doc, _fmt(args)))
     return 0
 
 
@@ -202,7 +188,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     )
     if _fmt(args) == "machine":
         print(
-            _machine(
+            json_text(
                 {
                     "type": "paths",
                     "src": args.src,

@@ -24,6 +24,7 @@ from .model import (
     connection_value,
     ensure_valid,
     impact_factor,
+    pair_weight,
     to_rational,
 )
 
@@ -100,9 +101,7 @@ def ideal_connectivity(scenario: Scenario) -> Fraction:
         else:
             value = entry.magnitude
             if scenario.scoring_mode is ScoringMode.IMPACT_WEIGHTED:
-                src = scenario.entity(entry.src)
-                dst = scenario.entity(entry.dst)
-                value *= (impact_factor(src) + impact_factor(dst)) / 2
+                value *= pair_weight(scenario.entity(entry.src), scenario.entity(entry.dst))
             total += abs(value)
     return total
 
@@ -173,12 +172,13 @@ def detect_confusion(scenario: Scenario) -> ConfusionReport:
     * ``self_conflict``: a self-connection's magnitude differs from the
       magnitude of some non-self connection.
     """
-    ensure_valid(scenario)
+    # connectivity_score validates first, so an invalid scenario is reported
+    # as invalid even when it also lacks desired_connectivity.
+    z = connectivity_score(scenario)
     if scenario.desired_connectivity is None:
         raise ConfigurationError(
             "desired_connectivity is not set; confusion detection needs a quality denominator"
         )
-    z = connectivity_score(scenario)
     quality_percent = quality(z, scenario.desired_connectivity)
 
     causes: list[ConfusionCause] = []
@@ -198,7 +198,7 @@ def detect_confusion(scenario: Scenario) -> ConfusionReport:
 
     self_mags = {c.magnitude for c in scenario.connections if c.kind is ConnectionKind.SELF}
     other_mags = {c.magnitude for c in scenario.connections if c.kind is not ConnectionKind.SELF}
-    if any(s != o for s in self_mags for o in other_mags):
+    if self_mags and other_mags and len(self_mags | other_mags) > 1:
         causes.append(ConfusionCause.SELF_CONFLICT)
 
     confused = not (z > 0 and quality_percent > 50)

@@ -22,8 +22,6 @@ MAGNITUDE_MAX = Fraction(10)
 
 DEFAULT_ATTRIBUTE = Fraction(3, 4)
 
-Rational = Fraction
-
 
 def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     """Coerce a value to an exact :class:`Fraction`.
@@ -46,6 +44,15 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
             f"floats are inexact; pass a decimal string or Fraction instead of {value!r}"
         )
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
+
+
+def _number_text(value: Fraction) -> str:
+    """``str(value)``, or a placeholder past Python's int-to-str digit limit,
+    so that a message naming an input such as ``"1e5000"`` never raises."""
+    try:
+        return str(value)
+    except ValueError:
+        return "<number too long to print>"
 
 
 class EntityKind(str, Enum):
@@ -83,7 +90,7 @@ class AttributeVector:
             value = to_rational(getattr(self, name))
             if not 0 < value < 1:
                 raise ValidationError(
-                    f"attribute out of open interval (0,1): {name}={value}"
+                    f"attribute out of open interval (0,1): {name}={_number_text(value)}"
                 )
             object.__setattr__(self, name, value)
 
@@ -243,6 +250,11 @@ def impact_factor(entity: Entity) -> Fraction:
     return sum(entity.attributes.as_tuple(), Fraction(0)) / 4
 
 
+def pair_weight(src: Entity, dst: Entity) -> Fraction:
+    """Impact weight of a pair: the mean of both endpoints' impact factors."""
+    return (impact_factor(src) + impact_factor(dst)) / 2
+
+
 def connection_value(
     conn: Connection, scenario: Scenario, *, ignore_blocked: bool = False
 ) -> Fraction:
@@ -261,8 +273,20 @@ def connection_value(
         return Fraction(0)
     value = conn.polarity * conn.magnitude
     if scenario.scoring_mode is ScoringMode.IMPACT_WEIGHTED:
-        value *= (impact_factor(src) + impact_factor(dst)) / 2
+        value *= pair_weight(src, dst)
     return value
+
+
+def _check_magnitude(subject: str, magnitude: Fraction, violations: list[Violation]) -> None:
+    """The [1, 10] range rule for connections and hypothetical roster entries."""
+    if not MAGNITUDE_MIN <= magnitude <= MAGNITUDE_MAX:
+        violations.append(
+            Violation(
+                subject,
+                "magnitude",
+                f"magnitude {_number_text(magnitude)} outside [{MAGNITUDE_MIN}, {MAGNITUDE_MAX}]",
+            )
+        )
 
 
 def validate_scenario(scenario: Scenario) -> list[Violation]:
@@ -314,14 +338,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(
                 Violation(subject, "polarity", f"polarity must be +1 or -1, got {conn.polarity}")
             )
-        if not MAGNITUDE_MIN <= conn.magnitude <= MAGNITUDE_MAX:
-            violations.append(
-                Violation(
-                    subject,
-                    "magnitude",
-                    f"magnitude {conn.magnitude} outside [{MAGNITUDE_MIN}, {MAGNITUDE_MAX}]",
-                )
-            )
+        _check_magnitude(subject, conn.magnitude, violations)
         if not isinstance(conn.time_index, int) or isinstance(conn.time_index, bool) or conn.time_index < 0:
             violations.append(
                 Violation(subject, "time_index", "time_index must be a non-negative integer")
@@ -341,14 +358,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                         violations.append(
                             Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
                         )
-                if not MAGNITUDE_MIN <= entry.magnitude <= MAGNITUDE_MAX:
-                    violations.append(
-                        Violation(
-                            subject,
-                            "magnitude",
-                            f"magnitude {entry.magnitude} outside [{MAGNITUDE_MIN}, {MAGNITUDE_MAX}]",
-                        )
-                    )
+                _check_magnitude(subject, entry.magnitude, violations)
 
     return violations
 

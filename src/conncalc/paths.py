@@ -4,7 +4,8 @@ Connections are traversed as undirected edges: src/dst record authoring
 order, not direction. Besides path search this module maintains the closure
 law (every entity carries a self-connection and every entity pair is joined
 by at least one connection, silently if nothing real is known) and the
-blocking and confirmation life cycle of individual connections.
+blocking and confirmation life cycle of individual connections. One scan
+finds what the law lacks; ``law_holds`` and ``silent_closure`` share it.
 """
 
 from __future__ import annotations
@@ -134,22 +135,29 @@ def find_paths(
     return paths
 
 
-def law_holds(scenario: Scenario) -> bool:
-    """True when every entity has a self-connection and every pair is joined.
+def _closure_gaps(scenario: Scenario):
+    """Yield what the connection law lacks, in the order closure adds it.
 
-    Blocked connections still count: blocking suppresses a connection's
-    value, it does not erase the connection.
+    First ``(SELF, a, a)`` for every entity without a self-connection, then
+    ``(SILENT, a, b)`` for every unjoined pair, ``a`` before ``b`` in id
+    order. Blocked connections still count: blocking suppresses a
+    connection's value, it does not erase the connection.
     """
     with_self = {c.src for c in scenario.connections if c.kind is ConnectionKind.SELF}
-    if any(e.id not in with_self for e in scenario.entities):
-        return False
+    for entity in scenario.entities:
+        if entity.id not in with_self:
+            yield ConnectionKind.SELF, entity.id, entity.id
     joined = {c.endpoints() for c in scenario.connections if c.src != c.dst}
     ids = [e.id for e in scenario.entities]
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
             if frozenset((a, b)) not in joined:
-                return False
-    return True
+                yield ConnectionKind.SILENT, a, b
+
+
+def law_holds(scenario: Scenario) -> bool:
+    """True when every entity has a self-connection and every pair is joined."""
+    return next(_closure_gaps(scenario), None) is None
 
 
 def _fresh_id(base: str, used: set[str]) -> str:
@@ -171,41 +179,20 @@ def silent_closure(scenario: Scenario) -> Scenario:
     a scenario already satisfying the law is returned unchanged.
     """
     used = {c.id for c in scenario.connections}
-    additions: list[Connection] = []
-
-    with_self = {c.src for c in scenario.connections if c.kind is ConnectionKind.SELF}
-    for entity in scenario.entities:
-        if entity.id not in with_self:
-            additions.append(
-                Connection(
-                    id=_fresh_id(f"sc:{entity.id}:{entity.id}", used),
-                    src=entity.id,
-                    dst=entity.id,
-                    kind=ConnectionKind.SELF,
-                    polarity=1,
-                    magnitude=Fraction(1),
-                )
-            )
-
-    joined = {c.endpoints() for c in scenario.connections if c.src != c.dst}
-    ids = [e.id for e in scenario.entities]
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if frozenset((a, b)) not in joined:
-                additions.append(
-                    Connection(
-                        id=_fresh_id(f"sc:{a}:{b}", used),
-                        src=a,
-                        dst=b,
-                        kind=ConnectionKind.SILENT,
-                        polarity=-1,
-                        magnitude=Fraction(1),
-                    )
-                )
-
+    additions = tuple(
+        Connection(
+            id=_fresh_id(f"sc:{a}:{b}", used),
+            src=a,
+            dst=b,
+            kind=kind,
+            polarity=1 if kind is ConnectionKind.SELF else -1,
+            magnitude=Fraction(1),
+        )
+        for kind, a, b in _closure_gaps(scenario)
+    )
     if not additions:
         return scenario
-    return replace(scenario, connections=scenario.connections + tuple(additions))
+    return replace(scenario, connections=scenario.connections + additions)
 
 
 def _set_blocked(scenario: Scenario, connection_id: str, flag: bool) -> Scenario:

@@ -7,12 +7,16 @@ produces the same bytes, entities and connections sorted by id, keys in a
 fixed order, defaults omitted. Parsing is lenient where it can be (unknown
 keys warn) and exact where it must be (floats in the JSON source are decoded
 to rationals before any float arithmetic can occur).
+
+Every report is one document, a dict with a ``type`` key, that
+``render_document`` prints as JSON or as table text read from the same keys;
+``json_text`` is the one JSON writer for reports and scenario files.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -469,7 +473,12 @@ def serialize_scenario(scenario: Scenario) -> str:
     doc["connections"] = [_connection_doc(c) for c in scenario.connections]
     if scenario.ideal_roster is not None:
         doc["ideal_roster"] = [_roster_doc(r) for r in scenario.ideal_roster]
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    return json_text(doc) + "\n"
+
+
+def json_text(doc: dict) -> str:
+    """The one JSON writer for scenario files and report documents."""
+    return json.dumps(doc, indent=2, ensure_ascii=True)
 
 
 def _dot_quote(value: str) -> str:
@@ -523,99 +532,77 @@ def export_dot(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _percent(value: Fraction) -> str:
-    return f"{format_rational(value)}%"
+# The table form of each report document, filled in from the document itself.
+_TABLE_LINES = {
+    "connectivity_report": (
+        "score={score} ideal={ideal} efficiency={efficiency_percent}% band={band} mode={mode}"
+    ),
+    "confusion_report": "z={z} quality={quality_percent}% confused={confused} causes={causes}",
+    "quality_report": "score={score} desired={desired} quality={quality_percent}% band={band}",
+    "quality_trajectory": "order={order} ideal={ideal} steps={steps}",
+    "replacement_report": (
+        "blocked={blocked_id} replacement={replacement_id} quality_before={quality_before}%"
+        " quality_blocked={quality_blocked}% quality_after={quality_after}%"
+    ),
+}
+_STEP_LINE = "step={step} blocked={blocked_connection} score={score} efficiency={efficiency_percent}%"
+
+
+def _table_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(value) or "none"
+    return value
+
+
+def render_document(doc: dict, fmt: str) -> str:
+    """Render a report document as JSON (``machine``) or as table text; a
+    trajectory's table is a header line with the step count, then one line per step."""
+    if fmt == "machine":
+        return json_text(doc)
+    steps = doc.get("steps", [])
+    values = {key: _table_text(value) for key, value in doc.items() if key != "steps"}
+    lines = [_TABLE_LINES[doc["type"]].format(steps=len(steps), **values)]
+    lines.extend(_STEP_LINE.format(**step) for step in steps)
+    return "\n".join(lines)
+
+
+# Report classes and their document ``type``; each field becomes a key.
+_DOC_TYPES = {
+    ConnectivityReport: "connectivity_report",
+    ConfusionReport: "confusion_report",
+    QualityTrajectory: "quality_trajectory",
+    ReplacementReport: "replacement_report",
+}
+
+
+def _doc_value(value):
+    """JSON form of a report value: rationals as exact strings, enums by value."""
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_doc_value(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _doc_value(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _report_doc(report) -> dict:
+    for cls, doc_type in _DOC_TYPES.items():
+        if isinstance(report, cls):
+            return {"type": doc_type, **_doc_value(report)}
+    raise TypeError(f"cannot emit a report for {type(report).__name__}")
 
 
 def emit_report(report, fmt: str = "table") -> str:
     """Render a report for people (``table``) or machines (``machine``).
 
     The machine format is JSON with a ``type`` discriminator and every
-    number as an exact string.
+    number as an exact string; the table form reads the same document.
     """
     if fmt not in ("table", "machine"):
         raise ValueError(f"unknown report format: {fmt!r}")
-
-    if isinstance(report, ConnectivityReport):
-        if fmt == "table":
-            return (
-                f"score={format_rational(report.score)}"
-                f" ideal={format_rational(report.ideal)}"
-                f" efficiency={_percent(report.efficiency_percent)}"
-                f" band={report.band.value}"
-                f" mode={report.mode.value}"
-            )
-        doc = {
-            "type": "connectivity_report",
-            "score": format_rational(report.score),
-            "ideal": format_rational(report.ideal),
-            "efficiency_percent": format_rational(report.efficiency_percent),
-            "band": report.band.value,
-            "mode": report.mode.value,
-        }
-    elif isinstance(report, ConfusionReport):
-        if fmt == "table":
-            causes = ",".join(c.value for c in report.causes) or "none"
-            return (
-                f"z={format_rational(report.z)}"
-                f" quality={_percent(report.quality_percent)}"
-                f" confused={'true' if report.confused else 'false'}"
-                f" causes={causes}"
-            )
-        doc = {
-            "type": "confusion_report",
-            "z": format_rational(report.z),
-            "quality_percent": format_rational(report.quality_percent),
-            "confused": report.confused,
-            "causes": [c.value for c in report.causes],
-        }
-    elif isinstance(report, QualityTrajectory):
-        if fmt == "table":
-            lines = [
-                f"order={report.order.value}"
-                f" ideal={format_rational(report.ideal)}"
-                f" steps={len(report.steps)}"
-            ]
-            lines.extend(
-                f"step={s.step}"
-                f" blocked={s.blocked_connection}"
-                f" score={format_rational(s.score)}"
-                f" efficiency={_percent(s.efficiency_percent)}"
-                for s in report.steps
-            )
-            return "\n".join(lines)
-        doc = {
-            "type": "quality_trajectory",
-            "order": report.order.value,
-            "ideal": format_rational(report.ideal),
-            "steps": [
-                {
-                    "step": s.step,
-                    "blocked_connection": s.blocked_connection,
-                    "score": format_rational(s.score),
-                    "efficiency_percent": format_rational(s.efficiency_percent),
-                }
-                for s in report.steps
-            ],
-        }
-    elif isinstance(report, ReplacementReport):
-        if fmt == "table":
-            return (
-                f"blocked={report.blocked_id}"
-                f" replacement={report.replacement_id}"
-                f" quality_before={_percent(report.quality_before)}"
-                f" quality_blocked={_percent(report.quality_blocked)}"
-                f" quality_after={_percent(report.quality_after)}"
-            )
-        doc = {
-            "type": "replacement_report",
-            "blocked_id": report.blocked_id,
-            "replacement_id": report.replacement_id,
-            "ideal": format_rational(report.ideal),
-            "quality_before": format_rational(report.quality_before),
-            "quality_blocked": format_rational(report.quality_blocked),
-            "quality_after": format_rational(report.quality_after),
-        }
-    else:
-        raise TypeError(f"cannot emit a report for {type(report).__name__}")
-    return json.dumps(doc, indent=2, ensure_ascii=True)
+    return render_document(_report_doc(report), fmt)

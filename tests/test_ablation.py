@@ -18,6 +18,7 @@ from conncalc import (
     IntegrityError,
     RemovalOrder,
     Scenario,
+    ValidationError,
     block,
     connectivity_score,
     efficiency,
@@ -287,6 +288,10 @@ class TestRunReplacement:
         )
         with pytest.raises(Exception):
             run_replacement(office, "ea-eb", replacement)
+
+    def test_out_of_range_substitute_is_a_validation_error(self, office):
+        with pytest.raises(ValidationError, match="magnitude 11 outside"):
+            self.equal_swap(office, 11)
 
     def test_zero_ideal_cannot_be_normalized(self):
         base = scenario_of(conn("ab", "a", "b", magnitude=4))

@@ -63,6 +63,46 @@ class TestValidate:
         assert doc["valid"] is False
         assert any("[1, 10]" in d["message"] for d in doc["diagnostics"])
 
+    @pytest.mark.parametrize(
+        "site, location",
+        [
+            ("connection", "ab.magnitude"),
+            ("roster", "ideal_roster[0].magnitude"),
+            ("attribute", "entities[1].attributes"),
+        ],
+    )
+    def test_value_too_long_to_print_is_a_diagnostic(self, site, location, tmp_path, capsys):
+        # 10**5000 has more digits than Python converts to text by default,
+        # so naming it in a range message must not raise.
+        huge = "1e5000"
+        doc = {
+            "version": 1,
+            "host": "a",
+            "entities": [{"id": "a", "kind": "known"}, {"id": "b", "kind": "known"}],
+            "connections": [
+                {"id": "ab", "src": "a", "dst": "b", "kind": "real",
+                 "polarity": 1, "magnitude": huge if site == "connection" else "2"}
+            ],
+        }
+        if site == "roster":
+            doc["ideal_roster"] = [{"hypothetical": {"src": "a", "dst": "b", "magnitude": huge}}]
+        if site == "attribute":
+            doc["entities"][1]["attributes"] = {
+                "existence": huge, "inner_state": "0.5",
+                "external_state": "0.5", "communication_state": "0.5",
+            }
+        text = json.dumps(doc)
+        result = parse_scenario(text)
+        assert not result.ok
+        assert [d.location for d in result.errors] == [location]
+        assert "<number too long to print>" in result.errors[0].message
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"error {location}: " in out
+        assert out.endswith("invalid\n")
+
 
 class TestScore:
     def test_table(self, office_path, capsys):
@@ -283,6 +323,168 @@ class TestExportDot:
         assert main(["export-dot", str(office_path), "-o", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("graph scenario {")
+
+
+_REPLACE_SPEC = json.dumps(
+    {
+        "blocked": "ea-eb",
+        "connection": {
+            "id": "fresh", "src": "Ea", "dst": "Eb", "kind": "real",
+            "polarity": 1, "magnitude": "7",
+        },
+    }
+)
+
+# Every --format json document, byte for byte: the key order, indentation,
+# ASCII escaping and trailing newline are part of the output contract.
+JSON_DOCUMENTS = {
+    "connectivity_report": (
+        ["score", "office_path"],
+        0,
+        """{
+  "type": "connectivity_report",
+  "score": "7",
+  "ideal": "56",
+  "efficiency_percent": "12.5",
+  "band": "failing",
+  "mode": "raw"
+}
+""",
+    ),
+    "confusion_report": (
+        ["confusion", "confusion_path"],
+        0,
+        """{
+  "type": "confusion_report",
+  "z": "-1",
+  "quality_percent": "-12.5",
+  "confused": true,
+  "causes": [
+    "self_conflict"
+  ]
+}
+""",
+    ),
+    "quality_trajectory": (
+        ["ablate", "confusion_path", "--order", "most-first"],
+        0,
+        """{
+  "type": "quality_trajectory",
+  "order": "most-first",
+  "ideal": "9",
+  "steps": [
+    {
+      "step": 1,
+      "blocked_connection": "aa",
+      "score": "4",
+      "efficiency_percent": "400/9"
+    },
+    {
+      "step": 2,
+      "blocked_connection": "ab",
+      "score": "0",
+      "efficiency_percent": "0"
+    }
+  ]
+}
+""",
+    ),
+    "replacement_report": (
+        ["ablate", "office_path", "--order", "least-first", "--replace", _REPLACE_SPEC],
+        0,
+        """{
+  "type": "replacement_report",
+  "blocked_id": "ea-eb",
+  "replacement_id": "fresh",
+  "ideal": "56",
+  "quality_before": "12.5",
+  "quality_blocked": "0",
+  "quality_after": "12.5"
+}
+""",
+    ),
+    "quality_report": (
+        ["quality", "confusion_path"],
+        0,
+        """{
+  "type": "quality_report",
+  "score": "-1",
+  "desired": "8",
+  "quality_percent": "-12.5",
+  "band": "failing"
+}
+""",
+    ),
+    "validation_report": (
+        ["validate", "office_path"],
+        0,
+        """{
+  "type": "validation_report",
+  "valid": true,
+  "diagnostics": []
+}
+""",
+    ),
+    "validation_report with diagnostics": (
+        ["validate", "bad_file"],
+        1,
+        """{
+  "type": "validation_report",
+  "valid": false,
+  "diagnostics": [
+    {
+      "severity": "error",
+      "location": "aa.magnitude",
+      "message": "magnitude 11 outside [1, 10]"
+    }
+  ]
+}
+""",
+    ),
+    "paths": (
+        ["paths", "office_path", "--from", "Ea", "--to", "Ec", "--include-silent"],
+        0,
+        """{
+  "type": "paths",
+  "src": "Ea",
+  "dst": "Ec",
+  "max_hops": 3,
+  "paths": [
+    {
+      "entities": [
+        "Ea",
+        "Ec"
+      ],
+      "hops": [
+        "ec-ea"
+      ]
+    },
+    {
+      "entities": [
+        "Ea",
+        "Eb",
+        "Ec"
+      ],
+      "hops": [
+        "ea-eb",
+        "ec-eb"
+      ]
+    }
+  ]
+}
+""",
+    ),
+}
+
+
+class TestJsonDocuments:
+    @pytest.mark.parametrize("name", sorted(JSON_DOCUMENTS))
+    def test_exact_bytes(self, name, request, capsys):
+        argv, code, expected = JSON_DOCUMENTS[name]
+        command, file_fixture, *rest = argv
+        path = str(request.getfixturevalue(file_fixture))
+        assert main(["--format", "json", command, path, *rest]) == code
+        assert capsys.readouterr().out == expected
 
 
 class TestUsageAndErrors:

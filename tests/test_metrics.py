@@ -22,6 +22,7 @@ from conncalc import (
     Scenario,
     ScoringMode,
     StateError,
+    ValidationError,
     classify_quality,
     connectivity_score,
     detect_confusion,
@@ -215,6 +216,35 @@ class TestDetectConfusion:
     def test_missing_desired_is_a_configuration_error(self, office):
         with pytest.raises(ConfigurationError):
             detect_confusion(replace(office, desired_connectivity=None))
+
+    def test_invalid_scenario_is_a_validation_error_before_missing_desired(self):
+        # Validation comes first: the CLI maps this to exit 1, not exit 2.
+        bad = scenario_of(conn("c", "a", "b", magnitude=11))
+        assert bad.desired_connectivity is None
+        with pytest.raises(ValidationError):
+            detect_confusion(bad)
+
+    @pytest.mark.parametrize(
+        "connections",
+        [
+            pytest.param(
+                (conn("aa", "a", "a", magnitude=3), conn("ab", "a", "b", magnitude=3),
+                 conn("bc", "b", "c", magnitude=3)),
+                id="self-magnitude-equals-every-other",
+            ),
+            pytest.param(
+                (conn("ab", "a", "b", magnitude=3), conn("bc", "b", "c", magnitude=5)),
+                id="no-self-connections",
+            ),
+            pytest.param(
+                (conn("aa", "a", "a", magnitude=3), conn("bb", "b", "b", magnitude=5)),
+                id="only-self-connections",
+            ),
+        ],
+    )
+    def test_no_self_conflict(self, connections):
+        s = scenario_of(*connections, desired_connectivity=4)
+        assert ConfusionCause.SELF_CONFLICT not in detect_confusion(s).causes
 
     def test_missing_path_info_from_an_unbridged_silent_connection(self):
         s = scenario_of(
