@@ -46,11 +46,12 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def _number_text(value: Fraction) -> str:
-    """``str(value)``, or a placeholder past Python's int-to-str digit limit,
-    so that a message naming an input such as ``"1e5000"`` never raises."""
+def _number_text(value, text=str) -> str:
+    """``text(value)`` (``str`` or ``repr``), or a placeholder past Python's
+    int-to-str digit limit, so that a message naming an input such as
+    ``"1e5000"`` never raises."""
     try:
-        return str(value)
+        return text(value)
     except ValueError:
         return "<number too long to print>"
 

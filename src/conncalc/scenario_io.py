@@ -8,6 +8,10 @@ fixed order, defaults omitted. Parsing is lenient where it can be (unknown
 keys warn) and exact where it must be (floats in the JSON source are decoded
 to rationals before any float arithmetic can occur).
 
+The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
+``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
+object's on-disk fields: their keys, order, decoders and defaults.
+
 Every report is one document, a dict with a ``type`` key, that
 ``render_document`` prints as JSON or as table text read from the same keys;
 ``json_text`` is the one JSON writer for reports and scenario files.
@@ -16,12 +20,13 @@ Every report is one document, a dict with a ``type`` key, that
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .ablation import QualityTrajectory, ReplacementReport
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .metrics import ConfusionReport, ConnectivityReport
 from .model import (
     AttributeVector,
@@ -34,6 +39,7 @@ from .model import (
     RosterRef,
     Scenario,
     ScoringMode,
+    _number_text,
     ensure_valid,
     to_rational,
     validate_scenario,
@@ -50,20 +56,6 @@ _TOP_KEYS = {
     "connections",
     "ideal_roster",
 }
-_ENTITY_KEYS = {"id", "kind", "attributes"}
-_ATTRIBUTE_KEYS = ("existence", "inner_state", "external_state", "communication_state")
-_CONNECTION_KEYS = {
-    "id",
-    "src",
-    "dst",
-    "kind",
-    "polarity",
-    "magnitude",
-    "time_index",
-    "blocked",
-    "confirmed",
-}
-_HYPOTHETICAL_KEYS = {"src", "dst", "magnitude"}
 
 
 class Severity(str, Enum):
@@ -105,23 +97,29 @@ def format_rational(value) -> str:
     """Shortest exact text form of a rational.
 
     Integers print bare, dyadic/decimal denominators print as terminating
-    decimals with no trailing zeros, everything else prints ``p/q``.
+    decimals with no trailing zeros, everything else prints ``p/q``. A value
+    whose digits exceed Python's int-to-str limit raises
+    :class:`ComputationError`: it has no exact text form to print.
     """
     value = to_rational(value)
     num, den = value.numerator, value.denominator
-    if den == 1:
-        return str(num)
-    rest, twos, fives = den, 0, 0
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        return f"{num}/{den}"
-    scale = max(twos, fives)
-    digits = str(abs(num) * 10**scale // den).rjust(scale + 1, "0")
+    try:
+        if den == 1:
+            return str(num)
+        rest, twos, fives = den, 0, 0
+        while rest % 2 == 0:
+            rest //= 2
+            twos += 1
+        while rest % 5 == 0:
+            rest //= 5
+            fives += 1
+        if rest != 1:
+            return f"{num}/{den}"
+        scale = max(twos, fives)
+        digits = str(abs(num) * 10**scale // den).rjust(scale + 1, "0")
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ComputationError(f"number too long to print exactly (over {limit} digits)") from None
     whole, frac = digits[:-scale], digits[-scale:]
     frac = frac.rstrip("0")
     sign = "-" if num < 0 else ""
@@ -136,166 +134,198 @@ def _warn(location: str, message: str) -> ParseDiagnostic:
     return ParseDiagnostic(Severity.WARNING, location, message)
 
 
-def _rational_field(value, location: str, diags: list[ParseDiagnostic]) -> Fraction | None:
-    """Decode a number written as a decimal string, integer, or fraction."""
-    if isinstance(value, bool):
-        diags.append(_err(location, "expected a number as a decimal string, got a boolean"))
-        return None
-    if isinstance(value, Fraction):
+def _warn_unknown(item: dict, known, location: str, diags: list[ParseDiagnostic]) -> None:
+    for key in sorted(item.keys() - known):
+        diags.append(_warn(f"{location}.{key}", "unknown key ignored"))
+
+
+# Decoders: each takes (value, location, diags), appends a diagnostic at the
+# location when the value is bad, and returns the decoded value or None.
+# The flag and time-index decoders fall back to their defaults instead, which
+# is what ``parse_connection_doc`` returns alongside the diagnostic.
+
+
+def _string(value, location: str, diags: list[ParseDiagnostic]) -> str | None:
+    if isinstance(value, str):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if value is None:
+        diags.append(_err(location, "missing required key"))
+    else:
+        diags.append(_err(location, f"expected a string, got {type(value).__name__}"))
+    return None
+
+
+def _choice(enum: type[Enum], what: str, *, strings_only: bool):
+    """Decoder for one of ``enum``'s values; with ``strings_only``, a value
+    that is not a string is reported as :func:`_string` reports it."""
+    members = {member.value: member for member in enum}
+
+    def decode(value, location: str, diags: list[ParseDiagnostic]):
+        if isinstance(value, str):
+            member = members.get(value)
+            if member is not None:
+                return member
+        elif strings_only:
+            return _string(value, location, diags)
+        diags.append(_err(location, f"unknown {what}: {_number_text(value, repr)}"))
+        return None
+
+    return decode
+
+
+def _number(value, location: str, diags: list[ParseDiagnostic]) -> Fraction | None:
+    """Decode a number written as a decimal string, integer, or fraction."""
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             diags.append(_err(location, f"not a numeric string: {value!r}"))
             return None
+    if isinstance(value, bool):
+        diags.append(_err(location, "expected a number as a decimal string, got a boolean"))
+        return None
+    if isinstance(value, (Fraction, int)):
+        return Fraction(value)
     diags.append(
         _err(location, f"expected a number as a decimal string, got {type(value).__name__}")
     )
     return None
 
 
-def _string_field(item: dict, key: str, location: str, diags: list[ParseDiagnostic]) -> str | None:
-    value = item.get(key)
+def _polarity(value, location: str, diags: list[ParseDiagnostic]) -> int | None:
     if value is None:
-        diags.append(_err(f"{location}.{key}", "missing required key"))
-        return None
-    if not isinstance(value, str):
-        diags.append(_err(f"{location}.{key}", f"expected a string, got {type(value).__name__}"))
-        return None
+        diags.append(_err(location, "missing required key"))
+    elif isinstance(value, bool) or not isinstance(value, int) or value not in (1, -1):
+        diags.append(_err(location, f"polarity must be 1 or -1, got {_number_text(value, repr)}"))
+    else:
+        return value
+    return None
+
+
+def _time_index(value, location: str, diags: list[ParseDiagnostic]) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        diags.append(_err(location, "time_index must be an integer"))
+        return 0
     return value
 
 
-def _warn_unknown(item: dict, known, location: str, diags: list[ParseDiagnostic]) -> None:
-    for key in sorted(set(item) - set(known)):
-        diags.append(_warn(f"{location}.{key}", "unknown key ignored"))
+def _flag(value, location: str, diags: list[ParseDiagnostic]) -> bool:
+    if not isinstance(value, bool):
+        key = location.rpartition(".")[2]
+        diags.append(_err(location, f"{key} must be true or false"))
+        return False
+    return value
 
 
-def _parse_attributes(raw, location: str, diags: list[ParseDiagnostic]) -> AttributeVector:
-    if not isinstance(raw, dict):
-        diags.append(_err(location, f"attributes must be an object, got {type(raw).__name__}"))
+def _attributes(value, location: str, diags: list[ParseDiagnostic]) -> AttributeVector:
+    decoded = _fields(value, _ATTRIBUTE_FIELDS, "attributes", location, diags)
+    if decoded is None:
         return AttributeVector()
-    _warn_unknown(raw, _ATTRIBUTE_KEYS, location, diags)
-    values = {}
-    for key in _ATTRIBUTE_KEYS:
-        if key not in raw:
-            diags.append(_err(f"{location}.{key}", "missing required key"))
-            continue
-        decoded = _rational_field(raw[key], f"{location}.{key}", diags)
-        if decoded is not None:
-            values[key] = decoded
     try:
-        return AttributeVector(**values)
+        return AttributeVector(**{k: v for k, v in decoded.items() if v is not None})
     except ValidationError as exc:
         diags.append(_err(location, str(exc)))
         return AttributeVector()
 
 
-def _parse_entity(item, location: str, diags: list[ParseDiagnostic]) -> Entity | None:
+_REQUIRED = object()  # default of a field whose absence is an error
+
+# Field tables: on-disk key -> (decoder, default when the key is absent), in
+# the order the fields are decoded and reported. A decoder that treats null
+# as absent (``_string``, ``_polarity``) says "missing required key" for it.
+_ATTRIBUTE_FIELDS = {
+    "existence": (_number, _REQUIRED),
+    "inner_state": (_number, _REQUIRED),
+    "external_state": (_number, _REQUIRED),
+    "communication_state": (_number, _REQUIRED),
+}
+_ENTITY_FIELDS = {
+    "id": (_string, _REQUIRED),
+    "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED),
+    "attributes": (_attributes, AttributeVector()),
+}
+_CONNECTION_FIELDS = {
+    "id": (_string, _REQUIRED),
+    "src": (_string, _REQUIRED),
+    "dst": (_string, _REQUIRED),
+    "kind": (_choice(ConnectionKind, "connection kind", strings_only=True), _REQUIRED),
+    "polarity": (_polarity, _REQUIRED),
+    "magnitude": (_number, _REQUIRED),
+    "time_index": (_time_index, 0),
+    "blocked": (_flag, False),
+    "confirmed": (_flag, False),
+}
+_HYPOTHETICAL_FIELDS = {
+    "src": (_string, _REQUIRED),
+    "dst": (_string, _REQUIRED),
+    "magnitude": (_number, _REQUIRED),
+}
+_scoring_mode = _choice(ScoringMode, "scoring mode", strings_only=False)
+
+
+def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagnostic]):
+    """Decode ``item``'s fields by ``table``: a dict of key to decoded value
+    (None where decoding failed), or None if ``item`` is not an object."""
     if not isinstance(item, dict):
-        diags.append(_err(location, f"entity must be an object, got {type(item).__name__}"))
+        diags.append(_err(location, f"{what} must be an object, got {type(item).__name__}"))
         return None
-    _warn_unknown(item, _ENTITY_KEYS, location, diags)
-    entity_id = _string_field(item, "id", location, diags)
-    kind = _string_field(item, "kind", location, diags)
-    if kind is not None and kind not in {k.value for k in EntityKind}:
-        diags.append(_err(f"{location}.kind", f"unknown entity kind: {kind!r}"))
-        kind = None
-    attributes = AttributeVector()
-    if "attributes" in item:
-        attributes = _parse_attributes(item["attributes"], f"{location}.attributes", diags)
-    if entity_id is None or kind is None:
+    _warn_unknown(item, table, location, diags)
+    values = {}
+    for key, (decode, default) in table.items():
+        if key in item:
+            values[key] = decode(item[key], f"{location}.{key}", diags)
+        elif default is _REQUIRED:
+            diags.append(_err(f"{location}.{key}", "missing required key"))
+            values[key] = None
+        else:
+            values[key] = default
+    return values
+
+
+def _build(cls, values: dict | None):
+    """``cls(**values)``, or None when any field failed to decode."""
+    if values is None or None in values.values():
         return None
-    return Entity(id=entity_id, kind=EntityKind(kind), attributes=attributes)
+    return cls(**values)
+
+
+def _parse_entity(item, location: str, diags: list[ParseDiagnostic]) -> Entity | None:
+    return _build(Entity, _fields(item, _ENTITY_FIELDS, "entity", location, diags))
 
 
 def _parse_connection(item, location: str, diags: list[ParseDiagnostic]) -> Connection | None:
-    if not isinstance(item, dict):
-        diags.append(_err(location, f"connection must be an object, got {type(item).__name__}"))
-        return None
-    _warn_unknown(item, _CONNECTION_KEYS, location, diags)
-    connection_id = _string_field(item, "id", location, diags)
-    src = _string_field(item, "src", location, diags)
-    dst = _string_field(item, "dst", location, diags)
-    kind = _string_field(item, "kind", location, diags)
-    if kind is not None and kind not in {k.value for k in ConnectionKind}:
-        diags.append(_err(f"{location}.kind", f"unknown connection kind: {kind!r}"))
-        kind = None
-
-    polarity = item.get("polarity")
-    if polarity is None:
-        diags.append(_err(f"{location}.polarity", "missing required key"))
-    elif isinstance(polarity, bool) or not isinstance(polarity, int) or polarity not in (1, -1):
-        diags.append(_err(f"{location}.polarity", f"polarity must be 1 or -1, got {polarity!r}"))
-        polarity = None
-
-    magnitude = None
-    if "magnitude" not in item:
-        diags.append(_err(f"{location}.magnitude", "missing required key"))
-    else:
-        magnitude = _rational_field(item["magnitude"], f"{location}.magnitude", diags)
-
-    time_index = item.get("time_index", 0)
-    if isinstance(time_index, bool) or not isinstance(time_index, int):
-        diags.append(_err(f"{location}.time_index", "time_index must be an integer"))
-        time_index = 0
-
-    flags = {}
-    for key in ("blocked", "confirmed"):
-        value = item.get(key, False)
-        if not isinstance(value, bool):
-            diags.append(_err(f"{location}.{key}", f"{key} must be true or false"))
-            value = False
-        flags[key] = value
-
-    if None in (connection_id, src, dst, kind, polarity, magnitude):
-        return None
-    return Connection(
-        id=connection_id,
-        src=src,
-        dst=dst,
-        kind=ConnectionKind(kind),
-        polarity=polarity,
-        magnitude=magnitude,
-        time_index=time_index,
-        blocked=flags["blocked"],
-        confirmed=flags["confirmed"],
-    )
+    return _build(Connection, _fields(item, _CONNECTION_FIELDS, "connection", location, diags))
 
 
 def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> RosterEntry | None:
     if not isinstance(item, dict):
         diags.append(_err(location, f"roster entry must be an object, got {type(item).__name__}"))
         return None
-    has_ref = "ref" in item
-    has_hyp = "hypothetical" in item
-    if has_ref == has_hyp:
+    if ("ref" in item) == ("hypothetical" in item):
         diags.append(_err(location, "roster entry must have exactly one of 'ref' or 'hypothetical'"))
         return None
     _warn_unknown(item, {"ref", "hypothetical"}, location, diags)
-    if has_ref:
-        ref = item["ref"]
-        if not isinstance(ref, str):
-            diags.append(_err(f"{location}.ref", "ref must be a connection id string"))
-            return None
-        return RosterRef(ref=ref)
-    raw = item["hypothetical"]
-    if not isinstance(raw, dict):
-        diags.append(_err(f"{location}.hypothetical", "hypothetical must be an object"))
+    if "ref" in item:
+        if isinstance(item["ref"], str):
+            return RosterRef(ref=item["ref"])
+        diags.append(_err(f"{location}.ref", "ref must be a connection id string"))
         return None
-    _warn_unknown(raw, _HYPOTHETICAL_KEYS, f"{location}.hypothetical", diags)
-    src = _string_field(raw, "src", f"{location}.hypothetical", diags)
-    dst = _string_field(raw, "dst", f"{location}.hypothetical", diags)
-    magnitude = None
-    if "magnitude" not in raw:
-        diags.append(_err(f"{location}.hypothetical.magnitude", "missing required key"))
-    else:
-        magnitude = _rational_field(raw["magnitude"], f"{location}.hypothetical.magnitude", diags)
-    if None in (src, dst, magnitude):
+    location = f"{location}.hypothetical"
+    if not isinstance(item["hypothetical"], dict):
+        diags.append(_err(location, "hypothetical must be an object"))
         return None
-    return RosterHypothetical(src=src, dst=dst, magnitude=magnitude)
+    values = _fields(item["hypothetical"], _HYPOTHETICAL_FIELDS, "hypothetical", location, diags)
+    return _build(RosterHypothetical, values)
+
+
+def _item_list(raw, key: str, parse, diags: list[ParseDiagnostic]) -> list | None:
+    """The items of the array ``raw`` that ``parse`` decodes, or None if it is
+    not an array."""
+    if not isinstance(raw, list):
+        diags.append(_err(key, f"expected an array, got {type(raw).__name__}"))
+        return None
+    parsed = (parse(item, f"{key}[{i}]", diags) for i, item in enumerate(raw))
+    return [item for item in parsed if item is not None]
 
 
 def parse_connection_doc(
@@ -314,91 +344,53 @@ def parse_scenario(text: str) -> ParseResult:
     Warnings (unknown keys) never prevent parsing. All numeric fields are
     decoded exactly; JSON floats become rationals without a float detour.
     """
-    diags: list[ParseDiagnostic] = []
     try:
         doc = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
-        diags.append(
-            _err("document", f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})")
-        )
-        return ParseResult(None, tuple(diags))
+        message = f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
+        return ParseResult(None, (_err("document", message),))
+    except (ValueError, RecursionError) as exc:
+        # An integer past the int-to-str digit limit, or nesting too deep.
+        return ParseResult(None, (_err("document", f"invalid JSON: {exc}"),))
     if not isinstance(doc, dict):
         return ParseResult(None, (_err("document", "top-level JSON value must be an object"),))
 
+    diags: list[ParseDiagnostic] = []
     _warn_unknown(doc, _TOP_KEYS, "document", diags)
 
     version = doc.get("version")
     if version is None:
         diags.append(_err("version", "missing required key"))
     elif isinstance(version, bool) or not isinstance(version, int) or version != FORMAT_VERSION:
-        diags.append(_err("version", f"unsupported format version {version!r}; expected 1"))
+        shown = _number_text(version, repr)
+        diags.append(_err("version", f"unsupported format version {shown}; expected 1"))
 
-    host = doc.get("host")
-    if host is None:
-        diags.append(_err("host", "missing required key"))
-        host = ""
-    elif not isinstance(host, str):
-        diags.append(_err("host", f"expected a string, got {type(host).__name__}"))
-        host = ""
-
-    mode_raw = doc.get("mode", ScoringMode.RAW.value)
-    if mode_raw not in {m.value for m in ScoringMode}:
-        diags.append(_err("mode", f"unknown scoring mode: {mode_raw!r}"))
-        mode_raw = ScoringMode.RAW.value
-
+    host = _string(doc.get("host"), "host", diags)
+    mode = _scoring_mode(doc.get("mode", ScoringMode.RAW.value), "mode", diags)
     desired = None
     if "desired_connectivity" in doc:
-        desired = _rational_field(doc["desired_connectivity"], "desired_connectivity", diags)
+        desired = _number(doc["desired_connectivity"], "desired_connectivity", diags)
 
-    entities: list[Entity] = []
-    raw_entities = doc.get("entities")
-    if raw_entities is None:
-        diags.append(_err("entities", "missing required key"))
-    elif not isinstance(raw_entities, list):
-        diags.append(_err("entities", f"expected an array, got {type(raw_entities).__name__}"))
-    else:
-        for i, item in enumerate(raw_entities):
-            parsed = _parse_entity(item, f"entities[{i}]", diags)
-            if parsed is not None:
-                entities.append(parsed)
-
-    connections: list[Connection] = []
-    raw_connections = doc.get("connections")
-    if raw_connections is None:
-        diags.append(_err("connections", "missing required key"))
-    elif not isinstance(raw_connections, list):
-        diags.append(
-            _err("connections", f"expected an array, got {type(raw_connections).__name__}")
-        )
-    else:
-        for i, item in enumerate(raw_connections):
-            parsed = _parse_connection(item, f"connections[{i}]", diags)
-            if parsed is not None:
-                connections.append(parsed)
-
-    roster: list[RosterEntry] | None = None
-    if "ideal_roster" in doc:
-        raw_roster = doc["ideal_roster"]
-        if not isinstance(raw_roster, list):
-            diags.append(
-                _err("ideal_roster", f"expected an array, got {type(raw_roster).__name__}")
-            )
+    # A null entities or connections array is missing; a null roster is not an array.
+    arrays = {}
+    for key, parse in (("entities", _parse_entity), ("connections", _parse_connection)):
+        if doc.get(key) is None:
+            diags.append(_err(key, "missing required key"))
         else:
-            roster = []
-            for i, item in enumerate(raw_roster):
-                parsed = _parse_roster_entry(item, f"ideal_roster[{i}]", diags)
-                if parsed is not None:
-                    roster.append(parsed)
+            arrays[key] = _item_list(doc[key], key, parse, diags)
+    roster = None
+    if "ideal_roster" in doc:
+        roster = _item_list(doc["ideal_roster"], "ideal_roster", _parse_roster_entry, diags)
 
     if any(d.severity is Severity.ERROR for d in diags):
         return ParseResult(None, tuple(diags))
 
     scenario = Scenario(
-        entities=tuple(entities),
-        connections=tuple(connections),
+        entities=tuple(arrays["entities"]),
+        connections=tuple(arrays["connections"]),
         host=host,
         ideal_roster=tuple(roster) if roster is not None else None,
-        scoring_mode=ScoringMode(mode_raw),
+        scoring_mode=mode,
         desired_connectivity=desired,
     )
     violations = validate_scenario(scenario)
@@ -412,13 +404,7 @@ def parse_scenario(text: str) -> ParseResult:
 def _entity_doc(entity: Entity) -> dict:
     doc: dict[str, object] = {"id": entity.id, "kind": entity.kind.value}
     if entity.attributes != AttributeVector():
-        attrs = entity.attributes
-        doc["attributes"] = {
-            "existence": format_rational(attrs.existence),
-            "inner_state": format_rational(attrs.inner_state),
-            "external_state": format_rational(attrs.external_state),
-            "communication_state": format_rational(attrs.communication_state),
-        }
+        doc["attributes"] = _doc_value(entity.attributes)
     return doc
 
 
@@ -442,14 +428,8 @@ def _connection_doc(conn: Connection) -> dict:
 
 def _roster_doc(entry: RosterEntry) -> dict:
     if isinstance(entry, RosterRef):
-        return {"ref": entry.ref}
-    return {
-        "hypothetical": {
-            "src": entry.src,
-            "dst": entry.dst,
-            "magnitude": format_rational(entry.magnitude),
-        }
-    }
+        return _doc_value(entry)
+    return {"hypothetical": _doc_value(entry)}
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -45,6 +45,15 @@ def lonely_file(tmp_path):
     return str(path)
 
 
+# A valid scenario's JSON text with raw fragments spliced in by name.
+SMALL_DOC = (
+    '{"version": %(version)s, "host": "a", "mode": %(mode)s,'
+    ' "entities": [{"id": "a", "kind": "known"}, {"id": "b", "kind": "known"}],'
+    ' "connections": [{"id": "ab", "src": "a", "dst": "b", "kind": "real",'
+    ' "polarity": %(polarity)s, "magnitude": "2"}]}'
+)
+
+
 class TestValidate:
     def test_good_file(self, office_path, capsys):
         assert main(["validate", str(office_path)]) == 0
@@ -106,6 +115,75 @@ class TestValidate:
         out = capsys.readouterr().out
         assert f"error {location}: " in out
         assert out.endswith("invalid\n")
+
+    @pytest.mark.parametrize(
+        "fragments, location, message",
+        [
+            ({"mode": "[]"}, "mode", "unknown scoring mode: []"),
+            ({"mode": "{}"}, "mode", "unknown scoring mode: {}"),
+            ({"mode": '["raw"]'}, "mode", "unknown scoring mode: ['raw']"),
+            ({"mode": "1e5000"}, "mode", "unknown scoring mode: <number too long to print>"),
+            (
+                {"version": "1e5000"},
+                "version",
+                "unsupported format version <number too long to print>; expected 1",
+            ),
+            ({"version": "1.5"}, "version", "unsupported format version Fraction(3, 2); expected 1"),
+            (
+                {"polarity": "1e5000"},
+                "connections[0].polarity",
+                "polarity must be 1 or -1, got <number too long to print>",
+            ),
+            ({"version": "1" * 4301}, "document", "invalid JSON: "),
+            ({"mode": "[" * 5000 + "]" * 5000}, "document", "invalid JSON: "),
+        ],
+        ids=[
+            "mode-array", "mode-object", "mode-array-of-name", "mode-huge", "version-huge",
+            "version-fraction", "polarity-huge", "integer-past-digit-limit", "nested-5000-deep",
+        ],
+    )
+    def test_hostile_content_is_a_diagnostic(self, fragments, location, message, tmp_path, capsys):
+        text = SMALL_DOC % {"version": "1", "mode": '"raw"', "polarity": "1", **fragments}
+        result = parse_scenario(text)
+        assert not result.ok
+        assert [d.location for d in result.errors] == [location]
+        assert result.errors[0].message.startswith(message)
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert f"error {location}: {message}" in out
+        assert out.endswith("invalid\n")
+
+
+class TestUnprintableResult:
+    @pytest.mark.parametrize(
+        "args, site",
+        [
+            (["quality"], "desired"),
+            (["closure"], "desired"),
+            (["score", "--mode", "impact"], "attribute"),
+        ],
+        ids=["quality", "closure", "impact-score"],
+    )
+    def test_exits_2_with_an_error_line(self, args, site, tmp_path, capsys):
+        # Each result is valid but has more digits than Python converts to text.
+        doc = json.loads(SMALL_DOC % {"version": "1", "mode": '"raw"', "polarity": "1"})
+        if site == "desired":
+            doc["desired_connectivity"] = "1e5000"
+        else:
+            doc["entities"][1]["attributes"] = {
+                "existence": "1e-5000", "inner_state": "0.5",
+                "external_state": "0.5", "communication_state": "0.5",
+            }
+        path = tmp_path / "valid.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main([args[0], str(path), *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: number too long to print exactly")
 
 
 class TestScore:

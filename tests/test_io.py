@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conncalc import (
+    ComputationError,
     Connection,
     ConnectionKind,
+    ParseResult,
     RemovalOrder,
     Scenario,
     Severity,
@@ -28,6 +32,7 @@ from conncalc import (
     run_replacement,
     serialize_scenario,
 )
+from conncalc.cli import main
 
 from . import support
 from .dotparse import parse_dot
@@ -79,6 +84,13 @@ class TestFormatRational:
     @given(support.rationals)
     def test_output_reads_back_exactly(self, value):
         assert Fraction(format_rational(value)) == value
+
+    def test_past_the_int_to_str_digit_limit_is_a_computation_error(self):
+        for value in (Fraction(10**5000), Fraction(10**5000 + 1, 3)):
+            with pytest.raises(ComputationError, match="too long to print exactly"):
+                format_rational(value)
+        # A long decimal whose digit runs stay under the limit still prints.
+        assert format_rational(Fraction(1, 10**5000)) == "0." + "0" * 4999 + "1"
 
 
 class TestParseScenario:
@@ -399,3 +411,74 @@ class TestParseConnectionDoc:
         assert connection is None
         assert all(d.location.startswith("replace.connection") for d in diags)
         assert any(d.location == "replace.connection.polarity" for d in diags)
+
+
+class Numeral(str):
+    """A JSON number written out verbatim, as ``json.dumps`` cannot write one
+    past Python's int-to-str digit limit."""
+
+
+def json_source(value) -> str:
+    """JSON text for a value, with each Numeral written as it is."""
+    if isinstance(value, Numeral):
+        return str(value)
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {json_source(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(json_source(v) for v in value) + "]"
+    return json.dumps(value)
+
+
+def containers(value) -> list:
+    """Every object and array in a JSON value, outermost first."""
+    if isinstance(value, dict):
+        children = list(value.values())
+    elif isinstance(value, list):
+        children = value
+    else:
+        return []
+    found = [value]
+    for child in children:
+        found.extend(containers(child))
+    return found
+
+
+huge_numerals = st.sampled_from(
+    ["1" * 4301, "-" + "9" * 5000, "1e5000", "-1e5000", "1e-5000", "25e4400"]
+).map(Numeral)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | huge_numerals,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestHostileContent:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutated_fixtures_parse_and_validate_without_raising(
+        self, data, office_path, confusion_path, tmp_path_factory
+    ):
+        source = data.draw(st.sampled_from([office_path, confusion_path]))
+        doc = json.loads(source.read_text())
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            target = data.draw(st.sampled_from(containers(doc)))
+            keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+            action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+            if action != "add" and keys:
+                key = data.draw(st.sampled_from(keys))
+                if action == "replace":
+                    target[key] = data.draw(json_values)
+                else:
+                    del target[key]
+            elif isinstance(target, dict):
+                target[data.draw(st.text(min_size=1, max_size=6))] = data.draw(json_values)
+            else:
+                target.append(data.draw(json_values))
+        text = json_source(doc)
+        assert isinstance(parse_scenario(text), ParseResult)
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["validate", str(path)]) in (0, 1)
