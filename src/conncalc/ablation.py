@@ -6,6 +6,10 @@ importance order and record the quality after each step, always measured
 against the intact scenario's ideal connectivity so that steps are
 comparable. Replacement experiments block one connection, add a substitute,
 and report quality before, during, and after, again over the intact ideal.
+
+One valuation pass per experiment: a block lowers the score by exactly the
+blocked connection's value, so the cost is linear in the connections plus
+the schedule sort.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ComputationError, IntegrityError
+from .errors import ComputationError
 from .metrics import connectivity_score, ideal_connectivity, quality
 from .model import Connection, Scenario, connection_value, ensure_valid, with_connection
-from .paths import block
 
 
 class RemovalOrder(str, Enum):
@@ -101,20 +104,21 @@ def run_removal(
     truncates the schedule; None runs it to the end.
     """
     order = RemovalOrder(order)
+    schedule = removal_schedule(scenario, order)
     ideal = ideal_connectivity(scenario)
     if ideal == 0:
         raise ComputationError("ideal connectivity is zero; quality trajectory is undefined")
-    schedule = removal_schedule(scenario, order)
     if max_steps is not None:
         if isinstance(max_steps, bool) or max_steps < 0:
             raise ValueError(f"max_steps must be a non-negative integer, got {max_steps!r}")
         schedule = schedule[:max_steps]
 
+    values = {c.id: connection_value(c, scenario) for c in scenario.connections}
+    score = sum(values.values(), Fraction(0))
     steps: list[TrajectoryStep] = []
-    current = scenario
     for number, connection_id in enumerate(schedule, start=1):
-        current = block(current, connection_id)
-        score = connectivity_score(current)
+        score -= values[connection_id]
+        values[connection_id] = Fraction(0)
         steps.append(
             TrajectoryStep(
                 step=number,
@@ -138,24 +142,20 @@ def run_replacement(
     expectation, and the substitute is judged by how much of the lost help
     it restores, not by how it changes the expectation.
     """
-    scenario.connection(blocked_id)
-    if scenario.has_connection(replacement.id):
-        raise IntegrityError(f"connection id already in use: {replacement.id!r}")
+    before = connectivity_score(scenario)
+    blocked = before - connection_value(scenario.connection(blocked_id), scenario)
+    patched = with_connection(scenario, replacement)
     ideal = ideal_connectivity(scenario)
     if ideal == 0:
         raise ComputationError("ideal connectivity is zero; replacement quality is undefined")
-
-    quality_before = quality(connectivity_score(scenario), ideal)
-    blocked = block(scenario, blocked_id)
-    quality_blocked = quality(connectivity_score(blocked), ideal)
-    patched = with_connection(blocked, replacement)
-    quality_after = quality(connectivity_score(patched), ideal)
+    ensure_valid(patched)
+    after = blocked + connection_value(replacement, patched)
 
     return ReplacementReport(
         blocked_id=blocked_id,
         replacement_id=replacement.id,
         ideal=ideal,
-        quality_before=quality_before,
-        quality_blocked=quality_blocked,
-        quality_after=quality_after,
+        quality_before=quality(before, ideal),
+        quality_blocked=quality(blocked, ideal),
+        quality_after=quality(after, ideal),
     )

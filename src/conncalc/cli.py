@@ -35,6 +35,7 @@ from .scenario_io import (
     parse_scenario,
     render_document,
     serialize_scenario,
+    Severity,
 )
 
 USAGE_ERROR = 64
@@ -76,13 +77,16 @@ def _replace_spec(text: str) -> ReplaceSpec:
         doc = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"must be JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # An integer past the int-to-str digit limit, or nesting too deep.
+        raise argparse.ArgumentTypeError(f"must be JSON: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != {"blocked", "connection"}:
         raise argparse.ArgumentTypeError("needs exactly the keys 'blocked' and 'connection'")
     blocked = doc["blocked"]
     if not isinstance(blocked, str) or not blocked:
         raise argparse.ArgumentTypeError("'blocked' must be a connection id string")
     connection, diagnostics = parse_connection_doc(doc["connection"], "connection")
-    if connection is None:
+    if connection is None or any(d.severity is Severity.ERROR for d in diagnostics):
         detail = "; ".join(str(d) for d in diagnostics) or "invalid connection object"
         raise argparse.ArgumentTypeError(detail)
     return ReplaceSpec(blocked=blocked, connection=connection)

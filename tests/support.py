@@ -8,6 +8,7 @@ the timed bulk checks and hypothesis strategies for property tests.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,10 +20,14 @@ from conncalc import (
     ConnectionKind,
     Entity,
     EntityKind,
+    QualityTrajectory,
+    RemovalOrder,
+    ReplacementReport,
     RosterHypothetical,
     RosterRef,
     Scenario,
     ScoringMode,
+    TrajectoryStep,
 )
 
 
@@ -67,6 +72,58 @@ def oracle_ideal(scenario: Scenario) -> Fraction:
                 value *= (oracle_impact(by_id[entry.src]) + oracle_impact(by_id[entry.dst])) / 2
             total += abs(value)
     return total
+
+
+def _oracle_blocked(scenario: Scenario, connection_id: str) -> Scenario:
+    """A fresh copy of the scenario with one more connection blocked."""
+    connections = tuple(
+        dataclasses.replace(c, blocked=True) if c.id == connection_id else c
+        for c in scenario.connections
+    )
+    return dataclasses.replace(scenario, connections=connections)
+
+
+def oracle_removal(
+    scenario: Scenario, order: RemovalOrder, max_steps: int | None = None
+) -> QualityTrajectory:
+    """Removal trajectory with every step re-scored from scratch.
+
+    Ranks by unblocked absolute value (ties by id), then blocks one more
+    connection per step on a new copy and sums every value again; the
+    denominator is the intact scenario's ideal.
+    """
+    order = RemovalOrder(order)
+    sign = 1 if order is RemovalOrder.LEAST_FIRST else -1
+    ranked = sorted(
+        scenario.connections,
+        key=lambda c: (sign * abs(oracle_value(c, scenario, ignore_blocked=True)), c.id),
+    )
+    ideal = oracle_ideal(scenario)
+    steps = []
+    working = scenario
+    for number, conn in enumerate(ranked[:max_steps], start=1):
+        working = _oracle_blocked(working, conn.id)
+        score = oracle_score(working)
+        steps.append(TrajectoryStep(number, conn.id, score, 100 * score / ideal))
+    return QualityTrajectory(order=order, ideal=ideal, steps=tuple(steps))
+
+
+def oracle_replacement(
+    scenario: Scenario, blocked_id: str, replacement: Connection
+) -> ReplacementReport:
+    """Replacement report with all three scores summed from scratch."""
+    ideal = oracle_ideal(scenario)
+    blocked = _oracle_blocked(scenario, blocked_id)
+    patched = dataclasses.replace(blocked, connections=blocked.connections + (replacement,))
+    before, during, after = (oracle_score(s) for s in (scenario, blocked, patched))
+    return ReplacementReport(
+        blocked_id=blocked_id,
+        replacement_id=replacement.id,
+        ideal=ideal,
+        quality_before=100 * before / ideal,
+        quality_blocked=100 * during / ideal,
+        quality_after=100 * after / ideal,
+    )
 
 
 def random_scenario(

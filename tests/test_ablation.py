@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+import conncalc.model
 from conncalc import (
     AttributeVector,
     ScoringMode,
@@ -308,3 +310,116 @@ class TestRunReplacement:
         )
         with pytest.raises(ComputationError):
             run_replacement(empty_roster, "ab", replacement)
+
+
+def dangling_scenario() -> Scenario:
+    """Connection a -> ghost, where ghost names no entity."""
+    half = ("0.5", "0.5", "0.5", "0.5")
+    return scenario_of(
+        conn("ab", "a", "b", magnitude=4),
+        conn("ag", "a", "ghost", magnitude=3),
+        entities=(entity_with("a", *half), entity_with("b", *half)),
+    )
+
+
+class TestValidateFirst:
+    def test_removal_reports_a_dangling_endpoint_as_invalid(self):
+        with pytest.raises(ValidationError, match="endpoint 'ghost' is not an entity"):
+            run_removal(dangling_scenario(), RemovalOrder.LEAST_FIRST)
+
+    def test_replacement_reports_a_dangling_endpoint_as_invalid(self):
+        with pytest.raises(ValidationError, match="endpoint 'ghost' is not an entity"):
+            run_replacement(dangling_scenario(), "ab", conn("fresh", "a", "b", magnitude=4))
+
+
+max_steps_draws = st.one_of(st.none(), st.integers(0, 10))
+
+
+@st.composite
+def replacement_draws(draw, scenario: Scenario) -> Connection:
+    """A valid substitute with a fresh id between two of the scenario's entities."""
+    ids = [e.id for e in scenario.entities]
+    src = draw(st.sampled_from(ids))
+    dst = draw(st.sampled_from(ids))
+    if src == dst:
+        kind = ConnectionKind.SELF
+    else:
+        kind = draw(st.sampled_from((ConnectionKind.REAL, ConnectionKind.SILENT)))
+    return Connection(
+        id="fresh",
+        src=src,
+        dst=dst,
+        kind=kind,
+        polarity=draw(support.polarities),
+        magnitude=draw(support.magnitudes),
+        blocked=draw(st.booleans()),
+    )
+
+
+class TestAgainstTheOracle:
+    """Every field of every result equals a from-scratch re-derivation."""
+
+    @given(support.scenarios(), st.sampled_from(RemovalOrder), max_steps_draws)
+    def test_removal(self, s, order, max_steps):
+        if support.oracle_ideal(s) == 0:
+            with pytest.raises(ComputationError):
+                run_removal(s, order, max_steps)
+            return
+        expected = support.oracle_removal(s, order, max_steps)
+        trajectory = run_removal(s, order, max_steps)
+        assert trajectory.order == expected.order
+        assert trajectory.ideal == expected.ideal
+        assert trajectory.steps == expected.steps
+
+    @given(support.scenarios(require_connection=True), st.data())
+    def test_replacement(self, s, data):
+        blocked_id = data.draw(st.sampled_from([c.id for c in s.connections]))
+        replacement = data.draw(replacement_draws(s))
+        if support.oracle_ideal(s) == 0:
+            with pytest.raises(ComputationError):
+                run_replacement(s, blocked_id, replacement)
+            return
+        report = run_replacement(s, blocked_id, replacement)
+        assert report == support.oracle_replacement(s, blocked_id, replacement)
+
+
+class TestValidationCount:
+    """Each experiment validates a constant number of times, not once per step."""
+
+    @pytest.fixture()
+    def validate_calls(self, monkeypatch):
+        calls = []
+        original = conncalc.model.validate_scenario
+
+        def counted(scenario):
+            calls.append(scenario)
+            return original(scenario)
+
+        monkeypatch.setattr(conncalc.model, "validate_scenario", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        s = support.random_scenario(
+            support.random.Random(2024),
+            max_entities=40,
+            min_connections=2000,
+            max_connections=2000,
+        )
+        assert len(s.connections) == 2000
+        return s
+
+    @pytest.mark.parametrize("order", list(RemovalOrder))
+    def test_removal_validates_once(self, large, order, validate_calls):
+        trajectory = run_removal(large, order)
+        assert len(validate_calls) == 1
+        assert len(trajectory.steps) == len(large.connections)
+
+    def test_replacement_validates_at_most_twice(self, large, validate_calls):
+        first = large.connections[0]
+        replacement = Connection(
+            id="fresh", src=first.src, dst=first.dst, kind=first.kind,
+            polarity=1, magnitude=Fraction(5),
+        )
+        run_replacement(large, first.id, replacement)
+        assert 1 <= len(validate_calls) <= 2

@@ -364,6 +364,36 @@ class TestAblate:
         assert code == 64
         assert "'blocked' and 'connection'" in capsys.readouterr().err
 
+    def test_replace_spec_nested_too_deep_is_a_usage_error(self, office_path, capsys):
+        spec = "[" * 5000 + "]" * 5000
+        code = main(
+            ["ablate", str(office_path), "--order", "least-first", "--replace", spec]
+        )
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "must be JSON" in err
+
+    def test_replace_spec_rejects_a_connection_with_field_errors(self, office_path, capsys):
+        # The connection still decodes (bad fields fall back to defaults), but
+        # each error diagnostic must reject the spec, not run the experiment.
+        spec = json.dumps(
+            {
+                "blocked": "ea-eb",
+                "connection": {
+                    "id": "fresh", "src": "Ea", "dst": "Eb", "kind": "real",
+                    "polarity": 1, "magnitude": "7", "blocked": "yes",
+                    "time_index": "soon",
+                },
+            }
+        )
+        code = main(["ablate", str(office_path), "--order", "least-first", "--replace", spec])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error connection.blocked:" in captured.err
+        assert "error connection.time_index:" in captured.err
+
     def test_replace_spec_validates_the_connection(self, office_path, capsys):
         spec = json.dumps({"blocked": "ea-eb", "connection": {"id": "fresh"}})
         code = main(
