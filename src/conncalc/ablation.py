@@ -9,7 +9,7 @@ and report quality before, during, and after, again over the intact ideal.
 
 One valuation pass per experiment: a block lowers the score by exactly the
 blocked connection's value, so the cost is linear in the connections plus
-the schedule sort.
+the schedule sort. Ranking and scoring read ``Scenario.valuation``.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def removal_schedule(scenario: Scenario, order: RemovalOrder) -> list[str]:
     """
     ensure_valid(scenario)
     order = RemovalOrder(order)
-    ranked = [(importance(c, scenario), c.id) for c in scenario.connections]
+    # Integer values over one positive denominator rank as the values do.
+    ranked = [(abs(value), conn_id) for conn_id, value in scenario.valuation.values.items()]
     if order is RemovalOrder.LEAST_FIRST:
         ranked.sort(key=lambda pair: (pair[0], pair[1]))
     else:
@@ -113,12 +114,14 @@ def run_removal(
             raise ValueError(f"max_steps must be a non-negative integer, got {max_steps!r}")
         schedule = schedule[:max_steps]
 
-    values = {c.id: connection_value(c, scenario) for c in scenario.connections}
-    score = sum(values.values(), Fraction(0))
+    valuation = scenario.valuation
+    values = {c.id: 0 if c.blocked else valuation.values[c.id] for c in scenario.connections}
+    total = sum(values.values())
     steps: list[TrajectoryStep] = []
     for number, connection_id in enumerate(schedule, start=1):
-        score -= values[connection_id]
-        values[connection_id] = Fraction(0)
+        total -= values[connection_id]
+        values[connection_id] = 0
+        score = Fraction(total, valuation.denominator)
         steps.append(
             TrajectoryStep(
                 step=number,

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import classify_quality, connectivity_score, detect_confusion, efficiency, quality
-from .model import Connection, Scenario, ScoringMode
+from .model import Connection, Scenario, ScoringMode, with_scoring_mode
 from .paths import find_paths, silent_closure
 from .scenario_io import (
     emit_report,
@@ -32,6 +30,7 @@ from .scenario_io import (
     format_rational,
     json_text,
     parse_connection_doc,
+    parse_number,
     parse_scenario,
     render_document,
     serialize_scenario,
@@ -74,11 +73,11 @@ def _positive_int(text: str) -> int:
 
 def _replace_spec(text: str) -> ReplaceSpec:
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=parse_number)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"must be JSON: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
-        # An integer past the int-to-str digit limit, or nesting too deep.
+        # A literal past a limit, or nesting too deep.
         raise argparse.ArgumentTypeError(f"must be JSON: {exc}") from None
     if not isinstance(doc, dict) or set(doc) != {"blocked", "connection"}:
         raise argparse.ArgumentTypeError("needs exactly the keys 'blocked' and 'connection'")
@@ -155,7 +154,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.file)
     if args.mode is not None:
-        scenario = replace(scenario, scoring_mode=_MODES[args.mode])
+        scenario = with_scoring_mode(scenario, _MODES[args.mode])
     print(emit_report(efficiency(scenario), _fmt(args)))
     return 0
 

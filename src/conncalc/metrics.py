@@ -5,6 +5,8 @@ connection's value in the host's scope. Dividing the actual score by a
 desired (or ideal) score and scaling by 100 yields a quality percentage,
 which is banded: below 50% failing, 50-75% satisfactory, above 75% high.
 All arithmetic is exact rational arithmetic; nothing is rounded.
+Metrics read the scenario's index (:mod:`conncalc.model`): score and ideal
+are integer sums over one denominator, and hops are pair lookups.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from fractions import Fraction
 
 from .errors import ComputationError, ConfigurationError, StateError
 from .model import (
-    Connection,
     ConnectionKind,
     EntityKind,
     RosterRef,
@@ -23,8 +24,6 @@ from .model import (
     ScoringMode,
     connection_value,
     ensure_valid,
-    impact_factor,
-    pair_weight,
     to_rational,
 )
 
@@ -76,7 +75,13 @@ class ConfusionReport:
 def connectivity_score(scenario: Scenario) -> Fraction:
     """Signed sum of all connection values; blocked connections contribute 0."""
     ensure_valid(scenario)
-    return sum((connection_value(c, scenario) for c in scenario.connections), Fraction(0))
+    valuation = scenario.valuation
+    total = sum(
+        value
+        for conn, value in zip(scenario.connections, valuation.values.values())
+        if not conn.blocked
+    )
+    return Fraction(total, valuation.denominator)
 
 
 def ideal_connectivity(scenario: Scenario) -> Fraction:
@@ -88,22 +93,16 @@ def ideal_connectivity(scenario: Scenario) -> Fraction:
     caller's precondition; a roster entry naming a missing connection or
     entity surfaces as an integrity error.
     """
+    valuation = scenario.valuation
     if scenario.ideal_roster is None:
-        return sum(
-            (abs(connection_value(c, scenario, ignore_blocked=True)) for c in scenario.connections),
-            Fraction(0),
-        )
-    total = Fraction(0)
+        return Fraction(sum(map(abs, valuation.values.values())), valuation.denominator)
+    total = 0
     for entry in scenario.ideal_roster:
         if isinstance(entry, RosterRef):
-            conn = scenario.connection(entry.ref)
-            total += abs(connection_value(conn, scenario, ignore_blocked=True))
+            total += abs(valuation.values[scenario.connection(entry.ref).id])
         else:
-            value = entry.magnitude
-            if scenario.scoring_mode is ScoringMode.IMPACT_WEIGHTED:
-                value *= pair_weight(scenario.entity(entry.src), scenario.entity(entry.dst))
-            total += abs(value)
-    return total
+            total += abs(valuation.weigh(entry.src, entry.dst, entry.magnitude))
+    return Fraction(total, valuation.denominator)
 
 
 def quality(actual, desired) -> Fraction:
@@ -238,12 +237,6 @@ def resolve_self_conflict(scenario: Scenario) -> Scenario:
     return replace(scenario, connections=adjusted)
 
 
-def _hop_candidates(scenario: Scenario, a: str, b: str) -> list[Connection]:
-    """Unblocked connections joining the unordered pair {a, b}."""
-    pair = frozenset((a, b))
-    return [c for c in scenario.connections if not c.blocked and c.endpoints() == pair]
-
-
 def _check_path_args(scenario: Scenario, path) -> list[str]:
     path = list(path)
     if len(path) < 2:
@@ -265,10 +258,10 @@ def distance_sum(scenario: Scenario, path) -> Fraction | None:
     path = _check_path_args(scenario, path)
     total = Fraction(0)
     for a, b in zip(path, path[1:]):
-        candidates = _hop_candidates(scenario, a, b)
-        if not candidates:
+        best = scenario.hop(a, b)
+        if best is None:
             return None
-        total += max(connection_value(c, scenario) for c in candidates)
+        total += connection_value(best, scenario)
     return total
 
 
@@ -283,7 +276,7 @@ def path_viability(scenario: Scenario, path) -> Fraction:
     path = _check_path_args(scenario, path)
     product = Fraction(1)
     for a, b in zip(path, path[1:]):
-        if not _hop_candidates(scenario, a, b):
+        if scenario.hop(a, b) is None:
             return Fraction(0)
-        product *= impact_factor(scenario.entity(b))
+        product *= scenario.impact_factors[b]
     return product

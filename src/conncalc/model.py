@@ -5,6 +5,10 @@ carrying a four-attribute state vector, joined by typed, signed, weighted
 connections. Everything is immutable after construction and all numbers are
 exact rationals (``fractions.Fraction``); binary floats are rejected at the
 boundary so serialized values reproduce byte for byte.
+
+Each scenario keeps one lazily built index: its validation result, impact
+factors, best connection per pair and kind, and a ``Valuation`` holding each
+connection's value as an integer over one denominator, so sums are exact.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import IntegrityError, ValidationError
 
@@ -218,6 +223,90 @@ class Scenario:
     def has_connection(self, conn_id: str) -> bool:
         return conn_id in self._connections_by_id
 
+    # The index: the cached properties below, each built on first read.
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """What :func:`validate_scenario` reports for this scenario."""
+        return tuple(validate_scenario(self))
+
+    @cached_property
+    def impact_factors(self) -> dict[str, Fraction]:
+        return {e.id: impact_factor(e) for e in self.entities}
+
+    @cached_property
+    def links(self) -> dict[str, dict[str, dict[ConnectionKind, Connection]]]:
+        """``links[a][b]``: the best unblocked connection of each kind joining
+        a and b. All connections of a pair share one positive pair weight, so
+        the best by polarity x magnitude is the best in either scoring mode."""
+        links: dict[str, dict[str, dict[ConnectionKind, Connection]]] = {}
+        for conn in self.connections:
+            if conn.blocked:
+                continue
+            kinds = links.setdefault(conn.src, {}).get(conn.dst)
+            if kinds is None:
+                kinds = links[conn.src][conn.dst] = links.setdefault(conn.dst, {})[conn.src] = {}
+            held = kinds.get(conn.kind)
+            # Connections come in id order, so a strict comparison keeps the smallest id.
+            if held is None or conn.polarity * conn.magnitude > held.polarity * held.magnitude:
+                kinds[conn.kind] = conn
+        return links
+
+    @cached_property
+    def valuation(self) -> Valuation:
+        return Valuation(self)
+
+    def hop(self, a: str, b: str, kinds=frozenset(ConnectionKind)) -> Connection | None:
+        """The best unblocked connection of one of ``kinds`` joining a and b
+        (highest value, smallest id on ties), or None."""
+        joined = self.links.get(a, {}).get(b, {})
+        candidates = [conn for kind, conn in joined.items() if kind in kinds]
+        return min(candidates, key=lambda c: (-c.polarity * c.magnitude, c.id), default=None)
+
+
+def with_scoring_mode(scenario: Scenario, mode: ScoringMode) -> Scenario:
+    """The scenario under another scoring mode, keeping the parts of its index
+    that do not depend on the mode, so it is not validated again."""
+    rescored = replace(scenario, scoring_mode=mode)
+    mode_free = ("_entities_by_id", "_connections_by_id", "violations", "impact_factors", "links")
+    rescored.__dict__.update((k, v) for k, v in vars(scenario).items() if k in mode_free)
+    return rescored
+
+
+class Valuation:
+    """Connection values under one scoring mode, as integers over one denominator.
+
+    Magnitude m between a and b is worth m (w_a + w_b) / 2, an entity weighing
+    1 in raw mode and its impact factor otherwise. With M and L the LCMs of the
+    magnitude and weight denominators, that is the integer m.numerator
+    (M // m.denominator) (L w_a + L w_b) over ``denominator`` = 2 M L.
+    """
+
+    def __init__(self, scenario: Scenario):
+        if scenario.scoring_mode is ScoringMode.IMPACT_WEIGHTED:
+            weights = scenario.impact_factors
+        else:
+            weights = dict.fromkeys(scenario._entities_by_id, 1)
+        weight_lcm = lcm(*{w.denominator for w in weights.values()})
+        self._weights = {k: w.numerator * (weight_lcm // w.denominator) for k, w in weights.items()}
+        rated = scenario.connections + tuple(
+            e for e in scenario.ideal_roster or () if isinstance(e, RosterHypothetical)
+        )
+        self._magnitude_lcm = lcm(*{item.magnitude.denominator for item in rated})
+        self.denominator = 2 * self._magnitude_lcm * weight_lcm
+        # Each connection's value ignoring any block, in connection order.
+        self.values = {
+            c.id: c.polarity * self.weigh(c.src, c.dst, c.magnitude) for c in scenario.connections
+        }
+
+    def weigh(self, src: str, dst: str, magnitude: Fraction) -> int:
+        """One of the scenario's magnitudes times the pair weight, over ``denominator``."""
+        try:
+            pair = self._weights[src] + self._weights[dst]
+        except KeyError as exc:
+            raise IntegrityError(f"unknown entity id: {exc.args[0]!r}") from None
+        return magnitude.numerator * (self._magnitude_lcm // magnitude.denominator) * pair
+
 
 @dataclass(frozen=True, slots=True)
 class Violation:
@@ -251,11 +340,6 @@ def impact_factor(entity: Entity) -> Fraction:
     return sum(entity.attributes.as_tuple(), Fraction(0)) / 4
 
 
-def pair_weight(src: Entity, dst: Entity) -> Fraction:
-    """Impact weight of a pair: the mean of both endpoints' impact factors."""
-    return (impact_factor(src) + impact_factor(dst)) / 2
-
-
 def connection_value(
     conn: Connection, scenario: Scenario, *, ignore_blocked: bool = False
 ) -> Fraction:
@@ -268,13 +352,14 @@ def connection_value(
     endpoints' impact factors, which keeps the weighted magnitude strictly
     below the raw one.
     """
-    src = scenario.entity(conn.src)
-    dst = scenario.entity(conn.dst)
+    scenario.entity(conn.src)
+    scenario.entity(conn.dst)
     if conn.blocked and not ignore_blocked:
         return Fraction(0)
     value = conn.polarity * conn.magnitude
     if scenario.scoring_mode is ScoringMode.IMPACT_WEIGHTED:
-        value *= pair_weight(src, dst)
+        factors = scenario.impact_factors
+        value *= (factors[conn.src] + factors[conn.dst]) / 2
     return value
 
 
@@ -366,7 +451,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
 def ensure_valid(scenario: Scenario) -> None:
     """Raise :class:`ValidationError` carrying all violations, if any."""
-    violations = validate_scenario(scenario)
+    violations = scenario.violations
     if violations:
         summary = "; ".join(str(v) for v in violations[:3])
         if len(violations) > 3:

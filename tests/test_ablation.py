@@ -398,8 +398,10 @@ class TestValidationCount:
         monkeypatch.setattr(conncalc.model, "validate_scenario", counted)
         return calls
 
-    @pytest.fixture(scope="class")
+    @pytest.fixture()
     def large(self):
+        # A fresh scenario per test: a scenario keeps its validation result, so
+        # a shared one would be validated by the first test only.
         s = support.random_scenario(
             support.random.Random(2024),
             max_entities=40,

@@ -156,6 +156,66 @@ class TestValidate:
         assert out.endswith("invalid\n")
 
 
+    @pytest.mark.parametrize("quoted", [True, False], ids=["string", "json-number"])
+    @pytest.mark.parametrize(
+        "literal, limit",
+        [
+            ("1e1000000", "numeric literal has an exponent past 10000"),
+            ("1e10000000", "numeric literal has an exponent past 10000"),
+            ("5" + "0" * 4400 + "e-4400", "numeric literal has more than 4300 digits"),
+        ],
+        ids=["exponent-1e6", "exponent-1e7", "exact-4401-digits"],
+    )
+    def test_literal_past_the_size_limit_is_a_diagnostic(
+        self, literal, limit, quoted, tmp_path, capsys
+    ):
+        # Each is rejected before Fraction() runs: "1e10000000" would take
+        # seconds to build, and 4,401 digits cannot be built at all.
+        text = (SMALL_DOC % {"version": "1", "mode": '"raw"', "polarity": "1"}).replace(
+            '"magnitude": "2"', f'"magnitude": {json.dumps(literal) if quoted else literal}'
+        )
+        location, message = (
+            ("connections[0].magnitude", limit) if quoted else ("document", f"invalid JSON: {limit}")
+        )
+        result = parse_scenario(text)
+        assert [(d.location, d.message) for d in result.errors] == [(location, message)]
+        path = tmp_path / "literal.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        assert f"error {location}: {message}\n" in capsys.readouterr().out
+
+
+class TestValidationCount:
+    """A command validates its scenario once: parsing does, and every metric
+    reads the result the scenario keeps."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "{file}"],
+            ["score", "{file}", "--mode", "impact"],
+            ["quality", "{file}"],
+            ["confusion", "{file}"],
+            ["--format", "json", "score", "{file}"],
+        ],
+        ids=["score", "score-impact", "quality", "confusion", "json-score"],
+    )
+    def test_one_validation_per_command(self, argv, office_path, monkeypatch):
+        calls = []
+        original = conncalc.model.validate_scenario
+
+        def counted(scenario):
+            calls.append(scenario)
+            return original(scenario)
+
+        # Both names the function is reachable by, so a validation through
+        # either one counts.
+        monkeypatch.setattr(conncalc.model, "validate_scenario", counted)
+        monkeypatch.setattr(conncalc.scenario_io, "validate_scenario", counted)
+        assert main([arg.format(file=office_path) for arg in argv]) == 0
+        assert len(calls) == 1
+
+
 class TestUnprintableResult:
     @pytest.mark.parametrize(
         "args, site",
@@ -393,6 +453,19 @@ class TestAblate:
         assert captured.out == ""
         assert "error connection.blocked:" in captured.err
         assert "error connection.time_index:" in captured.err
+
+    @pytest.mark.parametrize("quoted", [True, False], ids=["string", "json-number"])
+    def test_replace_spec_literal_past_the_size_limit_is_a_usage_error(
+        self, quoted, office_path, capsys
+    ):
+        magnitude = '"1e10000000"' if quoted else "1e10000000"
+        spec = (
+            '{"blocked": "ea-eb", "connection": {"id": "fresh", "src": "Ea", "dst": "Eb",'
+            f' "kind": "real", "polarity": 1, "magnitude": {magnitude}}}}}'
+        )
+        code = main(["ablate", str(office_path), "--order", "least-first", "--replace", spec])
+        assert code == 64
+        assert "numeric literal has an exponent past 10000" in capsys.readouterr().err
 
     def test_replace_spec_validates_the_connection(self, office_path, capsys):
         spec = json.dumps({"blocked": "ea-eb", "connection": {"id": "fresh"}})

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conncalc.model
 from conncalc import (
     Band,
     ComputationError,
@@ -16,6 +17,7 @@ from conncalc import (
     ConfusionCause,
     Connection,
     ConnectionKind,
+    ConnectivityReport,
     EntityKind,
     IntegrityError,
     RosterRef,
@@ -23,17 +25,22 @@ from conncalc import (
     ScoringMode,
     StateError,
     ValidationError,
+    block,
     classify_quality,
     connectivity_score,
     detect_confusion,
     distance_sum,
     efficiency,
+    find_paths,
     ideal_connectivity,
     make_entity,
     path_viability,
     quality,
     resolve_self_conflict,
+    silent_closure,
+    with_connection,
 )
+from conncalc.model import with_scoring_mode
 
 from . import support
 from .test_model import conn, scenario_of
@@ -393,3 +400,146 @@ class TestPathViability:
         if short > 0 and longer > 0:
             assert longer < short
         assert 0 <= short < 1 and 0 <= longer < 1
+
+
+def _expected_report(s: Scenario):
+    """The efficiency report rebuilt from the oracles, or None for a zero ideal."""
+    score, ideal = support.oracle_score(s), support.oracle_ideal(s)
+    if ideal == 0:
+        return None
+    percent = 100 * score / ideal
+    band = Band.FAILING if percent < 50 else Band.SATISFACTORY if percent <= 75 else Band.HIGH
+    return ConnectivityReport(score, ideal, percent, band, s.scoring_mode)
+
+
+def _paths_of(s: Scenario, data) -> list[list[str]]:
+    ids = [e.id for e in s.entities]
+    return [data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=4)) for _ in range(3)]
+
+
+class TestIndexAgainstTheOracles:
+    """The cached index and its integer kernel against from-scratch Fraction
+    arithmetic, with attribute and magnitude denominators coprime to 10."""
+
+    @given(support.coprime_scenarios())
+    def test_score_ideal_and_efficiency(self, s):
+        assert connectivity_score(s) == support.oracle_score(s)
+        assert ideal_connectivity(s) == support.oracle_ideal(s)
+        expected = _expected_report(s)
+        if expected is None:
+            with pytest.raises(ComputationError):
+                efficiency(s)
+        else:
+            assert efficiency(s) == expected
+
+    @given(support.coprime_scenarios(), st.data())
+    def test_hop_measures(self, s, data):
+        for path in _paths_of(s, data):
+            assert distance_sum(s, path) == support.oracle_distance_sum(s, path)
+            assert path_viability(s, path) == support.oracle_path_viability(s, path)
+
+    # Two or three entities make parallel connections of both kinds common.
+    @given(
+        st.one_of(
+            support.coprime_scenarios(), support.coprime_scenarios(min_entities=2, max_entities=3)
+        ),
+        st.data(),
+    )
+    def test_find_paths(self, s, data):
+        ids = [e.id for e in s.entities]
+        ends = {(c.src, c.dst) for c in s.connections}
+        ends.add((data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))))
+        max_hops = data.draw(st.integers(1, 4))
+        for src, dst in sorted(ends):
+            for include_silent in (False, True):
+                assert find_paths(s, src, dst, max_hops, include_silent=include_silent) == (
+                    support.oracle_paths(s, src, dst, max_hops, include_silent)
+                )
+
+    @given(support.coprime_scenarios(), st.data())
+    def test_derived_scenarios_are_valued_afresh(self, s, data):
+        # Read every part of the original's index first, so a derived scenario
+        # that reused it would show the original's numbers.
+        connectivity_score(s)
+        ideal_connectivity(s)
+        distance_sum(s, [s.entities[0].id, s.entities[-1].id])
+        ids = [e.id for e in s.entities]
+        other = data.draw(st.sampled_from([m for m in ScoringMode if m is not s.scoring_mode]))
+        src, dst = ids[0], ids[-1]
+        fresh = Connection(
+            id="fresh", src=src, dst=dst,
+            kind=ConnectionKind.SELF if src == dst else ConnectionKind.REAL,
+            polarity=data.draw(st.sampled_from((1, -1))),
+            magnitude=data.draw(support.coprime_magnitudes),
+        )
+        derived = [
+            replace(s, scoring_mode=other),
+            with_scoring_mode(s, other),
+            with_connection(s, fresh),
+            silent_closure(s),
+        ]
+        unblocked = [c.id for c in s.connections if not c.blocked]
+        if unblocked:
+            derived.append(block(s, data.draw(st.sampled_from(unblocked))))
+        for d in derived:
+            assert connectivity_score(d) == support.oracle_score(d)
+            assert ideal_connectivity(d) == support.oracle_ideal(d)
+            for path in _paths_of(d, data):
+                assert distance_sum(d, path) == support.oracle_distance_sum(d, path)
+            assert find_paths(d, src, dst, 3, include_silent=True) == (
+                support.oracle_paths(d, src, dst, 3, True)
+            )
+
+
+class TestIndexCounts:
+    """Count guards for the index; they count calls and never time anything."""
+
+    def test_impact_efficiency_computes_each_impact_factor_at_most_once(self, monkeypatch):
+        s = replace(
+            support.random_scenario(
+                support.random.Random(7), max_entities=40, min_connections=2000, max_connections=2000
+            ),
+            scoring_mode=ScoringMode.IMPACT_WEIGHTED,
+        )
+        calls = []
+        original = conncalc.model.impact_factor
+
+        def counted(entity):
+            calls.append(entity.id)
+            return original(entity)
+
+        monkeypatch.setattr(conncalc.model, "impact_factor", counted)
+        assert efficiency(s) == _expected_report(s)
+        assert len(calls) <= len(s.entities)
+        assert len(calls) == len(set(calls))
+
+    def test_distance_sum_reads_the_pair_index_not_the_connections(self):
+        # A 100-hop chain plus 1,900 other connections: a scan per hop would
+        # iterate the connections 100 times.
+        rng = support.random.Random(11)
+        ids = [f"n{i:03d}" for i in range(101)]
+        chain = [
+            conn(f"h{i:03d}", a, b, magnitude=rng.randint(1, 10))
+            for i, (a, b) in enumerate(zip(ids, ids[1:]))
+        ]
+        extra = [
+            conn(
+                f"x{i:04d}", *rng.sample(ids, 2), polarity=rng.choice((1, -1)),
+                magnitude=rng.randint(1, 10), blocked=rng.random() < 0.1,
+            )
+            for i in range(1900)
+        ]
+        s = scenario_of(*chain, *extra, host="n000")
+        expected = support.oracle_distance_sum(s, ids)
+
+        class CountingTuple(tuple):
+            iterations = 0
+
+            def __iter__(self):
+                CountingTuple.iterations += 1
+                return super().__iter__()
+
+        object.__setattr__(s, "connections", CountingTuple(s.connections))
+        assert len(s.connections) == 2000
+        assert distance_sum(s, ids) == expected
+        assert CountingTuple.iterations <= 1

@@ -95,6 +95,20 @@ class TestFindPaths:
         )
         assert find_paths(tied, "a", "b", 1)[0].hops == ("t1",)
 
+    def test_hop_picks_the_best_connection_of_an_eligible_kind(self):
+        s = scenario_of(
+            conn("real", "a", "b", magnitude=2),
+            conn("silent", "a", "b", kind=ConnectionKind.SILENT, magnitude=9),
+        )
+        assert find_paths(s, "a", "b", 1)[0].hops == ("real",)
+        assert find_paths(s, "a", "b", 1, include_silent=True)[0].hops == ("silent",)
+
+    def test_a_path_longer_than_the_recursion_limit(self):
+        ids = [f"n{i:04d}" for i in range(1500)]
+        s = scenario_of(*(conn(f"c{i:04d}", a, b) for i, (a, b) in enumerate(zip(ids, ids[1:]))))
+        paths = find_paths(s, ids[0], ids[-1], 2000)
+        assert [p.entities for p in paths] == [tuple(ids)]
+
     def test_unknown_ids_are_integrity_errors(self, office):
         with pytest.raises(IntegrityError):
             find_paths(office, "nope", "Eb", 2)
