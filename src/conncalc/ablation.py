@@ -110,7 +110,7 @@ def run_removal(
     if ideal == 0:
         raise ComputationError("ideal connectivity is zero; quality trajectory is undefined")
     if max_steps is not None:
-        if isinstance(max_steps, bool) or max_steps < 0:
+        if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:
             raise ValueError(f"max_steps must be a non-negative integer, got {max_steps!r}")
         schedule = schedule[:max_steps]
 

@@ -14,27 +14,19 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .ablation import RemovalOrder, run_removal, run_replacement
-from .errors import (
-    ComputationError,
-    ConfigurationError,
-    IntegrityError,
-    StateError,
-    ValidationError,
-)
-from .metrics import classify_quality, connectivity_score, detect_confusion, efficiency, quality
+from .errors import ConfigurationError, ConncalcError, ValidationError
+from .metrics import connectivity_score, detect_confusion, efficiency, quality_report
 from .model import Connection, Scenario, ScoringMode, with_scoring_mode
-from .paths import find_paths, silent_closure
+from .paths import PathsReport, find_paths, silent_closure
 from .scenario_io import (
     emit_report,
     export_dot,
-    format_rational,
-    json_text,
     parse_connection_doc,
     parse_number,
     parse_scenario,
-    render_document,
     serialize_scenario,
     Severity,
+    ValidationReport,
 )
 
 USAGE_ERROR = 64
@@ -125,112 +117,54 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+# Command handlers: each returns the report to print, or None when it wrote its
+# own output; ``main`` renders the report in the chosen format.
+def _cmd_validate(args: argparse.Namespace):
     result = parse_scenario(_read_text(args.file))
-    if _fmt(args) == "machine":
-        print(
-            json_text(
-                {
-                    "type": "validation_report",
-                    "valid": result.ok,
-                    "diagnostics": [
-                        {
-                            "severity": d.severity.value,
-                            "location": d.location,
-                            "message": d.message,
-                        }
-                        for d in result.diagnostics
-                    ],
-                }
-            )
-        )
-    else:
-        for diag in result.diagnostics:
-            print(str(diag))
-        print("ok" if result.ok else "invalid")
-    return 0 if result.ok else 1
+    return ValidationReport(valid=result.ok, diagnostics=result.diagnostics)
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _cmd_score(args: argparse.Namespace):
     scenario = _load_scenario(args.file)
     if args.mode is not None:
         scenario = with_scoring_mode(scenario, _MODES[args.mode])
-    print(emit_report(efficiency(scenario), _fmt(args)))
-    return 0
+    return efficiency(scenario)
 
 
-def _cmd_quality(args: argparse.Namespace) -> int:
+def _cmd_quality(args: argparse.Namespace):
     scenario = _load_scenario(args.file)
     if scenario.desired_connectivity is None:
         raise ConfigurationError(
             "desired_connectivity is not set; the quality command needs one in the scenario file"
         )
-    score = connectivity_score(scenario)
-    percent = quality(score, scenario.desired_connectivity)
-    doc = {
-        "type": "quality_report",
-        "score": format_rational(score),
-        "desired": format_rational(scenario.desired_connectivity),
-        "quality_percent": format_rational(percent),
-        "band": classify_quality(percent).value,
-    }
-    print(render_document(doc, _fmt(args)))
-    return 0
+    return quality_report(connectivity_score(scenario), scenario.desired_connectivity)
 
 
-def _cmd_confusion(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.file)
-    print(emit_report(detect_confusion(scenario), _fmt(args)))
-    return 0
+def _cmd_confusion(args: argparse.Namespace):
+    return detect_confusion(_load_scenario(args.file))
 
 
-def _cmd_paths(args: argparse.Namespace) -> int:
+def _cmd_paths(args: argparse.Namespace):
     scenario = _load_scenario(args.file)
     paths = find_paths(
         scenario, args.src, args.dst, args.max_hops, include_silent=args.include_silent
     )
-    if _fmt(args) == "machine":
-        print(
-            json_text(
-                {
-                    "type": "paths",
-                    "src": args.src,
-                    "dst": args.dst,
-                    "max_hops": args.max_hops,
-                    "paths": [
-                        {"entities": list(p.entities), "hops": list(p.hops)} for p in paths
-                    ],
-                }
-            )
-        )
-    elif not paths:
-        print("(no paths)")
-    else:
-        for path in paths:
-            print(f"{' -> '.join(path.entities)} via {','.join(path.hops)}")
-    return 0
+    return PathsReport(args.src, args.dst, args.max_hops, tuple(paths))
 
 
-def _cmd_closure(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.file)
-    _write_output(args, serialize_scenario(silent_closure(scenario)))
-    return 0
+def _cmd_closure(args: argparse.Namespace):
+    _write_output(args, serialize_scenario(silent_closure(_load_scenario(args.file))))
 
 
-def _cmd_ablate(args: argparse.Namespace) -> int:
+def _cmd_ablate(args: argparse.Namespace):
     scenario = _load_scenario(args.file)
     if args.replace is not None:
-        report = run_replacement(scenario, args.replace.blocked, args.replace.connection)
-    else:
-        report = run_removal(scenario, RemovalOrder(args.order))
-    print(emit_report(report, _fmt(args)))
-    return 0
+        return run_replacement(scenario, args.replace.blocked, args.replace.connection)
+    return run_removal(scenario, RemovalOrder(args.order))
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args.file)
-    _write_output(args, export_dot(scenario))
-    return 0
+def _cmd_export_dot(args: argparse.Namespace):
+    _write_output(args, export_dot(_load_scenario(args.file)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,20 +254,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        return args.handler(args)
+        report = args.handler(args)
+        if report is not None:
+            print(emit_report(report, _fmt(args)))
     except _CliError as exc:
         if exc.message:
             print(f"error: {exc.message}", file=sys.stderr)
         return exc.code
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ComputationError, ConfigurationError, IntegrityError, StateError) as exc:
+    except ConncalcError as exc:  # computation, configuration, integrity and state errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 1 if isinstance(report, ValidationReport) and not report.valid else 0
 
 
 def run() -> None:

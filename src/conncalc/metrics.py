@@ -60,6 +60,16 @@ class ConnectivityReport:
 
 
 @dataclass(frozen=True, slots=True)
+class QualityReport:
+    """Score against the desired connectivity, as a percentage and a band."""
+
+    score: Fraction
+    desired: Fraction
+    quality_percent: Fraction
+    band: Band
+
+
+@dataclass(frozen=True, slots=True)
 class ConfusionReport:
     """Confusion assessment: the score z, quality vs. desired, and causes.
 
@@ -122,6 +132,12 @@ def classify_quality(percent) -> Band:
     if percent <= 75:
         return Band.SATISFACTORY
     return Band.HIGH
+
+
+def quality_report(score: Fraction, desired: Fraction) -> QualityReport:
+    """Quality of score against the desired connectivity, with its band."""
+    percent = quality(score, desired)
+    return QualityReport(score, desired, percent, classify_quality(percent))
 
 
 def efficiency(scenario: Scenario) -> ConnectivityReport:

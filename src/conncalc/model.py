@@ -28,18 +28,42 @@ MAGNITUDE_MAX = Fraction(10)
 DEFAULT_ATTRIBUTE = Fraction(3, 4)
 
 
+# Literal limits, checked before ``Fraction()`` runs: ``Fraction("1e10000000")``
+# takes seconds, and more digits than the int-to-str limit cannot be parsed.
+LITERAL_MAX_DIGITS = 4300
+LITERAL_MAX_EXPONENT = 10_000
+
+
+class _LiteralTooLarge(ValueError):
+    """A numeric literal past the literal limits."""
+
+
+def check_literal(text: str) -> None:
+    """Raise a ``ValueError`` naming the limit if a numeric literal is past one."""
+    if len(text) > 6:  # a shorter literal is inside both limits
+        mantissa, _, exponent = text.replace("E", "e").partition("e")
+        if sum(map(str.isdecimal, mantissa)) > LITERAL_MAX_DIGITS:
+            raise _LiteralTooLarge(f"numeric literal has more than {LITERAL_MAX_DIGITS} digits")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        longer = len(exponent) > len(str(LITERAL_MAX_EXPONENT))
+        if exponent.isdecimal() and (longer or int(exponent) > LITERAL_MAX_EXPONENT):
+            raise _LiteralTooLarge(f"numeric literal has an exponent past {LITERAL_MAX_EXPONENT}")
+
+
 def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     """Coerce a value to an exact :class:`Fraction`.
 
     Accepts Fractions, ints, decimal/fraction strings ("0.75", "3/4") and
     ``decimal.Decimal``. Floats are rejected: they carry binary rounding
-    error that would leak into canonical serialization.
+    error that would leak into canonical serialization. A string or Decimal
+    past the literal limits (:func:`check_literal`) is a ``ValueError``.
     """
     if isinstance(value, bool):
         raise TypeError(f"expected a rational number, got bool {value!r}")
-    if isinstance(value, (Fraction, int, decimal.Decimal)):
+    if isinstance(value, (Fraction, int)):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (str, decimal.Decimal)):
+        check_literal(str(value))
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -38,6 +38,16 @@ class Path:
         return len(self.hops)
 
 
+@dataclass(frozen=True, slots=True)
+class PathsReport:
+    """The paths found from src to dst within max_hops, in search order."""
+
+    src: str
+    dst: str
+    max_hops: int
+    paths: tuple[Path, ...]
+
+
 def find_paths(
     scenario: Scenario,
     src: str,

@@ -12,9 +12,10 @@ The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
 ``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
 object's on-disk fields: their keys, order, decoders and defaults.
 
-Every report is one document, a dict with a ``type`` key, that
-``render_document`` prints as JSON or as table text read from the same keys;
-``json_text`` is the one JSON writer for reports and scenario files.
+Every report is one document, a dict with a ``type`` key and one key per
+field, that ``emit_report`` prints as JSON or as table text filled in from
+the same keys (``_TABLE_LINES``); ``json_text`` is the one JSON writer for
+reports and scenario files.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ablation import QualityTrajectory, ReplacementReport
 from .errors import ComputationError, ValidationError
-from .metrics import ConfusionReport, ConnectivityReport
+from .metrics import ConfusionReport, ConnectivityReport, QualityReport
 from .model import (
     AttributeVector,
     Connection,
@@ -39,18 +41,17 @@ from .model import (
     RosterRef,
     Scenario,
     ScoringMode,
+    _LiteralTooLarge,
     _number_text,
+    check_literal,
     ensure_valid,
     to_rational,
     validate_scenario,  # noqa: F401 - kept importable here; the benchmark tracer wraps it
 )
+from .model import LITERAL_MAX_DIGITS, LITERAL_MAX_EXPONENT  # noqa: F401 - documented here
+from .paths import PathsReport
 
 FORMAT_VERSION = 1
-
-# Literal limits, checked before ``Fraction()`` runs: ``Fraction("1e10000000")``
-# takes seconds, and more digits than the int-to-str limit cannot be parsed.
-LITERAL_MAX_DIGITS = 4300
-LITERAL_MAX_EXPONENT = 10_000
 
 _TOP_KEYS = {
     "version",
@@ -178,21 +179,10 @@ def _choice(enum: type[Enum], what: str, *, strings_only: bool):
     return decode
 
 
-class _LiteralTooLarge(ValueError):
-    """A numeric literal past the literal limits."""
-
-
 def parse_number(text: str) -> Fraction:
     """``Fraction(text)`` for a numeric literal within the literal limits (also
     the ``parse_float`` hook, so JSON floats are exact)."""
-    if len(text) > 6:  # a shorter literal is inside both limits
-        mantissa, _, exponent = text.replace("E", "e").partition("e")
-        if sum(map(str.isdecimal, mantissa)) > LITERAL_MAX_DIGITS:
-            raise _LiteralTooLarge(f"numeric literal has more than {LITERAL_MAX_DIGITS} digits")
-        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        longer = len(exponent) > len(str(LITERAL_MAX_EXPONENT))
-        if exponent.isdecimal() and (longer or int(exponent) > LITERAL_MAX_EXPONENT):
-            raise _LiteralTooLarge(f"numeric literal has an exponent past {LITERAL_MAX_EXPONENT}")
+    check_literal(text)
     return Fraction(text)
 
 
@@ -538,48 +528,67 @@ def export_dot(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The table form of each report document, filled in from the document itself.
+@dataclass(frozen=True, slots=True)
+class ValidationReport:
+    """Whether a scenario file is valid, with every diagnostic parsing found."""
+
+    valid: bool
+    diagnostics: tuple[ParseDiagnostic, ...]
+
+
+class _DocList(list):
+    """A list in a report document. JSON writes it as a list; a table template
+    joins it with the field's format spec, or prints ``none`` when it is empty."""
+
+    def __format__(self, separator: str) -> str:
+        return separator.join(self) or "none"
+
+
+class _Table(NamedTuple):
+    """A report type's table text, filled in from its document: the ``head``
+    line, one ``item`` line per element of the ``items`` list (or ``empty``),
+    then ``tail``; an empty line is left out. A head or tail template prints
+    the items' count and a boolean's ``words``."""
+
+    head: str = ""
+    items: str = ""
+    item: str = ""
+    empty: str = ""
+    tail: str = ""
+    words: tuple[str, str] = ("false", "true")
+
+
 _TABLE_LINES = {
-    "connectivity_report": (
+    "connectivity_report": _Table(
         "score={score} ideal={ideal} efficiency={efficiency_percent}% band={band} mode={mode}"
     ),
-    "confusion_report": "z={z} quality={quality_percent}% confused={confused} causes={causes}",
-    "quality_report": "score={score} desired={desired} quality={quality_percent}% band={band}",
-    "quality_trajectory": "order={order} ideal={ideal} steps={steps}",
-    "replacement_report": (
+    "confusion_report": _Table("z={z} quality={quality_percent}% confused={confused} causes={causes:,}"),
+    "quality_report": _Table("score={score} desired={desired} quality={quality_percent}% band={band}"),
+    "quality_trajectory": _Table(
+        "order={order} ideal={ideal} steps={steps}",
+        "steps",
+        "step={step} blocked={blocked_connection} score={score} efficiency={efficiency_percent}%",
+    ),
+    "replacement_report": _Table(
         "blocked={blocked_id} replacement={replacement_id} quality_before={quality_before}%"
         " quality_blocked={quality_blocked}% quality_after={quality_after}%"
     ),
+    "paths": _Table("", "paths", "{entities: -> } via {hops:,}", empty="(no paths)"),
+    "validation_report": _Table(
+        "", "diagnostics", "{severity} {location}: {message}", tail="{valid}",
+        words=("invalid", "ok"),
+    ),
 }
-_STEP_LINE = "step={step} blocked={blocked_connection} score={score} efficiency={efficiency_percent}%"
-
-
-def _table_text(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, list):
-        return ",".join(value) or "none"
-    return value
-
-
-def render_document(doc: dict, fmt: str) -> str:
-    """Render a report document as JSON (``machine``) or as table text; a
-    trajectory's table is a header line with the step count, then one line per step."""
-    if fmt == "machine":
-        return json_text(doc)
-    steps = doc.get("steps", [])
-    values = {key: _table_text(value) for key, value in doc.items() if key != "steps"}
-    lines = [_TABLE_LINES[doc["type"]].format(steps=len(steps), **values)]
-    lines.extend(_STEP_LINE.format(**step) for step in steps)
-    return "\n".join(lines)
-
 
 # Report classes and their document ``type``; each field becomes a key.
 _DOC_TYPES = {
     ConnectivityReport: "connectivity_report",
     ConfusionReport: "confusion_report",
+    QualityReport: "quality_report",
     QualityTrajectory: "quality_trajectory",
     ReplacementReport: "replacement_report",
+    PathsReport: "paths",
+    ValidationReport: "validation_report",
 }
 
 
@@ -590,25 +599,31 @@ def _doc_value(value):
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, tuple):
-        return [_doc_value(item) for item in value]
+        return _DocList(map(_doc_value, value))
     if is_dataclass(value):
         return {f.name: _doc_value(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
-def _report_doc(report) -> dict:
-    for cls, doc_type in _DOC_TYPES.items():
-        if isinstance(report, cls):
-            return {"type": doc_type, **_doc_value(report)}
-    raise TypeError(f"cannot emit a report for {type(report).__name__}")
-
-
 def emit_report(report, fmt: str = "table") -> str:
     """Render a report for people (``table``) or machines (``machine``).
 
-    The machine format is JSON with a ``type`` discriminator and every
-    number as an exact string; the table form reads the same document.
+    A report is one document: a ``type`` key, then one key per field. The
+    machine format is that document as JSON, every number an exact string;
+    the table form fills the type's ``_TABLE_LINES`` from the same document.
     """
     if fmt not in ("table", "machine"):
         raise ValueError(f"unknown report format: {fmt!r}")
-    return render_document(_report_doc(report), fmt)
+    doc_type = _DOC_TYPES.get(type(report))
+    if doc_type is None:
+        raise TypeError(f"cannot emit a report for {type(report).__name__}")
+    doc = {"type": doc_type, **_doc_value(report)}
+    if fmt == "machine":
+        return json_text(doc)
+    table = _TABLE_LINES[doc_type]
+    items = doc.get(table.items, ())
+    values = {k: table.words[v] if isinstance(v, bool) else v for k, v in doc.items()}
+    values[table.items] = len(items)
+    body = list(map(table.item.format_map, items)) or [table.empty]
+    lines = [table.head.format_map(values), *body, table.tail.format_map(values)]
+    return "\n".join(line for line in lines if line)

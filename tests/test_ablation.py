@@ -212,6 +212,11 @@ class TestRunRemoval:
             run_removal(office, RemovalOrder.LEAST_FIRST, max_steps=-1)
         with pytest.raises(ValueError):
             run_removal(office, RemovalOrder.LEAST_FIRST, max_steps=True)
+        # Every other non-int too, not only the ones that fail at the slice.
+        with pytest.raises(ValueError):
+            run_removal(office, RemovalOrder.LEAST_FIRST, max_steps=1.5)
+        with pytest.raises(ValueError):
+            run_removal(office, RemovalOrder.LEAST_FIRST, max_steps="2")
 
     def test_zero_ideal_cannot_be_normalized(self):
         s = Scenario(

@@ -197,8 +197,17 @@ class TestValidationCount:
             ["quality", "{file}"],
             ["confusion", "{file}"],
             ["--format", "json", "score", "{file}"],
+            ["validate", "{file}"],
+            ["--format", "json", "validate", "{file}"],
+            ["paths", "{file}", "--from", "Ea", "--to", "Ec"],
+            ["--format", "json", "paths", "{file}", "--from", "Ea", "--to", "Ec"],
+            ["--format", "json", "quality", "{file}"],
+            ["ablate", "{file}", "--order", "least-first"],
         ],
-        ids=["score", "score-impact", "quality", "confusion", "json-score"],
+        ids=[
+            "score", "score-impact", "quality", "confusion", "json-score", "validate",
+            "json-validate", "paths", "json-paths", "json-quality", "ablate-least-first",
+        ],
     )
     def test_one_validation_per_command(self, argv, office_path, monkeypatch):
         calls = []
@@ -214,6 +223,44 @@ class TestValidationCount:
         monkeypatch.setattr(conncalc.scenario_io, "validate_scenario", counted)
         assert main([arg.format(file=office_path) for arg in argv]) == 0
         assert len(calls) == 1
+
+
+class TestRenderCount:
+    """Every command that prints a report renders it through one
+    ``emit_report`` call; a command that writes a file renders none."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "argv, renders",
+        [
+            (["validate", "{file}"], 1),
+            (["score", "{file}"], 1),
+            (["quality", "{file}"], 1),
+            (["confusion", "{file}"], 1),
+            (["paths", "{file}", "--from", "Ea", "--to", "Ec"], 1),
+            (["ablate", "{file}", "--order", "most-first"], 1),
+            (["ablate", "{file}", "--order", "least-first", "--replace", "{spec}"], 1),
+            (["closure", "{file}"], 0),
+            (["export-dot", "{file}"], 0),
+        ],
+        ids=[
+            "validate", "score", "quality", "confusion", "paths", "ablate",
+            "ablate-replace", "closure", "export-dot",
+        ],
+    )
+    def test_one_emit_report_call(self, argv, renders, fmt, office_path, monkeypatch, capsys):
+        calls = []
+        original = conncalc.cli.emit_report
+
+        def counted(report, fmt="table"):
+            calls.append(fmt)
+            return original(report, fmt)
+
+        monkeypatch.setattr(conncalc.cli, "emit_report", counted)
+        args = [arg.format(file=office_path, spec=_REPLACE_SPEC) for arg in argv]
+        assert main(["--format", fmt, *args]) == 0
+        assert len(calls) == renders
+        assert capsys.readouterr().out
 
 
 class TestUnprintableResult:

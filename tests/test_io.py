@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +17,18 @@ from conncalc import (
     ComputationError,
     Connection,
     ConnectionKind,
+    ParseDiagnostic,
     ParseResult,
     RemovalOrder,
     Scenario,
     Severity,
     ValidationError,
+    connectivity_score,
     detect_confusion,
     efficiency,
     emit_report,
     export_dot,
+    find_paths,
     format_rational,
     make_entity,
     parse_connection_doc,
@@ -33,8 +38,11 @@ from conncalc import (
     serialize_scenario,
 )
 from conncalc.cli import main
+from conncalc.metrics import quality_report
+from conncalc.paths import PathsReport
+from conncalc.scenario_io import _DOC_TYPES, ValidationReport
 
-from . import support
+from . import support, test_cli
 from .dotparse import parse_dot
 from .test_model import conn, scenario_of
 
@@ -389,6 +397,46 @@ class TestEmitReport:
         )
         assert trajectory_doc["type"] == "quality_trajectory"
         assert [s["score"] for s in trajectory_doc["steps"]] == ["4", "0"]
+
+    def test_quality_report(self, confusion):
+        report = quality_report(connectivity_score(confusion), confusion.desired_connectivity)
+        assert emit_report(report) == "score=-1 desired=8 quality=-12.5% band=failing"
+        assert emit_report(report, "machine") + "\n" == test_cli.JSON_DOCUMENTS["quality_report"][2]
+
+    def test_paths_report(self, office):
+        found = find_paths(office, "Ea", "Ec", 3, include_silent=True)
+        report = PathsReport("Ea", "Ec", 3, tuple(found))
+        assert emit_report(report) == "Ea -> Ec via ec-ea\nEa -> Eb -> Ec via ea-eb,ec-eb"
+        assert emit_report(report, "machine") + "\n" == test_cli.JSON_DOCUMENTS["paths"][2]
+
+    def test_empty_paths_report(self):
+        report = PathsReport("Ea", "En", 3, ())
+        assert emit_report(report) == "(no paths)"
+        assert emit_report(report, "machine") == (
+            '{\n  "type": "paths",\n  "src": "Ea",\n  "dst": "En",\n  "max_hops": 3,\n'
+            '  "paths": []\n}'
+        )
+
+    def test_validation_report(self):
+        report = ValidationReport(valid=True, diagnostics=())
+        assert emit_report(report) == "ok"
+        expected = test_cli.JSON_DOCUMENTS["validation_report"][2]
+        assert emit_report(report, "machine") + "\n" == expected
+
+    def test_validation_report_with_diagnostics(self):
+        diagnostic = ParseDiagnostic(Severity.ERROR, "aa.magnitude", "magnitude 11 outside [1, 10]")
+        report = ValidationReport(valid=False, diagnostics=(diagnostic,))
+        assert emit_report(report) == "error aa.magnitude: magnitude 11 outside [1, 10]\ninvalid"
+        expected = test_cli.JSON_DOCUMENTS["validation_report with diagnostics"][2]
+        assert emit_report(report, "machine") + "\n" == expected
+
+    def test_readme_lists_every_report_type(self):
+        # The discriminator list in README's "--format json" paragraph.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        start = readme.index("`--format json` emits one JSON document per report")
+        paragraph = readme[start : readme.index("\n\n", start)]
+        listed = re.findall(r"`(\w+)`", re.search(r"\(([^)]*)\)", paragraph).group(1))
+        assert sorted(listed) == sorted(_DOC_TYPES.values())
 
     def test_unknown_format_or_report_type(self, office):
         with pytest.raises(ValueError):

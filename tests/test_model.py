@@ -72,6 +72,30 @@ class TestToRational:
         with pytest.raises(ValueError):
             to_rational("1/0")
 
+    @pytest.mark.parametrize(
+        "literal, limit",
+        [
+            ("1e10000000", "exponent past 10000"),
+            (decimal.Decimal("1e10000000"), "exponent past 10000"),
+            ("5" + "0" * 4400 + "e-4400", "more than 4300 digits"),
+        ],
+        ids=["exponent-1e7", "decimal-exponent-1e7", "exact-4401-digits"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            to_rational,
+            lambda x: Connection(id="c", src="a", dst="b", kind="real", polarity=1, magnitude=x),
+            lambda x: RosterHypothetical(src="a", dst="b", magnitude=x),
+            lambda x: AttributeVector(existence=x),
+        ],
+        ids=["to_rational", "connection", "hypothetical", "attribute"],
+    )
+    def test_literal_past_the_size_limit_names_the_limit(self, build, literal, limit):
+        # Checked before Fraction() runs, which would take seconds on 1e10000000.
+        with pytest.raises(ValueError, match=limit):
+            build(literal)
+
 
 class TestAttributeVector:
     def test_defaults(self):
