@@ -16,16 +16,14 @@ from typing import NamedTuple
 from .ablation import RemovalOrder, run_removal, run_replacement
 from .errors import ConfigurationError, ConncalcError, ValidationError
 from .metrics import connectivity_score, detect_confusion, efficiency, quality_report
-from .model import Connection, Scenario, ScoringMode, with_scoring_mode
+from .model import Connection, Scenario, ScoringMode, to_rational, with_scoring_mode
 from .paths import PathsReport, find_paths, silent_closure
 from .scenario_io import (
     emit_report,
     export_dot,
     parse_connection_doc,
-    parse_number,
     parse_scenario,
     serialize_scenario,
-    Severity,
     ValidationReport,
 )
 
@@ -65,7 +63,7 @@ def _positive_int(text: str) -> int:
 
 def _replace_spec(text: str) -> ReplaceSpec:
     try:
-        doc = json.loads(text, parse_float=parse_number)
+        doc = json.loads(text, parse_float=to_rational)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"must be JSON: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:
@@ -77,9 +75,8 @@ def _replace_spec(text: str) -> ReplaceSpec:
     if not isinstance(blocked, str) or not blocked:
         raise argparse.ArgumentTypeError("'blocked' must be a connection id string")
     connection, diagnostics = parse_connection_doc(doc["connection"], "connection")
-    if connection is None or any(d.severity is Severity.ERROR for d in diagnostics):
-        detail = "; ".join(str(d) for d in diagnostics) or "invalid connection object"
-        raise argparse.ArgumentTypeError(detail)
+    if connection is None:
+        raise argparse.ArgumentTypeError("; ".join(str(d) for d in diagnostics))
     return ReplaceSpec(blocked=blocked, connection=connection)
 
 

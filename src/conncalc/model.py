@@ -53,11 +53,15 @@ def check_literal(text: str) -> None:
 def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     """Coerce a value to an exact :class:`Fraction`.
 
-    Accepts Fractions, ints, decimal/fraction strings ("0.75", "3/4") and
-    ``decimal.Decimal``. Floats are rejected: they carry binary rounding
-    error that would leak into canonical serialization. A string or Decimal
-    past the literal limits (:func:`check_literal`) is a ``ValueError``.
+    An exact ``Fraction`` is returned as it is (Fractions are immutable).
+    Accepts Fraction subclasses, ints, decimal/fraction strings ("0.75",
+    "3/4") and ``decimal.Decimal``. Floats are rejected: they carry binary
+    rounding error that would leak into canonical serialization. A string or
+    Decimal past the literal limits (:func:`check_literal`), or that names no
+    rational (``"1/0"``, ``Decimal("Infinity")``), is a ``ValueError``.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool):
         raise TypeError(f"expected a rational number, got bool {value!r}")
     if isinstance(value, (Fraction, int)):
@@ -66,7 +70,7 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
         check_literal(str(value))
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     if isinstance(value, float):
         raise TypeError(

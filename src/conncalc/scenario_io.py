@@ -43,7 +43,6 @@ from .model import (
     ScoringMode,
     _LiteralTooLarge,
     _number_text,
-    check_literal,
     ensure_valid,
     to_rational,
     validate_scenario,  # noqa: F401 - kept importable here; the benchmark tracer wraps it
@@ -147,8 +146,6 @@ def _warn_unknown(item: dict, known, location: str, diags: list[ParseDiagnostic]
 
 # Decoders: each takes (value, location, diags), appends a diagnostic at the
 # location when the value is bad, and returns the decoded value or None.
-# The flag and time-index decoders fall back to their defaults instead, which
-# is what ``parse_connection_doc`` returns alongside the diagnostic.
 
 
 def _string(value, location: str, diags: list[ParseDiagnostic]) -> str | None:
@@ -179,32 +176,18 @@ def _choice(enum: type[Enum], what: str, *, strings_only: bool):
     return decode
 
 
-def parse_number(text: str) -> Fraction:
-    """``Fraction(text)`` for a numeric literal within the literal limits (also
-    the ``parse_float`` hook, so JSON floats are exact)."""
-    check_literal(text)
-    return Fraction(text)
-
-
 def _number(value, location: str, diags: list[ParseDiagnostic]) -> Fraction | None:
     """Decode a number written as a decimal string, integer, or fraction."""
-    if isinstance(value, str):
-        try:
-            return parse_number(value)
-        except _LiteralTooLarge as exc:
-            diags.append(_err(location, str(exc)))
-            return None
-        except (ValueError, ZeroDivisionError):
-            diags.append(_err(location, f"not a numeric string: {value!r}"))
-            return None
-    if isinstance(value, bool):
-        diags.append(_err(location, "expected a number as a decimal string, got a boolean"))
-        return None
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    diags.append(
-        _err(location, f"expected a number as a decimal string, got {type(value).__name__}")
-    )
+    try:
+        return to_rational(value)
+    except _LiteralTooLarge as exc:
+        message = str(exc)
+    except ValueError:
+        message = f"not a numeric string: {value!r}"
+    except TypeError:
+        shown = "a boolean" if isinstance(value, bool) else type(value).__name__
+        message = f"expected a number as a decimal string, got {shown}"
+    diags.append(_err(location, message))
     return None
 
 
@@ -218,18 +201,18 @@ def _polarity(value, location: str, diags: list[ParseDiagnostic]) -> int | None:
     return None
 
 
-def _time_index(value, location: str, diags: list[ParseDiagnostic]) -> int:
+def _time_index(value, location: str, diags: list[ParseDiagnostic]) -> int | None:
     if isinstance(value, bool) or not isinstance(value, int):
         diags.append(_err(location, "time_index must be an integer"))
-        return 0
+        return None
     return value
 
 
-def _flag(value, location: str, diags: list[ParseDiagnostic]) -> bool:
+def _flag(value, location: str, diags: list[ParseDiagnostic]) -> bool | None:
     if not isinstance(value, bool):
         key = location.rpartition(".")[2]
         diags.append(_err(location, f"{key} must be true or false"))
-        return False
+        return None
     return value
 
 
@@ -361,7 +344,7 @@ def parse_scenario(text: str) -> ParseResult:
     decoded exactly; JSON floats become rationals without a float detour.
     """
     try:
-        doc = json.loads(text, parse_float=parse_number)
+        doc = json.loads(text, parse_float=to_rational)
     except json.JSONDecodeError as exc:
         message = f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         return ParseResult(None, (_err("document", message),))

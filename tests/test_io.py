@@ -189,6 +189,29 @@ class TestParseScenario:
         assert not result.ok
         assert "time_index must be an integer" in error_text(result)
 
+    @pytest.mark.parametrize(
+        "magnitude, message",
+        [
+            ("seven", "not a numeric string: 'seven'"),
+            ("1/0", "not a numeric string: '1/0'"),
+            (True, "expected a number as a decimal string, got a boolean"),
+            (None, "expected a number as a decimal string, got NoneType"),
+            ([], "expected a number as a decimal string, got list"),
+            ({}, "expected a number as a decimal string, got dict"),
+            ("1e10000000", "numeric literal has an exponent past 10000"),
+            (float("inf"), "expected a number as a decimal string, got float"),  # bare Infinity
+        ],
+        ids=["word", "zero-denominator", "true", "null", "array", "object", "huge", "Infinity"],
+    )
+    def test_bad_number_diagnostic_text(self, magnitude, message):
+        doc = minimal_doc()
+        doc["connections"][0]["magnitude"] = magnitude
+        result = parse_scenario(json.dumps(doc))
+        location = "connections[0].magnitude"
+        assert [d for d in result.diagnostics if d.location == location] == [
+            ParseDiagnostic(Severity.ERROR, location, message)
+        ]
+
     def test_json_floats_decode_exactly(self):
         doc = minimal_doc()
         doc["connections"][0]["magnitude"] = 2.5
@@ -460,6 +483,16 @@ class TestParseConnectionDoc:
         assert all(d.location.startswith("replace.connection") for d in diags)
         assert any(d.location == "replace.connection.polarity" for d in diags)
 
+    def test_field_errors_leave_no_connection(self):
+        doc = {"id": "x", "src": "a", "dst": "b", "kind": "real", "polarity": 1,
+               "magnitude": "7", "blocked": "yes", "time_index": "soon"}
+        connection, diags = parse_connection_doc(doc)
+        assert connection is None
+        assert [str(d) for d in diags] == [
+            "error connection.time_index: time_index must be an integer",
+            "error connection.blocked: blocked must be true or false",
+        ]
+
 
 class Numeral(str):
     """A JSON number written out verbatim, as ``json.dumps`` cannot write one
@@ -502,31 +535,83 @@ json_values = st.recursive(
 )
 
 
+@st.composite
+def mutated_fixture(draw, paths, min_edits=1) -> str:
+    """JSON text of one of the fixtures at ``paths`` after ``min_edits`` to four
+    random edits: a value replaced, a key or item dropped, or one added."""
+    doc = json.loads(draw(st.sampled_from(paths)).read_text())
+    for _ in range(draw(st.integers(min_value=min_edits, max_value=4))):
+        target = draw(st.sampled_from(containers(doc)))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action != "add" and keys:
+            key = draw(st.sampled_from(keys))
+            if action == "replace":
+                target[key] = draw(json_values)
+            else:
+                del target[key]
+        elif isinstance(target, dict):
+            target[draw(st.text(min_size=1, max_size=6))] = draw(json_values)
+        else:
+            target.append(draw(json_values))
+    return json_source(doc)
+
+
+# Ids from both fixtures, for the options of the commands run on mutated ones.
+FIXTURE_ENTITIES = ["A", "B", "Ea", "Eb", "Ec", "Eh", "En", "Eu"]
+FIXTURE_CONNECTIONS = ["aa", "ab", "ea-eb", "eb-eb", "ec-ea", "eu-eb"]
+
+
 class TestHostileContent:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(data=st.data())
     def test_mutated_fixtures_parse_and_validate_without_raising(
         self, data, office_path, confusion_path, tmp_path_factory
     ):
-        source = data.draw(st.sampled_from([office_path, confusion_path]))
-        doc = json.loads(source.read_text())
-        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-            target = data.draw(st.sampled_from(containers(doc)))
-            keys = list(target) if isinstance(target, dict) else list(range(len(target)))
-            action = data.draw(st.sampled_from(["replace", "drop", "add"]))
-            if action != "add" and keys:
-                key = data.draw(st.sampled_from(keys))
-                if action == "replace":
-                    target[key] = data.draw(json_values)
-                else:
-                    del target[key]
-            elif isinstance(target, dict):
-                target[data.draw(st.text(min_size=1, max_size=6))] = data.draw(json_values)
-            else:
-                target.append(data.draw(json_values))
-        text = json_source(doc)
+        text = data.draw(mutated_fixture([office_path, confusion_path]))
         assert isinstance(parse_scenario(text), ParseResult)
         path = tmp_path_factory.getbasetemp() / "mutated.json"
         path.write_text(text, encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(["validate", str(path)]) in (0, 1)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_mutated_fixtures_run_every_command(
+        self, data, office_path, confusion_path, tmp_path_factory
+    ):
+        # Every command ends in exit 0, 1, 2 or 64 and prints nothing on stdout
+        # unless it succeeds; ``validate`` prints its report either way. Most
+        # edits make a fixture invalid, so some examples keep it as it is and
+        # vary only the options, to reach exits 0 and 2.
+        path = tmp_path_factory.getbasetemp() / "mutated-every-command.json"
+        fixture = mutated_fixture([office_path, confusion_path], min_edits=0)
+        path.write_text(data.draw(fixture), encoding="utf-8")
+        src, dst = data.draw(st.lists(st.sampled_from(FIXTURE_ENTITIES), min_size=2, max_size=2))
+        spec = json.dumps({
+            "blocked": data.draw(st.sampled_from(FIXTURE_CONNECTIONS)),
+            "connection": {"id": "fresh", "src": src, "dst": dst, "kind": "real",
+                           "polarity": 1, "magnitude": "7"},
+        })
+        commands = [
+            ["validate"],
+            ["score"],
+            ["score", "--mode", "impact"],
+            ["quality"],
+            ["confusion"],
+            ["paths", "--from", src, "--to", dst],
+            ["paths", "--from", src, "--to", dst, "--include-silent"],
+            ["closure", "-o", str(path.with_name("closed.json"))],
+            ["ablate", "--order", "most-first"],
+            ["ablate", "--order", "least-first"],
+            ["ablate", "--order", "least-first", "--replace", spec],
+            ["export-dot"],
+        ]
+        for fmt in ("table", "json"):
+            for command, *options in commands:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["--format", fmt, command, str(path), *options])
+                assert code in (0, 1, 2, 64), (fmt, command, options)
+                if code != 0 and command != "validate":
+                    assert out.getvalue() == "", (fmt, command, options, code)

@@ -72,6 +72,34 @@ class TestToRational:
         with pytest.raises(ValueError):
             to_rational("1/0")
 
+    def test_exact_fractions_pass_through_unchanged(self):
+        f = Fraction(1, 2)
+        assert to_rational(f) is f
+        assert conn("c", "a", "b", magnitude=f).magnitude is f
+        assert AttributeVector(existence=f).existence is f
+
+    def test_fraction_subclasses_become_fractions(self):
+        class Exact(Fraction):
+            pass
+
+        half = Exact(1, 2)
+        for value in (
+            to_rational(half),
+            conn("c", "a", "b", magnitude=half).magnitude,
+            AttributeVector(existence=half).existence,
+        ):
+            assert type(value) is Fraction and value == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [to_rational, lambda x: conn("c", "a", "b", magnitude=x)],
+        ids=["to_rational", "connection"],
+    )
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_decimal_infinities_and_nan_are_value_errors(self, build, literal):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            build(decimal.Decimal(literal))
+
     @pytest.mark.parametrize(
         "literal, limit",
         [
