@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 parse or validation failure (including unreadable
-files), 2 computation errors on otherwise valid input (undefined ratios,
-unknown ids, bad state transitions), 64 usage errors.
+Exit codes: 0 success, 1 parse or validation failure (unreadable and non-UTF-8
+files included), 2 a computation error on valid input (undefined ratio, unknown
+id, bad state transition) or output that cannot be encoded, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -28,15 +28,6 @@ from .scenario_io import (
 )
 
 USAGE_ERROR = 64
-
-
-class _CliError(Exception):
-    """Failure with a chosen exit code; the message goes to stderr."""
-
-    def __init__(self, code: int, message: str | None = None):
-        super().__init__(message or "")
-        self.code = code
-        self.message = message
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,8 +74,9 @@ def _replace_spec(text: str) -> ReplaceSpec:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _CliError(1, f"cannot read {path}: {exc.strerror or exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read {path}: {reason}") from None
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -94,7 +86,7 @@ def _load_scenario(path: str) -> Scenario:
     if not result.ok:
         for diag in result.errors:
             print(str(diag), file=sys.stderr)
-        raise _CliError(1, f"{path} failed validation")
+        raise ValidationError(f"{path} failed validation")
     return result.scenario
 
 
@@ -107,15 +99,19 @@ def _fmt(args: argparse.Namespace) -> str:
     return _REPORT_FORMATS[args.format or args.format_root or "table"]
 
 
-def _write_output(args: argparse.Namespace, text: str) -> None:
+def _write_output(args: argparse.Namespace, result) -> None:
+    text = result if isinstance(result, str) else emit_report(result, _fmt(args)) + "\n"
+    # Encoded first, so text with no UTF-8 form (a lone surrogate from a JSON
+    # escape) writes nothing, neither to stdout nor to an ``-o`` file.
+    data = text.encode("utf-8")
     if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_bytes(data)
     else:
         sys.stdout.write(text)
 
 
-# Command handlers: each returns the report to print, or None when it wrote its
-# own output; ``main`` renders the report in the chosen format.
+# Command handlers: each returns a report, or the text of the file it makes,
+# and writes nothing; ``main`` hands the result to ``_write_output``.
 def _cmd_validate(args: argparse.Namespace):
     result = parse_scenario(_read_text(args.file))
     return ValidationReport(valid=result.ok, diagnostics=result.diagnostics)
@@ -150,7 +146,7 @@ def _cmd_paths(args: argparse.Namespace):
 
 
 def _cmd_closure(args: argparse.Namespace):
-    _write_output(args, serialize_scenario(silent_closure(_load_scenario(args.file))))
+    return serialize_scenario(silent_closure(_load_scenario(args.file)))
 
 
 def _cmd_ablate(args: argparse.Namespace):
@@ -161,7 +157,7 @@ def _cmd_ablate(args: argparse.Namespace):
 
 
 def _cmd_export_dot(args: argparse.Namespace):
-    _write_output(args, export_dot(_load_scenario(args.file)))
+    return export_dot(_load_scenario(args.file))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,20 +247,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     try:
-        report = args.handler(args)
-        if report is not None:
-            print(emit_report(report, _fmt(args)))
-    except _CliError as exc:
-        if exc.message:
-            print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
+        result = args.handler(args)
+        _write_output(args, result)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConncalcError as exc:  # computation, configuration, integrity and state errors
+    except (ConncalcError, UnicodeEncodeError) as exc:  # computation errors; unencodable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 1 if isinstance(report, ValidationReport) and not report.valid else 0
+    return 1 if isinstance(result, ValidationReport) and not result.valid else 0
 
 
 def run() -> None:

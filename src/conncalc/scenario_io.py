@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .ablation import QualityTrajectory, ReplacementReport
@@ -575,6 +576,11 @@ _DOC_TYPES = {
 }
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _doc_value(value):
     """JSON form of a report value: rationals as exact strings, enums by value."""
     if isinstance(value, Fraction):
@@ -584,7 +590,7 @@ def _doc_value(value):
     if isinstance(value, tuple):
         return _DocList(map(_doc_value, value))
     if is_dataclass(value):
-        return {f.name: _doc_value(getattr(value, f.name)) for f in fields(value)}
+        return {name: _doc_value(getattr(value, name)) for name in _field_names(type(value))}
     return value
 
 

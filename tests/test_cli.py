@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -43,6 +45,17 @@ def lonely_file(tmp_path):
     path = tmp_path / "lonely.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def run_strict(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``. Stdout is a strict UTF-8
+    stream, as a pipe or terminal is; ``io.StringIO`` would take text that has
+    no UTF-8 form."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 # A valid scenario's JSON text with raw fragments spliced in by name.
@@ -291,6 +304,48 @@ class TestUnprintableResult:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: number too long to print exactly")
+
+
+class TestUnencodableOutput:
+    """A JSON escape can decode to a lone surrogate, which has no UTF-8 form.
+    A command whose output would hold one exits 2 and writes nothing; JSON
+    output escapes it and succeeds."""
+
+    ENCODE_ERROR = "error: 'utf-8' codec can't encode character '\\ud800'"
+
+    @pytest.fixture()
+    def surrogate_file(self, tmp_path):
+        doc = json.loads(SMALL_DOC % {"version": "1", "mode": '"raw"', "polarity": "1"})
+        doc["entities"][1]["id"] = doc["connections"][0]["dst"] = "\ud800"
+        doc["connections"][0]["id"] = "\ud800"
+        doc["\ud800"] = None
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc), encoding="ascii")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, json_code",
+        [
+            (["export-dot", "{file}"], 2),  # DOT has no JSON form
+            (["paths", "{file}", "--from", "a", "--to", "\ud800"], 0),
+            (["ablate", "{file}", "--order", "most-first"], 0),
+            (["validate", "{file}"], 0),
+        ],
+        ids=["export-dot", "paths", "ablate", "validate"],
+    )
+    def test_exits_2_and_writes_nothing(self, argv, json_code, surrogate_file):
+        args = [arg.format(file=surrogate_file) for arg in argv]
+        code, out, err = run_strict(args)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(self.ENCODE_ERROR)
+        assert run_strict(["--format", "json", *args])[0] == json_code
+
+    def test_output_file_is_not_created(self, surrogate_file, tmp_path):
+        target = tmp_path / "graph.dot"
+        code, out, err = run_strict(["export-dot", surrogate_file, "-o", str(target)])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(self.ENCODE_ERROR)
+        assert not target.exists()
 
 
 class TestScore:

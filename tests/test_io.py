@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,9 @@ from conncalc.scenario_io import _DOC_TYPES, ValidationReport
 from . import support, test_cli
 from .dotparse import parse_dot
 from .test_model import conn, scenario_of
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import oracle  # noqa: E402 - the benchmark's independent output checks
 
 
 def minimal_doc(**overrides) -> dict:
@@ -527,39 +531,84 @@ def containers(value) -> list:
 huge_numerals = st.sampled_from(
     ["1" * 4301, "-" + "9" * 5000, "1e5000", "-1e5000", "1e-5000", "25e4400"]
 ).map(Numeral)
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | huge_numerals,
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=6,
-)
+# JSON text may escape a lone surrogate ("\ud800"); it decodes, but it has no
+# UTF-8 form, so no output that contains it can be written.
+SURROGATE = "\ud800"
 
 
-@st.composite
-def mutated_fixture(draw, paths, min_edits=1) -> str:
-    """JSON text of one of the fixtures at ``paths`` after ``min_edits`` to four
-    random edits: a value replaced, a key or item dropped, or one added."""
-    doc = json.loads(draw(st.sampled_from(paths)).read_text())
-    for _ in range(draw(st.integers(min_value=min_edits, max_value=4))):
-        target = draw(st.sampled_from(containers(doc)))
-        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
-        action = draw(st.sampled_from(["replace", "drop", "add"]))
-        if action != "add" and keys:
-            key = draw(st.sampled_from(keys))
-            if action == "replace":
-                target[key] = draw(json_values)
-            else:
-                del target[key]
-        elif isinstance(target, dict):
-            target[draw(st.text(min_size=1, max_size=6))] = draw(json_values)
-        else:
-            target.append(draw(json_values))
-    return json_source(doc)
+def json_values(strings=st.text(max_size=6)):
+    """Any JSON value, with its strings and keys drawn from ``strings``."""
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | strings | huge_numerals,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(strings, children, max_size=3),
+        max_leaves=6,
+    )
 
 
 # Ids from both fixtures, for the options of the commands run on mutated ones.
 FIXTURE_ENTITIES = ["A", "B", "Ea", "Eb", "Ec", "Eh", "En", "Eu"]
 FIXTURE_CONNECTIONS = ["aa", "ab", "ea-eb", "eb-eb", "ec-ea", "eu-eb"]
+
+
+def renamed(value, old: str, new: str):
+    """``value`` with every string equal to ``old`` replaced by ``new``."""
+    if isinstance(value, dict):
+        return {k: renamed(v, old, new) for k, v in value.items()}
+    if isinstance(value, list):
+        return [renamed(v, old, new) for v in value]
+    return new if value == old else value
+
+
+@st.composite
+def mutated_fixture(draw, paths, min_edits=1, surrogates=False) -> str:
+    """JSON text of one of the fixtures at ``paths`` after ``min_edits`` to four
+    random edits: a value replaced, a key or item dropped, or one added. With
+    ``surrogates``, added strings and keys may be a lone surrogate, and a fourth
+    edit renames an id to one wherever the id appears."""
+    strings, new_keys = st.text(max_size=6), st.text(min_size=1, max_size=6)
+    actions = ["replace", "drop", "add"]
+    if surrogates:
+        strings, new_keys = strings | st.just(SURROGATE), new_keys | st.just(SURROGATE)
+        actions.append("rename")
+    values = json_values(strings)
+    doc = json.loads(draw(st.sampled_from(paths)).read_text())
+    for _ in range(draw(st.integers(min_value=min_edits, max_value=4))):
+        target = draw(st.sampled_from(containers(doc)))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = draw(st.sampled_from(actions))
+        if action == "rename":
+            old = draw(st.sampled_from(FIXTURE_ENTITIES + FIXTURE_CONNECTIONS))
+            doc = renamed(doc, old, SURROGATE)
+        elif action != "add" and keys:
+            key = draw(st.sampled_from(keys))
+            if action == "replace":
+                target[key] = draw(values)
+            else:
+                del target[key]
+        elif isinstance(target, dict):
+            target[draw(new_keys)] = draw(values)
+        else:
+            target.append(draw(values))
+    return json_source(doc)
+
+
+def every_command(path: Path, src: str, dst: str, spec: str) -> list[list[str]]:
+    """The 12 command lines of the all-command tests, as ``[command, *options]``."""
+    return [
+        ["validate"],
+        ["score"],
+        ["score", "--mode", "impact"],
+        ["quality"],
+        ["confusion"],
+        ["paths", "--from", src, "--to", dst],
+        ["paths", "--from", src, "--to", dst, "--include-silent"],
+        ["closure", "-o", str(path.with_name("closed.json"))],
+        ["ablate", "--order", "most-first"],
+        ["ablate", "--order", "least-first"],
+        ["ablate", "--order", "least-first", "--replace", spec],
+        ["export-dot"],
+    ]
 
 
 class TestHostileContent:
@@ -581,37 +630,90 @@ class TestHostileContent:
         self, data, office_path, confusion_path, tmp_path_factory
     ):
         # Every command ends in exit 0, 1, 2 or 64 and prints nothing on stdout
-        # unless it succeeds; ``validate`` prints its report either way. Most
-        # edits make a fixture invalid, so some examples keep it as it is and
-        # vary only the options, to reach exits 0 and 2.
+        # unless it succeeds (``validate`` prints its report on exit 1 too), and
+        # a failed ``closure -o`` leaves no file. What exits 0 must agree with the
+        # benchmark's oracle. Most edits make a fixture invalid, so some examples
+        # keep it as it is and vary only the options, to reach exits 0 and 2.
         path = tmp_path_factory.getbasetemp() / "mutated-every-command.json"
-        fixture = mutated_fixture([office_path, confusion_path], min_edits=0)
-        path.write_text(data.draw(fixture), encoding="utf-8")
-        src, dst = data.draw(st.lists(st.sampled_from(FIXTURE_ENTITIES), min_size=2, max_size=2))
-        spec = json.dumps({
-            "blocked": data.draw(st.sampled_from(FIXTURE_CONNECTIONS)),
+        closed = path.with_name("closed.json")
+        fixture = mutated_fixture([office_path, confusion_path], min_edits=0, surrogates=True)
+        text = data.draw(fixture)
+        path.write_text(text, encoding="utf-8")
+        # Ids the drawn file names, half of the time, so that ``paths`` and
+        # ``--replace`` often get past their unknown-id errors.
+        entities, connections = (
+            st.sampled_from([i for i in ids if json.dumps(i) in text] or ids)
+            | st.sampled_from(ids)
+            for ids in (FIXTURE_ENTITIES, FIXTURE_CONNECTIONS)
+        )
+        src, dst = data.draw(st.lists(entities, min_size=2, max_size=2))
+        replace = {
+            "blocked": data.draw(connections),
             "connection": {"id": "fresh", "src": src, "dst": dst, "kind": "real",
                            "polarity": 1, "magnitude": "7"},
-        })
-        commands = [
-            ["validate"],
-            ["score"],
-            ["score", "--mode", "impact"],
-            ["quality"],
-            ["confusion"],
-            ["paths", "--from", src, "--to", dst],
-            ["paths", "--from", src, "--to", dst, "--include-silent"],
-            ["closure", "-o", str(path.with_name("closed.json"))],
-            ["ablate", "--order", "most-first"],
-            ["ablate", "--order", "least-first"],
-            ["ablate", "--order", "least-first", "--replace", spec],
-            ["export-dot"],
-        ]
+        }
+        job = {"file": str(path), "output": str(closed), "replace": replace}
+        unedited = [json_source(json.loads(p.read_text())) for p in (office_path, confusion_path)]
+        edited = text not in unedited
+        docs = {}
         for fmt in ("table", "json"):
-            for command, *options in commands:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(["--format", fmt, command, str(path), *options])
+            for command, *options in every_command(path, src, dst, json.dumps(replace)):
+                closed.unlink(missing_ok=True)
+                argv = [command, str(path), *options]
+                code, out, _ = test_cli.run_strict(["--format", fmt, *argv])
                 assert code in (0, 1, 2, 64), (fmt, command, options)
-                if code != 0 and command != "validate":
-                    assert out.getvalue() == "", (fmt, command, options, code)
+                if code != 0 and not (command == "validate" and code == 1):
+                    assert out == "", (fmt, command, options, code)
+                if command == "closure":
+                    assert closed.exists() == (code == 0), (fmt, code)
+                if code == 0 and oracle_reads(fmt, command, options, text, edited):
+                    if not docs:
+                        docs[str(path)] = exact_doc(text)
+                    if command == "closure":
+                        docs[str(closed)] = exact_doc(closed.read_text(encoding="utf-8"))
+                    if fmt == "json":
+                        argv += ["--format", "json"]
+                    reason = oracle.check_command(argv, out, docs, job)
+                    assert reason is None, (fmt, command, options, reason)
+
+    def test_file_that_is_not_utf8_is_unreadable_for_every_command(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        spec = json.dumps({"blocked": "ab", "connection": {
+            "id": "fresh", "src": "A", "dst": "B", "kind": "real", "polarity": 1, "magnitude": "7",
+        }})
+        for fmt in ("table", "json"):
+            for command, *options in every_command(path, "A", "B", spec):
+                argv = ["--format", fmt, command, str(path), *options]
+                code, out, err = test_cli.run_strict(argv)
+                assert (code, out) == (1, ""), (fmt, command)
+                assert err == (
+                    f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"
+                    " in position 0: invalid start byte\n"
+                ), (fmt, command)
+        assert not path.with_name("closed.json").exists()
+
+
+def exact_doc(text: str) -> oracle.Doc:
+    """The oracle's view of a scenario file, its JSON floats kept as exact text."""
+    return oracle.Doc(json.loads(text, parse_float=str))
+
+
+def oracle_reads(fmt: str, command: str, options: list[str], text: str, edited: bool) -> bool:
+    """Whether ``oracle.check_command`` can check this output. It parses the
+    table form of every command but only the JSON form of ``score`` and of a
+    removal ``ablate``. Exclusions, each a limit of the oracle:
+    - its ``validate`` check expects a file without warnings;
+    - its paths search does not model the one-hop loop over a self-connection
+      that ``paths`` reports when ``--from`` and ``--to`` name the same entity;
+    - its closure check compares each connection object as written with the
+      one in the closed file, so it holds only for a file already in canonical
+      form, as the fixtures are; an edit the canonical form undoes (an unknown
+      key, a default written out, a number not in its shortest form) reads as
+      a changed connection."""
+    if command == "validate" and parse_scenario(text).warnings:
+        return False
+    if (command == "paths" and options[1] == options[3]) or (command == "closure" and edited):
+        return False
+    removal = command == "ablate" and "--replace" not in options
+    return fmt == "table" or command == "score" or removal
