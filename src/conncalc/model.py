@@ -17,7 +17,7 @@ import decimal
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import IntegrityError, ValidationError
@@ -50,6 +50,22 @@ def check_literal(text: str) -> None:
             raise _LiteralTooLarge(f"numeric literal has an exponent past {LITERAL_MAX_EXPONENT}")
 
 
+def _literal(value: str | decimal.Decimal) -> Fraction:
+    check_literal(str(value))
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"not a rational literal: {value!r}") from exc
+
+
+# Scenario numbers come from small fixed scales, so literals repeat. The
+# _MEMO_SIZE most recent short strings with no exponent (so a small value) keep
+# their Fraction; any other (" " * 10**5 + "2", "1e9999") is decoded every call.
+_MEMO_SIZE = 4096
+_MEMO_LITERAL_LENGTH = 32
+_memo_literal = lru_cache(maxsize=_MEMO_SIZE)(_literal)
+
+
 def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     """Coerce a value to an exact :class:`Fraction`.
 
@@ -59,7 +75,12 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     rounding error that would leak into canonical serialization. A string or
     Decimal past the literal limits (:func:`check_literal`), or that names no
     rational (``"1/0"``, ``Decimal("Infinity")``), is a ``ValueError``.
+
+    A repeated short string decodes once, to the same ``Fraction``. Errors
+    are never cached: a bad literal is checked and raises on every call.
     """
+    if type(value) is str and len(value) <= _MEMO_LITERAL_LENGTH:
+        return _literal(value) if "e" in value or "E" in value else _memo_literal(value)
     if type(value) is Fraction:
         return value
     if isinstance(value, bool):
@@ -67,11 +88,7 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     if isinstance(value, (Fraction, int)):
         return Fraction(value)
     if isinstance(value, (str, decimal.Decimal)):
-        check_literal(str(value))
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+        return _literal(value)
     if isinstance(value, float):
         raise TypeError(
             f"floats are inexact; pass a decimal string or Fraction instead of {value!r}"
@@ -141,7 +158,8 @@ class Entity:
     attributes: AttributeVector = field(default_factory=AttributeVector)
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", EntityKind(self.kind))
+        if type(self.kind) is not EntityKind:
+            object.__setattr__(self, "kind", EntityKind(self.kind))
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +182,8 @@ class Connection:
     confirmed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ConnectionKind(self.kind))
+        if type(self.kind) is not ConnectionKind:
+            object.__setattr__(self, "kind", ConnectionKind(self.kind))
         object.__setattr__(self, "magnitude", to_rational(self.magnitude))
 
     def endpoints(self) -> frozenset[str]:
@@ -393,7 +412,9 @@ def connection_value(
 
 def _check_magnitude(subject: str, magnitude: Fraction, violations: list[Violation]) -> None:
     """The [1, 10] range rule for connections and hypothetical roster entries."""
-    if not MAGNITUDE_MIN <= magnitude <= MAGNITUDE_MAX:
+    # In integers: the bounds are whole numbers and a denominator is positive.
+    low, high = MAGNITUDE_MIN.numerator, MAGNITUDE_MAX.numerator
+    if not low * magnitude.denominator <= magnitude.numerator <= high * magnitude.denominator:
         violations.append(
             Violation(
                 subject,
@@ -434,11 +455,12 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(Violation(conn.id, "id", "duplicate connection id"))
         conn_ids.add(conn.id)
 
-        for which, endpoint in (("src", conn.src), ("dst", conn.dst)):
-            if endpoint not in entity_ids:
-                violations.append(
-                    Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
-                )
+        if conn.src not in entity_ids or conn.dst not in entity_ids:
+            for which, endpoint in (("src", conn.src), ("dst", conn.dst)):
+                if endpoint not in entity_ids:
+                    violations.append(
+                        Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
+                    )
         is_loop = conn.src == conn.dst
         if is_loop and conn.kind is not ConnectionKind.SELF:
             violations.append(

@@ -284,8 +284,11 @@ def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagno
 
 def _build(cls, values: dict | None):
     """``cls(**values)``, or None when any field failed to decode."""
-    if values is None or None in values.values():
+    if values is None:
         return None
+    for value in values.values():
+        if value is None:  # not ``None in``, which calls each Fraction's __eq__
+            return None
     return cls(**values)
 
 
@@ -467,6 +470,8 @@ def _dot_quote(value: str) -> str:
     # through untouched, and only a backslash that would collide with a
     # quote (or the closing delimiter) gets doubled to keep the document
     # well-formed.
+    if '"' not in value and not value.endswith("\\"):
+        return f'"{value}"'
     out = []
     for i, ch in enumerate(value):
         if ch == '"':

@@ -7,6 +7,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conncalc.model
 from conncalc import (
     ComputationError,
     Connection,
@@ -224,6 +226,13 @@ class TestParseScenario:
         magnitude = result.scenario.connection("ab").magnitude
         assert isinstance(magnitude, Fraction) and magnitude == Fraction(5, 2)
 
+    def test_whitespace_padded_literal_decodes(self):
+        doc = minimal_doc()
+        doc["connections"][0]["magnitude"] = " " * 100_000 + "2"
+        result = parse_scenario(json.dumps(doc))
+        assert result.ok
+        assert result.scenario.connection("ab").magnitude == Fraction(2)
+
     def test_attributes_require_all_four_fields(self):
         doc = minimal_doc()
         doc["entities"][0]["attributes"] = {"existence": "0.5"}
@@ -271,6 +280,42 @@ class TestParseScenario:
         result = parse_doc(host="ghost")
         assert not result.ok
         assert "ghost" in error_text(result)
+
+
+class TestLiteralCheckCount:
+    """Parsing checks and decodes each distinct short literal once, however
+    often the file repeats it."""
+
+    def test_each_distinct_literal_is_checked_once(self, monkeypatch):
+        s = support.random_scenario(
+            support.random.Random(2024),
+            max_entities=40,
+            min_connections=2000,
+            max_connections=2000,
+        )
+        text = serialize_scenario(s)
+        doc = json.loads(text)
+        literals = [c["magnitude"] for c in doc["connections"]]
+        literals += [v for e in doc["entities"] for v in e.get("attributes", {}).values()]
+        literals += [
+            r["hypothetical"]["magnitude"] for r in doc.get("ideal_roster") or () if "hypothetical" in r
+        ]
+        literals += [doc["desired_connectivity"]] if "desired_connectivity" in doc else []
+        assert len(literals) >= 2000 and max(map(len, literals)) <= 6
+
+        calls = []
+        original = conncalc.model.check_literal
+
+        def counted(literal):
+            calls.append(literal)
+            return original(literal)
+
+        monkeypatch.setattr(conncalc.model, "check_literal", counted)
+        conncalc.model._memo_literal.cache_clear()
+        result = parse_scenario(text)
+        assert result.ok and result.scenario == s
+        assert [literal for literal, count in Counter(calls).items() if count > 1] == []
+        assert set(calls) <= set(literals)
 
 
 class TestSerializeScenario:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conncalc.model
 from conncalc import (
     AttributeVector,
     Connection,
@@ -58,6 +59,20 @@ class TestToRational:
         assert to_rational(Fraction(1, 3)) == Fraction(1, 3)
         assert to_rational(decimal.Decimal("12.5")) == Fraction(25, 2)
 
+    @pytest.mark.parametrize(
+        "literal, value",
+        [(" " * 100_000 + "2", Fraction(2)), ("1e9999", Fraction(10**9999))],
+        ids=["padded", "exponent"],
+    )
+    def test_long_and_exponent_literals_decode_and_are_not_kept(self, literal, value):
+        # Fraction() takes surrounding whitespace, and an exponent makes a short
+        # literal a huge number: such literals are decoded on every call and
+        # never held by the literal memo.
+        kept = conncalc.model._memo_literal.cache_info().currsize
+        for _ in range(2):
+            assert to_rational(literal) == value
+        assert conncalc.model._memo_literal.cache_info().currsize == kept
+
     def test_rejects_floats(self):
         with pytest.raises(TypeError, match="inexact"):
             to_rational(0.75)
@@ -67,10 +82,14 @@ class TestToRational:
             to_rational(True)
 
     def test_rejects_garbage_strings(self):
-        with pytest.raises(ValueError):
-            to_rational("seven")
-        with pytest.raises(ValueError):
-            to_rational("1/0")
+        # Errors are never cached: the second call checks and raises again.
+        for literal in ("seven", "1/0"):
+            messages = []
+            for _ in range(2):
+                with pytest.raises(ValueError) as raised:
+                    to_rational(literal)
+                messages.append(str(raised.value))
+            assert messages == [f"not a rational literal: {literal!r}"] * 2
 
     def test_exact_fractions_pass_through_unchanged(self):
         f = Fraction(1, 2)
@@ -106,8 +125,13 @@ class TestToRational:
             ("1e10000000", "exponent past 10000"),
             (decimal.Decimal("1e10000000"), "exponent past 10000"),
             ("5" + "0" * 4400 + "e-4400", "more than 4300 digits"),
+            ("1e10001", "exponent past 10000"),
+            ("1" * 4301, "more than 4300 digits"),
         ],
-        ids=["exponent-1e7", "decimal-exponent-1e7", "exact-4401-digits"],
+        ids=[
+            "exponent-1e7", "decimal-exponent-1e7", "exact-4401-digits", "exponent-10001",
+            "4301-digits",
+        ],
     )
     @pytest.mark.parametrize(
         "build",
@@ -120,9 +144,14 @@ class TestToRational:
         ids=["to_rational", "connection", "hypothetical", "attribute"],
     )
     def test_literal_past_the_size_limit_names_the_limit(self, build, literal, limit):
-        # Checked before Fraction() runs, which would take seconds on 1e10000000.
-        with pytest.raises(ValueError, match=limit):
-            build(literal)
+        # Checked before Fraction() runs, which would take seconds on 1e10000000,
+        # and on every call: errors are never cached.
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=limit) as raised:
+                build(literal)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 
 class TestAttributeVector:
