@@ -455,12 +455,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(Violation(conn.id, "id", "duplicate connection id"))
         conn_ids.add(conn.id)
 
-        if conn.src not in entity_ids or conn.dst not in entity_ids:
-            for which, endpoint in (("src", conn.src), ("dst", conn.dst)):
-                if endpoint not in entity_ids:
-                    violations.append(
-                        Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
-                    )
+        for which, endpoint in (("src", conn.src), ("dst", conn.dst)):
+            if endpoint not in entity_ids:
+                violations.append(
+                    Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
+                )
         is_loop = conn.src == conn.dst
         if is_loop and conn.kind is not ConnectionKind.SELF:
             violations.append(

@@ -470,17 +470,10 @@ def _dot_quote(value: str) -> str:
     # through untouched, and only a backslash that would collide with a
     # quote (or the closing delimiter) gets doubled to keep the document
     # well-formed.
-    if '"' not in value and not value.endswith("\\"):
-        return f'"{value}"'
-    out = []
-    for i, ch in enumerate(value):
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\" and (i + 1 == len(value) or value[i + 1] == '"'):
-            out.append("\\\\")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
+    value = value.replace('\\"', '\\\\"').replace('"', '\\"')
+    if value.endswith("\\"):
+        value += "\\"
+    return f'"{value}"'
 
 
 def export_dot(scenario: Scenario) -> str:

@@ -408,15 +408,21 @@ class TestExportDot:
     def test_quoting_survives_hostile_ids(self):
         s = scenario_of(
             conn('a"b', 'he said "hi"', "b\\c", magnitude=2),
+            conn('c\\"d', 'q\\"r', "t\\", magnitude=3),
             entities=(
                 make_entity('he said "hi"', "known"),
                 make_entity("b\\c", "known"),
+                make_entity('q\\"r', "known"),
+                make_entity("t\\", "known"),
             ),
             host='he said "hi"',
         )
-        graph = parse_dot(export_dot(s))
-        assert set(graph.nodes) == {'he said "hi"', "b\\c"}
-        assert graph.edges[0].attrs["id"] == 'a"b'
+        text = export_dot(s)
+        # A backslash before a quote, or before the closing quote, is doubled.
+        assert '  "q\\\\\\"r" -- "t\\\\" [label="+3", style="solid", id="c\\\\\\"d"];' in text
+        graph = parse_dot(text)
+        assert set(graph.nodes) == {'he said "hi"', "b\\c", 'q\\\\"r', "t\\\\"}
+        assert [e.attrs["id"] for e in graph.edges] == ['a"b', 'c\\\\"d']
 
     def test_output_is_deterministic(self, office):
         assert export_dot(office) == export_dot(office)
