@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import copy
+import hashlib
 import io
 import json
+import random
 import re
 import sys
 from collections import Counter
@@ -46,6 +49,7 @@ from conncalc.paths import PathsReport
 from conncalc.scenario_io import _DOC_TYPES, ValidationReport
 
 from . import support, test_cli
+from .conftest import FIXTURES, GOLDEN
 from .dotparse import parse_dot
 from .test_model import conn, scenario_of
 
@@ -280,6 +284,12 @@ class TestParseScenario:
         result = parse_doc(host="ghost")
         assert not result.ok
         assert "ghost" in error_text(result)
+
+
+    def test_seeded_mutations_match_the_golden_diagnostics(self):
+        # Pins the text and order of every diagnostic, and the canonical bytes
+        # of each mutation that still parses, across rewrites of the decoders.
+        assert diagnostics_text(GOLDEN_SEEDS) == GOLDEN_DIAGNOSTICS.read_text()
 
 
 class TestLiteralCheckCount:
@@ -642,6 +652,94 @@ def mutated_fixture(draw, paths, min_edits=1, surrogates=False) -> str:
         else:
             target.append(draw(values))
     return json_source(doc)
+
+
+# What the seeded edits draw from: every record's keys, values that each field
+# decoder accepts or refuses, and ids that quoting must survive.
+EDIT_KEYS = [
+    "id", "src", "dst", "kind", "polarity", "magnitude", "time_index", "blocked",
+    "confirmed", "attributes", "existence", "inner_state", "external_state",
+    "communication_state", "ref", "hypothetical", "version", "host", "mode",
+    "desired_connectivity", "entities", "connections", "ideal_roster", "extra",
+]
+ATTRIBUTES = {"existence": "0.5", "inner_state": "1/3", "external_state": "0.25",
+              "communication_state": "0.9"}
+EDIT_VALUES = [
+    None, True, False, 0, 1, -1, 2, 3, 11, 0.5, 1.5, 7.0, -0.25, 1e300,
+    "", "x", "7", "2.5", "0.5", "1/3", "1/0", "-3", "abc", " 4 ", "1e5000", "nan", "inf",
+    [], ["x"], {}, {"x": 1}, "real", "silent", "self", "known", "hidden", "unknown",
+    "raw", "impact_weighted", {"ref": "ab"}, {"ref": "ea-eb"}, {"ref": "ab", "hypothetical": {}},
+    {"hypothetical": {"src": "A", "dst": "B", "magnitude": "3"}}, {"hypothetical": []},
+    ATTRIBUTES, {**ATTRIBUTES, "existence": "1"}, {**ATTRIBUTES, "inner_state": True},
+]
+HOSTILE_IDS = ['say "hi"', "back\\slash", "tail\\", '\\"', "naïve", "π→∞",
+               SURROGATE, "", "Ea", "ab"]
+
+
+def seeded_mutation(rng, docs: list) -> dict:
+    """A copy of one of ``docs`` (parsed fixtures) after one to four edits drawn
+    from ``rng``, a ``random.Random``: a value replaced, a key or item dropped,
+    one added, or an id renamed wherever it appears. Stdlib only, so a seed
+    names the same document on every run."""
+    doc = copy.deepcopy(rng.choice(docs))
+    for _ in range(rng.randint(1, 4)):
+        target = rng.choice(containers(doc))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = rng.choice(("replace", "drop", "add", "rename"))
+        if action == "rename":
+            old = rng.choice(FIXTURE_ENTITIES + FIXTURE_CONNECTIONS)
+            doc = renamed(doc, old, rng.choice(HOSTILE_IDS))
+        elif action != "add" and keys:
+            key = rng.choice(keys)
+            if action == "replace":
+                target[key] = copy.deepcopy(rng.choice(EDIT_VALUES))
+            else:
+                del target[key]
+        elif isinstance(target, dict):
+            target[rng.choice(EDIT_KEYS)] = copy.deepcopy(rng.choice(EDIT_VALUES))
+        else:
+            target.append(copy.deepcopy(rng.choice(EDIT_VALUES)))
+    return doc
+
+
+def diagnostics_text(seeds) -> str:
+    """For each seed, its mutation of a fixture's outcome (with a digest of
+    the canonical text when it parses), every diagnostic in order, then those
+    of each of its connection objects parsed alone at the empty location;
+    ASCII, with other characters backslash-escaped.
+
+    ``GOLDEN_DIAGNOSTICS`` holds this text for ``GOLDEN_SEEDS``. A change that
+    means to alter diagnostics writes it again, from the repository root:
+    ``PYTHONPATH=src python -c "from tests.test_io import *;
+    GOLDEN_DIAGNOSTICS.write_text(diagnostics_text(GOLDEN_SEEDS))"``."""
+    docs = []
+    for name in FIXTURE_FILES:
+        doc = json.loads((FIXTURES / name).read_text())
+        # Each fixture as it is, and with the optional fields it leaves out.
+        rich = copy.deepcopy(doc)
+        for entity in rich["entities"][::2]:
+            entity["attributes"] = dict(ATTRIBUTES)
+        rich["connections"][-1].update(time_index=2, blocked=True, confirmed=True)
+        docs += [doc, rich]
+    lines = []
+    for seed in seeds:
+        doc = seeded_mutation(random.Random(seed), docs)
+        result = parse_scenario(json.dumps(doc))
+        outcome = "refused"
+        if result.ok:
+            text = serialize_scenario(result.scenario)
+            outcome = "ok " + hashlib.sha256(text.encode()).hexdigest()[:16]
+        lines.append(f"seed {seed}: {outcome}")
+        lines += map(str, result.diagnostics)
+        connections = doc.get("connections")
+        for item in connections if isinstance(connections, list) else ():
+            lines += (f"  {d}" for d in parse_connection_doc(item, location="")[1])
+    return "".join(f"{line}\n" for line in lines).encode("ascii", "backslashreplace").decode()
+
+
+FIXTURE_FILES = ("office_v1.json", "confusion_v1.json")
+GOLDEN_SEEDS = range(400)
+GOLDEN_DIAGNOSTICS = GOLDEN / "diagnostics.txt"
 
 
 def every_command(path: Path, src: str, dst: str, spec: str) -> list[list[str]]:
