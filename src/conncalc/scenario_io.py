@@ -10,7 +10,8 @@ to rationals before any float arithmetic can occur).
 
 The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
 ``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
-object's on-disk fields: their keys, order, decoders and defaults.
+record's on-disk fields: their keys, order, decoders, defaults and encoders.
+``_fields`` reads any record by its table and ``_record_doc`` writes it.
 
 Every report is one document, a dict with a ``type`` key and one key per
 field, that ``emit_report`` prints as JSON or as table text filled in from
@@ -26,6 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from .ablation import QualityTrajectory, ReplacementReport
@@ -132,30 +134,41 @@ def format_rational(value) -> str:
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
-def _err(location: str, message: str) -> ParseDiagnostic:
-    return ParseDiagnostic(Severity.ERROR, location, message)
+def _at(location) -> str:
+    """The text of a location: a string, or a (location, key) pair that is
+    joined only when a diagnostic needs it. Under None, the top level, a key
+    is its own location."""
+    if not isinstance(location, tuple):
+        return location
+    parent, key = location
+    return key if parent is None else f"{_at(parent)}.{key}"
 
 
-def _warn(location: str, message: str) -> ParseDiagnostic:
-    return ParseDiagnostic(Severity.WARNING, location, message)
+def _err(location, message: str) -> ParseDiagnostic:
+    return ParseDiagnostic(Severity.ERROR, _at(location), message)
 
 
-def _warn_unknown(item: dict, known, location: str, diags: list[ParseDiagnostic]) -> None:
+def _warn(location, message: str) -> ParseDiagnostic:
+    return ParseDiagnostic(Severity.WARNING, _at(location), message)
+
+
+def _warn_unknown(item: dict, known, location, diags: list[ParseDiagnostic]) -> None:
     for key in sorted(item.keys() - known):
-        diags.append(_warn(f"{location}.{key}", "unknown key ignored"))
+        diags.append(_warn((location, key), "unknown key ignored"))
 
 
-# Decoders: each takes (value, location, diags), appends a diagnostic at the
-# location when the value is bad, and returns the decoded value or None.
+# Decoders: each takes (value, location, key, diags), where ``value`` sits at
+# ``key`` under ``location``; it appends a diagnostic at (location, key) when
+# the value is bad, and returns the decoded value or None.
 
 
-def _string(value, location: str, diags: list[ParseDiagnostic]) -> str | None:
+def _string(value, location, key: str, diags: list[ParseDiagnostic]) -> str | None:
     if isinstance(value, str):
         return value
     if value is None:
-        diags.append(_err(location, "missing required key"))
+        diags.append(_err((location, key), "missing required key"))
     else:
-        diags.append(_err(location, f"expected a string, got {type(value).__name__}"))
+        diags.append(_err((location, key), f"expected a string, got {type(value).__name__}"))
     return None
 
 
@@ -164,20 +177,20 @@ def _choice(enum: type[Enum], what: str, *, strings_only: bool):
     that is not a string is reported as :func:`_string` reports it."""
     members = {member.value: member for member in enum}
 
-    def decode(value, location: str, diags: list[ParseDiagnostic]):
+    def decode(value, location, key: str, diags: list[ParseDiagnostic]):
         if isinstance(value, str):
             member = members.get(value)
             if member is not None:
                 return member
         elif strings_only:
-            return _string(value, location, diags)
-        diags.append(_err(location, f"unknown {what}: {_number_text(value, repr)}"))
+            return _string(value, location, key, diags)
+        diags.append(_err((location, key), f"unknown {what}: {_number_text(value, repr)}"))
         return None
 
     return decode
 
 
-def _number(value, location: str, diags: list[ParseDiagnostic]) -> Fraction | None:
+def _number(value, location, key: str, diags: list[ParseDiagnostic]) -> Fraction | None:
     """Decode a number written as a decimal string, integer, or fraction."""
     try:
         return to_rational(value)
@@ -188,82 +201,83 @@ def _number(value, location: str, diags: list[ParseDiagnostic]) -> Fraction | No
     except TypeError:
         shown = "a boolean" if isinstance(value, bool) else type(value).__name__
         message = f"expected a number as a decimal string, got {shown}"
-    diags.append(_err(location, message))
+    diags.append(_err((location, key), message))
     return None
 
 
-def _polarity(value, location: str, diags: list[ParseDiagnostic]) -> int | None:
+def _polarity(value, location, key: str, diags: list[ParseDiagnostic]) -> int | None:
     if value is None:
-        diags.append(_err(location, "missing required key"))
+        diags.append(_err((location, key), "missing required key"))
     elif isinstance(value, bool) or not isinstance(value, int) or value not in (1, -1):
-        diags.append(_err(location, f"polarity must be 1 or -1, got {_number_text(value, repr)}"))
+        shown = _number_text(value, repr)
+        diags.append(_err((location, key), f"polarity must be 1 or -1, got {shown}"))
     else:
         return value
     return None
 
 
-def _time_index(value, location: str, diags: list[ParseDiagnostic]) -> int | None:
+def _time_index(value, location, key: str, diags: list[ParseDiagnostic]) -> int | None:
     if isinstance(value, bool) or not isinstance(value, int):
-        diags.append(_err(location, "time_index must be an integer"))
+        diags.append(_err((location, key), "time_index must be an integer"))
         return None
     return value
 
 
-def _flag(value, location: str, diags: list[ParseDiagnostic]) -> bool | None:
+def _flag(value, location, key: str, diags: list[ParseDiagnostic]) -> bool | None:
     if not isinstance(value, bool):
-        key = location.rpartition(".")[2]
-        diags.append(_err(location, f"{key} must be true or false"))
+        diags.append(_err((location, key), f"{key} must be true or false"))
         return None
     return value
 
 
-def _attributes(value, location: str, diags: list[ParseDiagnostic]) -> AttributeVector:
-    decoded = _fields(value, _ATTRIBUTE_FIELDS, "attributes", location, diags)
+def _attributes(value, location, key: str, diags: list[ParseDiagnostic]) -> AttributeVector:
+    decoded = _fields(value, _ATTRIBUTE_FIELDS, "attributes", (location, key), diags)
     if decoded is None:
         return AttributeVector()
     try:
         return AttributeVector(**{k: v for k, v in decoded.items() if v is not None})
     except ValidationError as exc:
-        diags.append(_err(location, str(exc)))
+        diags.append(_err((location, key), str(exc)))
         return AttributeVector()
 
 
 _REQUIRED = object()  # default of a field whose absence is an error
+_by_value = attrgetter("value")
 
-# Field tables: on-disk key -> (decoder, default when the key is absent), in
-# the order the fields are decoded and reported. A decoder that treats null
-# as absent (``_string``, ``_polarity``) says "missing required key" for it.
+# Field tables: record field -> (decoder, default when absent, encoder), in
+# the order fields are decoded, reported and written. A decoder that treats
+# null as absent (``_string``, ``_polarity``) says "missing required key" for it.
 _ATTRIBUTE_FIELDS = {
-    "existence": (_number, _REQUIRED),
-    "inner_state": (_number, _REQUIRED),
-    "external_state": (_number, _REQUIRED),
-    "communication_state": (_number, _REQUIRED),
+    "existence": (_number, _REQUIRED, format_rational),
+    "inner_state": (_number, _REQUIRED, format_rational),
+    "external_state": (_number, _REQUIRED, format_rational),
+    "communication_state": (_number, _REQUIRED, format_rational),
 }
 _ENTITY_FIELDS = {
-    "id": (_string, _REQUIRED),
-    "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED),
-    "attributes": (_attributes, AttributeVector()),
+    "id": (_string, _REQUIRED, str),
+    "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED, _by_value),
+    "attributes": (_attributes, AttributeVector(), lambda a: _record_doc(a, _ATTRIBUTE_FIELDS)),
 }
 _CONNECTION_FIELDS = {
-    "id": (_string, _REQUIRED),
-    "src": (_string, _REQUIRED),
-    "dst": (_string, _REQUIRED),
-    "kind": (_choice(ConnectionKind, "connection kind", strings_only=True), _REQUIRED),
-    "polarity": (_polarity, _REQUIRED),
-    "magnitude": (_number, _REQUIRED),
-    "time_index": (_time_index, 0),
-    "blocked": (_flag, False),
-    "confirmed": (_flag, False),
+    "id": (_string, _REQUIRED, str),
+    "src": (_string, _REQUIRED, str),
+    "dst": (_string, _REQUIRED, str),
+    "kind": (_choice(ConnectionKind, "connection kind", strings_only=True), _REQUIRED, _by_value),
+    "polarity": (_polarity, _REQUIRED, int),
+    "magnitude": (_number, _REQUIRED, format_rational),
+    "time_index": (_time_index, 0, int),
+    "blocked": (_flag, False, bool),
+    "confirmed": (_flag, False, bool),
 }
 _HYPOTHETICAL_FIELDS = {
-    "src": (_string, _REQUIRED),
-    "dst": (_string, _REQUIRED),
-    "magnitude": (_number, _REQUIRED),
+    "src": (_string, _REQUIRED, str),
+    "dst": (_string, _REQUIRED, str),
+    "magnitude": (_number, _REQUIRED, format_rational),
 }
 _scoring_mode = _choice(ScoringMode, "scoring mode", strings_only=False)
 
 
-def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagnostic]):
+def _fields(item, table: dict, what: str, location, diags: list[ParseDiagnostic]):
     """Decode ``item``'s fields by ``table``: a dict of key to decoded value
     (None where decoding failed), or None if ``item`` is not an object."""
     if not isinstance(item, dict):
@@ -271,11 +285,11 @@ def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagno
         return None
     _warn_unknown(item, table, location, diags)
     values = {}
-    for key, (decode, default) in table.items():
+    for key, (decode, default, _) in table.items():
         if key in item:
-            values[key] = decode(item[key], f"{location}.{key}", diags)
+            values[key] = decode(item[key], location, key, diags)
         elif default is _REQUIRED:
-            diags.append(_err(f"{location}.{key}", "missing required key"))
+            diags.append(_err((location, key), "missing required key"))
             values[key] = None
         else:
             values[key] = default
@@ -311,9 +325,9 @@ def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> Ro
     if "ref" in item:
         if isinstance(item["ref"], str):
             return RosterRef(ref=item["ref"])
-        diags.append(_err(f"{location}.ref", "ref must be a connection id string"))
+        diags.append(_err((location, "ref"), "ref must be a connection id string"))
         return None
-    location = f"{location}.hypothetical"
+    location = (location, "hypothetical")
     if not isinstance(item["hypothetical"], dict):
         diags.append(_err(location, "hypothetical must be an object"))
         return None
@@ -368,11 +382,11 @@ def parse_scenario(text: str) -> ParseResult:
         shown = _number_text(version, repr)
         diags.append(_err("version", f"unsupported format version {shown}; expected 1"))
 
-    host = _string(doc.get("host"), "host", diags)
-    mode = _scoring_mode(doc.get("mode", ScoringMode.RAW.value), "mode", diags)
+    host = _string(doc.get("host"), None, "host", diags)
+    mode = _scoring_mode(doc.get("mode", ScoringMode.RAW.value), None, "mode", diags)
     desired = None
     if "desired_connectivity" in doc:
-        desired = _number(doc["desired_connectivity"], "desired_connectivity", diags)
+        desired = _number(doc["desired_connectivity"], None, "desired_connectivity", diags)
 
     # A null entities or connections array is missing; a null roster is not an array.
     arrays = {}
@@ -404,35 +418,15 @@ def parse_scenario(text: str) -> ParseResult:
     return ParseResult(scenario, tuple(diags))
 
 
-def _entity_doc(entity: Entity) -> dict:
-    doc: dict[str, object] = {"id": entity.id, "kind": entity.kind.value}
-    if entity.attributes != AttributeVector():
-        doc["attributes"] = _doc_value(entity.attributes)
+def _record_doc(record, table: dict) -> dict:
+    """The on-disk object of a record: its fields in table order, each written
+    by its encoder, leaving out a field at its default."""
+    doc = {}
+    for key, (_, default, encode) in table.items():
+        value = getattr(record, key)
+        if default is _REQUIRED or value != default:
+            doc[key] = encode(value)
     return doc
-
-
-def _connection_doc(conn: Connection) -> dict:
-    doc: dict[str, object] = {
-        "id": conn.id,
-        "src": conn.src,
-        "dst": conn.dst,
-        "kind": conn.kind.value,
-        "polarity": conn.polarity,
-        "magnitude": format_rational(conn.magnitude),
-    }
-    if conn.time_index != 0:
-        doc["time_index"] = conn.time_index
-    if conn.blocked:
-        doc["blocked"] = True
-    if conn.confirmed:
-        doc["confirmed"] = True
-    return doc
-
-
-def _roster_doc(entry: RosterEntry) -> dict:
-    if isinstance(entry, RosterRef):
-        return _doc_value(entry)
-    return {"hypothetical": _doc_value(entry)}
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -452,10 +446,14 @@ def serialize_scenario(scenario: Scenario) -> str:
     }
     if scenario.desired_connectivity is not None:
         doc["desired_connectivity"] = format_rational(scenario.desired_connectivity)
-    doc["entities"] = [_entity_doc(e) for e in scenario.entities]
-    doc["connections"] = [_connection_doc(c) for c in scenario.connections]
+    doc["entities"] = [_record_doc(e, _ENTITY_FIELDS) for e in scenario.entities]
+    doc["connections"] = [_record_doc(c, _CONNECTION_FIELDS) for c in scenario.connections]
     if scenario.ideal_roster is not None:
-        doc["ideal_roster"] = [_roster_doc(r) for r in scenario.ideal_roster]
+        doc["ideal_roster"] = [
+            {"ref": entry.ref} if isinstance(entry, RosterRef)
+            else {"hypothetical": _record_doc(entry, _HYPOTHETICAL_FIELDS)}
+            for entry in scenario.ideal_roster
+        ]
     return json_text(doc) + "\n"
 
 

@@ -301,6 +301,25 @@ coprime_magnitudes = st.one_of(
 )
 
 
+# Ids that a writer must quote or escape: quotes, backslashes, control and
+# non-ASCII characters, and a lone surrogate, which JSON text escapes but
+# UTF-8 cannot encode. Only the high one: JSON reads "\ud800\udfff" as one
+# character, so a high surrogate before a low one cannot round-trip.
+hostile_ids = st.text(
+    st.sampled_from('"\\\'/ a\x00\n\u00e9\u2192\U0001f600\ud800') | st.characters(),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _distinct_ids(draw, ids, prefix: str, count: int) -> list[str]:
+    """``count`` distinct ids drawn from the strategy ``ids``, or, without
+    one, ``prefix`` followed by each index."""
+    if ids is None:
+        return [f"{prefix}{i}" for i in range(count)]
+    return draw(st.lists(ids, min_size=count, max_size=count, unique=True))
+
+
 @st.composite
 def scenarios(
     draw,
@@ -313,11 +332,14 @@ def scenarios(
     with_roster: bool = True,
     attributes=attribute_vectors,
     magnitude_values=magnitudes,
+    ids=None,
 ):
+    """A valid scenario. ``ids``, a strategy for id strings, draws the entity
+    and connection ids; without it they are ``n{i}`` and ``c{i}``."""
     entity_count = draw(st.integers(min_entities, max_entities))
-    ids = [f"n{i}" for i in range(entity_count)]
+    entity_ids = _distinct_ids(draw, ids, "n", entity_count)
     entities = []
-    for entity_id in ids:
+    for entity_id in entity_ids:
         attrs = draw(st.one_of(st.just(AttributeVector()), attributes))
         entities.append(
             Entity(id=entity_id, kind=draw(st.sampled_from(EntityKind)), attributes=attrs)
@@ -326,11 +348,12 @@ def scenarios(
     connection_count = draw(
         st.integers(1 if require_connection else 0, max_connections)
     )
+    connection_ids = _distinct_ids(draw, ids, "c", connection_count)
     connections = []
-    for i in range(connection_count):
-        src = draw(st.sampled_from(ids))
+    for connection_id in connection_ids:
+        src = draw(st.sampled_from(entity_ids))
         if entity_count == 1 or draw(st.booleans()):
-            others = [x for x in ids if x != src] or [src]
+            others = [x for x in entity_ids if x != src] or [src]
             dst = draw(st.sampled_from(others))
         else:
             dst = src
@@ -340,7 +363,7 @@ def scenarios(
             kind = draw(st.sampled_from((ConnectionKind.REAL, ConnectionKind.SILENT)))
         connections.append(
             Connection(
-                id=f"c{i}",
+                id=connection_id,
                 src=src,
                 dst=dst,
                 kind=kind,
@@ -358,7 +381,7 @@ def scenarios(
             RosterRef(ref=c.id) for c in connections if draw(st.booleans())
         ]
         if entity_count >= 2 and draw(st.booleans()):
-            pair = draw(st.permutations(ids))[:2]
+            pair = draw(st.permutations(entity_ids))[:2]
             entries.append(
                 RosterHypothetical(src=pair[0], dst=pair[1], magnitude=draw(magnitude_values))
             )
@@ -374,7 +397,7 @@ def scenarios(
     return Scenario(
         entities=tuple(entities),
         connections=tuple(connections),
-        host=draw(st.sampled_from(ids)),
+        host=draw(st.sampled_from(entity_ids)),
         ideal_roster=roster,
         scoring_mode=draw(st.sampled_from(ScoringMode)),
         desired_connectivity=desired,
