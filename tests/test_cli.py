@@ -10,12 +10,15 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import conncalc
 from conncalc import law_holds, parse_scenario, serialize_scenario, silent_closure
 from conncalc.cli import main
+
+from .conftest import GOLDEN
 
 
 @pytest.fixture()
@@ -789,6 +792,9 @@ class TestUsageAndErrors:
         assert main(["--help"]) == 0
         assert "command" in capsys.readouterr().out
 
+    def test_help_and_usage_text_match_the_golden_file(self):
+        assert help_text() == GOLDEN_HELP.read_text()
+
     def test_unreadable_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert main(["score", str(missing)]) == 1
@@ -810,6 +816,36 @@ class TestUsageAndErrors:
         assert main(["export-dot", str(path)]) == 0
         captured = capsys.readouterr()
         assert "unknown key ignored" in captured.err
+
+
+HELP_COMMANDS = (
+    "validate", "score", "quality", "confusion", "paths", "closure", "ablate", "export-dot"
+)
+GOLDEN_HELP = GOLDEN / "cli_help.txt"
+
+
+def help_text() -> str:
+    """``--help`` of the root and of each command, then a bad ``--format``
+    before and after the command: each command line with its exit code,
+    stdout and stderr, at a fixed width of 80 columns.
+
+    ``GOLDEN_HELP`` holds this text. A change that means to alter the help
+    writes it again, from the repository root: ``PYTHONPATH=src python -c
+    "from tests.test_cli import *; GOLDEN_HELP.write_text(help_text())"``."""
+    lines = []
+    argvs = [["--help"], *([command, "--help"] for command in HELP_COMMANDS)]
+    argvs += [["--format", "xml", "score", "scenario.json"]]
+    argvs += [["score", "scenario.json", "--format", "xml"]]
+    for argv in argvs:
+        with (
+            mock.patch.dict(os.environ, COLUMNS="80"),
+            contextlib.redirect_stdout(io.StringIO()) as out,
+            contextlib.redirect_stderr(io.StringIO()) as err,
+        ):
+            code = main(argv)
+        lines.append(f"$ conncalc {' '.join(argv)}\nexit {code}\n")
+        lines.append(f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return "".join(lines)
 
 
 OFFICE_SCORE_LINE = "score=7 ideal=56 efficiency=12.5% band=failing mode=raw\n"
