@@ -10,147 +10,18 @@ All arithmetic is exact: quantities are rationals, never floats.
 
 from __future__ import annotations
 
-from .ablation import (
-    QualityTrajectory,
-    RemovalOrder,
-    ReplacementReport,
-    TrajectoryStep,
-    importance,
-    removal_schedule,
-    run_removal,
-    run_replacement,
-)
-from .errors import (
-    ComputationError,
-    ConfigurationError,
-    ConncalcError,
-    IntegrityError,
-    StateError,
-    ValidationError,
-)
-from .metrics import (
-    Band,
-    ConfusionCause,
-    ConfusionReport,
-    ConnectivityReport,
-    classify_quality,
-    connectivity_score,
-    detect_confusion,
-    distance_sum,
-    efficiency,
-    ideal_connectivity,
-    path_viability,
-    quality,
-    resolve_self_conflict,
-)
-from .model import (
-    DEFAULT_ATTRIBUTE,
-    MAGNITUDE_MAX,
-    MAGNITUDE_MIN,
-    AttributeVector,
-    Connection,
-    ConnectionKind,
-    Entity,
-    EntityKind,
-    RosterHypothetical,
-    RosterRef,
-    Scenario,
-    ScoringMode,
-    Violation,
-    connection_value,
-    ensure_valid,
-    impact_factor,
-    make_entity,
-    to_rational,
-    validate_scenario,
-    with_connection,
-)
-from .paths import (
-    Path,
-    block,
-    confirm_silent,
-    find_paths,
-    law_holds,
-    silent_closure,
-    unblock,
-)
-from .scenario_io import (
-    ParseDiagnostic,
-    ParseResult,
-    Severity,
-    emit_report,
-    export_dot,
-    format_rational,
-    parse_connection_doc,
-    parse_scenario,
-    serialize_scenario,
-)
+# Each module's ``__all__`` is its part of the package API.
+from .ablation import *
+from .errors import *
+from .metrics import *
+from .model import *
+from .paths import *
+from .scenario_io import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributeVector",
-    "Band",
-    "ComputationError",
-    "ConfigurationError",
-    "ConfusionCause",
-    "ConfusionReport",
-    "ConncalcError",
-    "Connection",
-    "ConnectionKind",
-    "ConnectivityReport",
-    "DEFAULT_ATTRIBUTE",
-    "Entity",
-    "EntityKind",
-    "IntegrityError",
-    "MAGNITUDE_MAX",
-    "MAGNITUDE_MIN",
-    "ParseDiagnostic",
-    "ParseResult",
-    "Path",
-    "QualityTrajectory",
-    "RemovalOrder",
-    "ReplacementReport",
-    "RosterHypothetical",
-    "RosterRef",
-    "Scenario",
-    "ScoringMode",
-    "Severity",
-    "StateError",
-    "TrajectoryStep",
-    "ValidationError",
-    "Violation",
-    "block",
-    "classify_quality",
-    "confirm_silent",
-    "connection_value",
-    "connectivity_score",
-    "detect_confusion",
-    "distance_sum",
-    "efficiency",
-    "emit_report",
-    "ensure_valid",
-    "export_dot",
-    "find_paths",
-    "format_rational",
-    "ideal_connectivity",
-    "impact_factor",
-    "importance",
-    "law_holds",
-    "make_entity",
-    "parse_connection_doc",
-    "parse_scenario",
-    "path_viability",
-    "quality",
-    "removal_schedule",
-    "resolve_self_conflict",
-    "run_removal",
-    "run_replacement",
-    "serialize_scenario",
-    "silent_closure",
-    "to_rational",
-    "unblock",
-    "validate_scenario",
-    "with_connection",
-    "__version__",
-]
+# The imports above also bind each submodule by name here.
+__all__ = sorted(
+    ablation.__all__ + errors.__all__ + metrics.__all__ + model.__all__ + paths.__all__
+    + scenario_io.__all__
+) + ["__version__"]

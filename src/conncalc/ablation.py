@@ -14,6 +14,11 @@ the schedule sort. Ranking and scoring read ``Scenario.valuation``.
 
 from __future__ import annotations
 
+__all__ = [
+    "QualityTrajectory", "RemovalOrder", "ReplacementReport", "TrajectoryStep",
+    "importance", "removal_schedule", "run_removal", "run_replacement",
+]
+
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -152,7 +157,8 @@ def run_replacement(
     if ideal == 0:
         raise ComputationError("ideal connectivity is zero; replacement quality is undefined")
     ensure_valid(patched)
-    after = blocked + connection_value(replacement, patched)
+    # Same entities and mode as ``patched``: the intact scenario's index values it.
+    after = blocked + connection_value(replacement, scenario)
 
     return ReplacementReport(
         blocked_id=blocked_id,

@@ -95,19 +95,16 @@ _REPORT_FORMATS = {"table": "table", "json": "machine"}
 _MODES = {"raw": ScoringMode.RAW, "impact": ScoringMode.IMPACT_WEIGHTED}
 
 
-def _fmt(args: argparse.Namespace) -> str:
-    return _REPORT_FORMATS[args.format or args.format_root or "table"]
-
-
 def _write_output(args: argparse.Namespace, result) -> None:
-    text = result if isinstance(result, str) else emit_report(result, _fmt(args)) + "\n"
+    if not isinstance(result, str):
+        result = emit_report(result, _REPORT_FORMATS[args.format]) + "\n"
     # Encoded first, so text with no UTF-8 form (a lone surrogate from a JSON
     # escape) writes nothing, neither to stdout nor to an ``-o`` file.
-    data = text.encode("utf-8")
+    data = result.encode("utf-8")
     if getattr(args, "output", None):
         Path(args.output).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(result)
 
 
 # Command handlers: each returns a report, or the text of the file it makes,
@@ -167,9 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("table", "json"),
-        dest="format_root",
-        default=None,
+        choices=tuple(_REPORT_FORMATS),
+        default="table",
         help="output format for reports (default: table)",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -177,10 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("file", help="scenario JSON file")
+        # No default, so a root ``--format`` stands unless this one is given.
         p.add_argument(
             "--format",
-            choices=("table", "json"),
-            default=None,
+            choices=tuple(_REPORT_FORMATS),
+            default=argparse.SUPPRESS,
             help="output format for this command",
         )
         p.set_defaults(handler=handler)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ComputationError", "ConfigurationError", "ConncalcError", "IntegrityError", "StateError",
+    "ValidationError",
+]
+
 
 class ConncalcError(Exception):
     """Base class for all conncalc errors."""

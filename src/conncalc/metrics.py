@@ -11,6 +11,12 @@ are integer sums over one denominator, and hops are pair lookups.
 
 from __future__ import annotations
 
+__all__ = [
+    "Band", "ConfusionCause", "ConfusionReport", "ConnectivityReport", "classify_quality",
+    "connectivity_score", "detect_confusion", "distance_sum", "efficiency", "ideal_connectivity",
+    "path_viability", "quality", "resolve_self_conflict",
+]
+
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction

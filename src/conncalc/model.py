@@ -13,6 +13,13 @@ connection's value as an integer over one denominator, so sums are exact.
 
 from __future__ import annotations
 
+__all__ = [
+    "DEFAULT_ATTRIBUTE", "MAGNITUDE_MAX", "MAGNITUDE_MIN", "AttributeVector", "Connection",
+    "ConnectionKind", "Entity", "EntityKind", "RosterHypothetical", "RosterRef", "Scenario",
+    "ScoringMode", "Violation", "connection_value", "ensure_valid", "impact_factor",
+    "make_entity", "to_rational", "validate_scenario", "with_connection",
+]
+
 import decimal
 from dataclasses import dataclass, field, replace
 from enum import Enum

@@ -11,6 +11,10 @@ Path search walks the scenario's pair index, ``Scenario.links``.
 
 from __future__ import annotations
 
+__all__ = [
+    "Path", "block", "confirm_silent", "find_paths", "law_holds", "silent_closure", "unblock",
+]
+
 from dataclasses import dataclass, replace
 from fractions import Fraction
 

@@ -15,11 +15,16 @@ record's on-disk fields: their keys, order, decoders, defaults and encoders.
 
 Every report is one document, a dict with a ``type`` key and one key per
 field, that ``emit_report`` prints as JSON or as table text filled in from
-the same keys (``_TABLE_LINES``); ``json_text`` is the one JSON writer for
-reports and scenario files.
+the same keys; ``_TABLE_LINES`` holds each report class's ``type`` and table
+text. ``json_text`` is the one JSON writer for reports and scenario files.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "ParseDiagnostic", "ParseResult", "Severity", "emit_report", "export_dot", "format_rational",
+    "parse_connection_doc", "parse_scenario", "serialize_scenario",
+]
 
 import json
 import sys
@@ -50,7 +55,6 @@ from .model import (
     to_rational,
     validate_scenario,  # noqa: F401 - kept importable here; the benchmark tracer wraps it
 )
-from .model import LITERAL_MAX_DIGITS, LITERAL_MAX_EXPONENT  # noqa: F401 - documented here
 from .paths import PathsReport
 
 FORMAT_VERSION = 1
@@ -525,11 +529,12 @@ class _DocList(list):
 
 
 class _Table(NamedTuple):
-    """A report type's table text, filled in from its document: the ``head``
-    line, one ``item`` line per element of the ``items`` list (or ``empty``),
-    then ``tail``; an empty line is left out. A head or tail template prints
-    the items' count and a boolean's ``words``."""
+    """A report type's document ``type`` and table text, filled in from its
+    document: the ``head`` line, one ``item`` line per element of the
+    ``items`` list (or ``empty``), then ``tail``; an empty line is left out. A
+    head or tail template prints the items' count and a boolean's ``words``."""
 
+    type: str
     head: str = ""
     items: str = ""
     item: str = ""
@@ -538,37 +543,35 @@ class _Table(NamedTuple):
     words: tuple[str, str] = ("false", "true")
 
 
+# Report classes, each with its document ``type`` and table text; each field
+# of a report becomes a key of its document.
 _TABLE_LINES = {
-    "connectivity_report": _Table(
-        "score={score} ideal={ideal} efficiency={efficiency_percent}% band={band} mode={mode}"
+    ConnectivityReport: _Table(
+        "connectivity_report",
+        "score={score} ideal={ideal} efficiency={efficiency_percent}% band={band} mode={mode}",
     ),
-    "confusion_report": _Table("z={z} quality={quality_percent}% confused={confused} causes={causes:,}"),
-    "quality_report": _Table("score={score} desired={desired} quality={quality_percent}% band={band}"),
-    "quality_trajectory": _Table(
+    ConfusionReport: _Table(
+        "confusion_report", "z={z} quality={quality_percent}% confused={confused} causes={causes:,}"
+    ),
+    QualityReport: _Table(
+        "quality_report", "score={score} desired={desired} quality={quality_percent}% band={band}"
+    ),
+    QualityTrajectory: _Table(
+        "quality_trajectory",
         "order={order} ideal={ideal} steps={steps}",
         "steps",
         "step={step} blocked={blocked_connection} score={score} efficiency={efficiency_percent}%",
     ),
-    "replacement_report": _Table(
+    ReplacementReport: _Table(
+        "replacement_report",
         "blocked={blocked_id} replacement={replacement_id} quality_before={quality_before}%"
-        " quality_blocked={quality_blocked}% quality_after={quality_after}%"
+        " quality_blocked={quality_blocked}% quality_after={quality_after}%",
     ),
-    "paths": _Table("", "paths", "{entities: -> } via {hops:,}", empty="(no paths)"),
-    "validation_report": _Table(
-        "", "diagnostics", "{severity} {location}: {message}", tail="{valid}",
-        words=("invalid", "ok"),
+    PathsReport: _Table("paths", "", "paths", "{entities: -> } via {hops:,}", empty="(no paths)"),
+    ValidationReport: _Table(
+        "validation_report", "", "diagnostics", "{severity} {location}: {message}",
+        tail="{valid}", words=("invalid", "ok"),
     ),
-}
-
-# Report classes and their document ``type``; each field becomes a key.
-_DOC_TYPES = {
-    ConnectivityReport: "connectivity_report",
-    ConfusionReport: "confusion_report",
-    QualityReport: "quality_report",
-    QualityTrajectory: "quality_trajectory",
-    ReplacementReport: "replacement_report",
-    PathsReport: "paths",
-    ValidationReport: "validation_report",
 }
 
 
@@ -599,13 +602,12 @@ def emit_report(report, fmt: str = "table") -> str:
     """
     if fmt not in ("table", "machine"):
         raise ValueError(f"unknown report format: {fmt!r}")
-    doc_type = _DOC_TYPES.get(type(report))
-    if doc_type is None:
+    table = _TABLE_LINES.get(type(report))
+    if table is None:
         raise TypeError(f"cannot emit a report for {type(report).__name__}")
-    doc = {"type": doc_type, **_doc_value(report)}
+    doc = {"type": table.type, **_doc_value(report)}
     if fmt == "machine":
         return json_text(doc)
-    table = _TABLE_LINES[doc_type]
     items = doc.get(table.items, ())
     values = {k: table.words[v] if isinstance(v, bool) else v for k, v in doc.items()}
     values[table.items] = len(items)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -430,3 +431,27 @@ class TestValidationCount:
         )
         run_replacement(large, first.id, replacement)
         assert 1 <= len(validate_calls) <= 2
+
+
+class TestImpactFactorCount:
+    """Each entity is valued once per experiment, not once per scenario built."""
+
+    def test_replacement_computes_each_impact_factor_at_most_once(self, office, monkeypatch):
+        # A fresh scenario: a scenario keeps the impact factors it computed.
+        s = replace(office, scoring_mode=ScoringMode.IMPACT_WEIGHTED)
+        calls = []
+        original = conncalc.model.impact_factor
+
+        def counted(entity):
+            calls.append(entity.id)
+            return original(entity)
+
+        monkeypatch.setattr(conncalc.model, "impact_factor", counted)
+        replacement = Connection(
+            id="fresh", src="Ea", dst="Eb", kind=ConnectionKind.REAL,
+            polarity=1, magnitude=Fraction(7),
+        )
+        report = run_replacement(s, "ea-eb", replacement)
+        assert report.quality_after == report.quality_before
+        assert len(calls) <= len(s.entities)
+        assert len(calls) == len(set(calls))

@@ -53,9 +53,9 @@ from conncalc.paths import PathsReport
 from conncalc.scenario_io import (
     _ATTRIBUTE_FIELDS,
     _CONNECTION_FIELDS,
-    _DOC_TYPES,
     _ENTITY_FIELDS,
     _HYPOTHETICAL_FIELDS,
+    _TABLE_LINES,
     ValidationReport,
 )
 
@@ -546,7 +546,7 @@ class TestEmitReport:
         start = readme.index("`--format json` emits one JSON document per report")
         paragraph = readme[start : readme.index("\n\n", start)]
         listed = re.findall(r"`(\w+)`", re.search(r"\(([^)]*)\)", paragraph).group(1))
-        assert sorted(listed) == sorted(_DOC_TYPES.values())
+        assert sorted(listed) == sorted(table.type for table in _TABLE_LINES.values())
 
     def test_unknown_format_or_report_type(self, office):
         with pytest.raises(ValueError):
