@@ -125,7 +125,6 @@ def run_removal(
     steps: list[TrajectoryStep] = []
     for number, connection_id in enumerate(schedule, start=1):
         total -= values[connection_id]
-        values[connection_id] = 0
         score = Fraction(total, valuation.denominator)
         steps.append(
             TrajectoryStep(

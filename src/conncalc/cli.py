@@ -242,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
+        return exc.code
     try:
         result = args.handler(args)
         _write_output(args, result)

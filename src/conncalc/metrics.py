@@ -42,10 +42,7 @@ class Band(str, Enum):
     @property
     def rank(self) -> int:
         """Position in the total order failing < satisfactory < high."""
-        return _BAND_RANK[self]
-
-
-_BAND_RANK = {Band.FAILING: 0, Band.SATISFACTORY: 1, Band.HIGH: 2}
+        return list(Band).index(self)
 
 
 class ConfusionCause(str, Enum):

@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 import decimal
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,14 +47,13 @@ class _LiteralTooLarge(ValueError):
 
 def check_literal(text: str) -> None:
     """Raise a ``ValueError`` naming the limit if a numeric literal is past one."""
-    if len(text) > 6:  # a shorter literal is inside both limits
-        mantissa, _, exponent = text.replace("E", "e").partition("e")
-        if sum(map(str.isdecimal, mantissa)) > LITERAL_MAX_DIGITS:
-            raise _LiteralTooLarge(f"numeric literal has more than {LITERAL_MAX_DIGITS} digits")
-        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        longer = len(exponent) > len(str(LITERAL_MAX_EXPONENT))
-        if exponent.isdecimal() and (longer or int(exponent) > LITERAL_MAX_EXPONENT):
-            raise _LiteralTooLarge(f"numeric literal has an exponent past {LITERAL_MAX_EXPONENT}")
+    mantissa, _, exponent = text.replace("E", "e").partition("e")
+    if sum(map(str.isdecimal, mantissa)) > LITERAL_MAX_DIGITS:
+        raise _LiteralTooLarge(f"numeric literal has more than {LITERAL_MAX_DIGITS} digits")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    longer = len(exponent) > len(str(LITERAL_MAX_EXPONENT))
+    if exponent.isdecimal() and (longer or int(exponent) > LITERAL_MAX_EXPONENT):
+        raise _LiteralTooLarge(f"numeric literal has an exponent past {LITERAL_MAX_EXPONENT}")
 
 
 def _literal(value: str | decimal.Decimal) -> Fraction:
@@ -144,7 +143,7 @@ class AttributeVector:
     communication_state: Fraction = DEFAULT_ATTRIBUTE
 
     def __post_init__(self):
-        for name in ("existence", "inner_state", "external_state", "communication_state"):
+        for name in (f.name for f in fields(self)):
             value = to_rational(getattr(self, name))
             if not 0 < value < 1:
                 raise ValidationError(
@@ -153,7 +152,7 @@ class AttributeVector:
             object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.existence, self.inner_state, self.external_state, self.communication_state)
+        return tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, slots=True)

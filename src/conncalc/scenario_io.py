@@ -132,47 +132,41 @@ def format_rational(value) -> str:
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ComputationError(f"number too long to print exactly (over {limit} digits)") from None
-    whole, frac = digits[:-scale], digits[-scale:]
-    frac = frac.rstrip("0")
+    # The last digit is never 0: num shares no factor with den = 2**twos * 5**fives.
     sign = "-" if num < 0 else ""
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
 
 
-def _at(location) -> str:
-    """The text of a location: a string, or a (location, key) pair that is
-    joined only when a diagnostic needs it. Under None, the top level, a key
-    is its own location."""
-    if not isinstance(location, tuple):
-        return location
-    parent, key = location
-    return key if parent is None else f"{_at(parent)}.{key}"
+def _at(location: str | None, key: str) -> str:
+    """``location.key``, or ``key`` alone when ``location`` is None (the top level)."""
+    return key if location is None else f"{location}.{key}"
 
 
-def _err(location, message: str) -> ParseDiagnostic:
-    return ParseDiagnostic(Severity.ERROR, _at(location), message)
+def _err(location: str, message: str) -> ParseDiagnostic:
+    return ParseDiagnostic(Severity.ERROR, location, message)
 
 
-def _warn(location, message: str) -> ParseDiagnostic:
-    return ParseDiagnostic(Severity.WARNING, _at(location), message)
+def _warn(location: str, message: str) -> ParseDiagnostic:
+    return ParseDiagnostic(Severity.WARNING, location, message)
 
 
-def _warn_unknown(item: dict, known, location, diags: list[ParseDiagnostic]) -> None:
+def _warn_unknown(item: dict, known, location: str, diags: list[ParseDiagnostic]) -> None:
     for key in sorted(item.keys() - known):
-        diags.append(_warn((location, key), "unknown key ignored"))
+        diags.append(_warn(_at(location, key), "unknown key ignored"))
 
 
 # Decoders: each takes (value, location, key, diags), where ``value`` sits at
-# ``key`` under ``location``; it appends a diagnostic at (location, key) when
-# the value is bad, and returns the decoded value or None.
+# ``key`` under ``location``; it appends a diagnostic at ``_at(location, key)``
+# when the value is bad, and returns the decoded value or None.
 
 
 def _string(value, location, key: str, diags: list[ParseDiagnostic]) -> str | None:
     if isinstance(value, str):
         return value
     if value is None:
-        diags.append(_err((location, key), "missing required key"))
+        diags.append(_err(_at(location, key), "missing required key"))
     else:
-        diags.append(_err((location, key), f"expected a string, got {type(value).__name__}"))
+        diags.append(_err(_at(location, key), f"expected a string, got {type(value).__name__}"))
     return None
 
 
@@ -188,7 +182,7 @@ def _choice(enum: type[Enum], what: str, *, strings_only: bool):
                 return member
         elif strings_only:
             return _string(value, location, key, diags)
-        diags.append(_err((location, key), f"unknown {what}: {_number_text(value, repr)}"))
+        diags.append(_err(_at(location, key), f"unknown {what}: {_number_text(value, repr)}"))
         return None
 
     return decode
@@ -205,16 +199,16 @@ def _number(value, location, key: str, diags: list[ParseDiagnostic]) -> Fraction
     except TypeError:
         shown = "a boolean" if isinstance(value, bool) else type(value).__name__
         message = f"expected a number as a decimal string, got {shown}"
-    diags.append(_err((location, key), message))
+    diags.append(_err(_at(location, key), message))
     return None
 
 
 def _polarity(value, location, key: str, diags: list[ParseDiagnostic]) -> int | None:
     if value is None:
-        diags.append(_err((location, key), "missing required key"))
+        diags.append(_err(_at(location, key), "missing required key"))
     elif isinstance(value, bool) or not isinstance(value, int) or value not in (1, -1):
         shown = _number_text(value, repr)
-        diags.append(_err((location, key), f"polarity must be 1 or -1, got {shown}"))
+        diags.append(_err(_at(location, key), f"polarity must be 1 or -1, got {shown}"))
     else:
         return value
     return None
@@ -222,26 +216,27 @@ def _polarity(value, location, key: str, diags: list[ParseDiagnostic]) -> int | 
 
 def _time_index(value, location, key: str, diags: list[ParseDiagnostic]) -> int | None:
     if isinstance(value, bool) or not isinstance(value, int):
-        diags.append(_err((location, key), "time_index must be an integer"))
+        diags.append(_err(_at(location, key), "time_index must be an integer"))
         return None
     return value
 
 
 def _flag(value, location, key: str, diags: list[ParseDiagnostic]) -> bool | None:
     if not isinstance(value, bool):
-        diags.append(_err((location, key), f"{key} must be true or false"))
+        diags.append(_err(_at(location, key), f"{key} must be true or false"))
         return None
     return value
 
 
 def _attributes(value, location, key: str, diags: list[ParseDiagnostic]) -> AttributeVector:
-    decoded = _fields(value, _ATTRIBUTE_FIELDS, "attributes", (location, key), diags)
+    location = _at(location, key)
+    decoded = _fields(value, _ATTRIBUTE_FIELDS, "attributes", location, diags)
     if decoded is None:
         return AttributeVector()
     try:
         return AttributeVector(**{k: v for k, v in decoded.items() if v is not None})
     except ValidationError as exc:
-        diags.append(_err((location, key), str(exc)))
+        diags.append(_err(location, str(exc)))
         return AttributeVector()
 
 
@@ -281,7 +276,7 @@ _HYPOTHETICAL_FIELDS = {
 _scoring_mode = _choice(ScoringMode, "scoring mode", strings_only=False)
 
 
-def _fields(item, table: dict, what: str, location, diags: list[ParseDiagnostic]):
+def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagnostic]):
     """Decode ``item``'s fields by ``table``: a dict of key to decoded value
     (None where decoding failed), or None if ``item`` is not an object."""
     if not isinstance(item, dict):
@@ -293,7 +288,7 @@ def _fields(item, table: dict, what: str, location, diags: list[ParseDiagnostic]
         if key in item:
             values[key] = decode(item[key], location, key, diags)
         elif default is _REQUIRED:
-            diags.append(_err((location, key), "missing required key"))
+            diags.append(_err(_at(location, key), "missing required key"))
             values[key] = None
         else:
             values[key] = default
@@ -329,9 +324,9 @@ def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> Ro
     if "ref" in item:
         if isinstance(item["ref"], str):
             return RosterRef(ref=item["ref"])
-        diags.append(_err((location, "ref"), "ref must be a connection id string"))
+        diags.append(_err(_at(location, "ref"), "ref must be a connection id string"))
         return None
-    location = (location, "hypothetical")
+    location = _at(location, "hypothetical")
     if not isinstance(item["hypothetical"], dict):
         diags.append(_err(location, "hypothetical must be an object"))
         return None
@@ -440,7 +435,8 @@ def serialize_scenario(scenario: Scenario) -> str:
     Entities and connections are sorted by id (the scenario normalizes
     itself on construction), keys appear in a fixed order, optional fields
     at their defaults are omitted, and every rational is written in its
-    shortest exact form. Output is ASCII with a trailing newline.
+    shortest exact form. Output is ASCII with a trailing newline. A surrogate
+    pair, which JSON reads back as one character, raises ComputationError.
     """
     ensure_valid(scenario)
     doc: dict[str, object] = {
@@ -458,7 +454,10 @@ def serialize_scenario(scenario: Scenario) -> str:
             else {"hypothetical": _record_doc(entry, _HYPOTHETICAL_FIELDS)}
             for entry in scenario.ideal_roster
         ]
-    return json_text(doc) + "\n"
+    text = json_text(doc)
+    if "\\ud" in text and json.loads(text) != doc:
+        raise ComputationError("a string holds a surrogate pair, which reads back as one character")
+    return text + "\n"
 
 
 def json_text(doc: dict) -> str:

@@ -304,7 +304,7 @@ coprime_magnitudes = st.one_of(
 # Ids that a writer must quote or escape: quotes, backslashes, control and
 # non-ASCII characters, and a lone surrogate, which JSON text escapes but
 # UTF-8 cannot encode. Only the high one: JSON reads "\ud800\udfff" as one
-# character, so a high surrogate before a low one cannot round-trip.
+# character, so serialize_scenario refuses a high surrogate before a low one.
 hostile_ids = st.text(
     st.sampled_from('"\\\'/ a\x00\n\u00e9\u2192\U0001f600\ud800') | st.characters(),
     min_size=1,

@@ -89,6 +89,15 @@ def error_text(result) -> str:
     return "\n".join(str(d) for d in result.errors)
 
 
+# Values whose denominators are 2**a * 5**b, so they print as decimals.
+DECIMAL_FRACTIONS = st.builds(
+    lambda num, twos, fives: Fraction(num, 2**twos * 5**fives),
+    st.integers(min_value=-(10**9), max_value=10**9),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40),
+)
+
+
 class TestFormatRational:
     @pytest.mark.parametrize(
         ("value", "text"),
@@ -110,9 +119,20 @@ class TestFormatRational:
     def test_shortest_exact_form(self, value, text):
         assert format_rational(value) == text
 
-    @given(support.rationals)
+    @given(support.rationals | DECIMAL_FRACTIONS)
     def test_output_reads_back_exactly(self, value):
         assert Fraction(format_rational(value)) == value
+
+    @given(support.rationals | DECIMAL_FRACTIONS)
+    def test_shortest_form_property(self, value):
+        text = format_rational(value)
+        rest = value.denominator
+        for prime in (2, 5):
+            while rest % prime == 0:
+                rest //= prime
+        assert ("/" in text) == (rest != 1)
+        assert ("." in text) == (rest == 1 and value.denominator != 1)
+        assert not ("." in text and text.endswith(("0", ".")))
 
     def test_past_the_int_to_str_digit_limit_is_a_computation_error(self):
         for value in (Fraction(10**5000), Fraction(10**5000 + 1, 3)):
@@ -406,6 +426,17 @@ class TestRoundTrip:
         assert result.scenario == s
         assert serialize_scenario(result.scenario) == text
 
+    def test_an_id_that_would_read_back_as_another_is_refused(self):
+        def named(entity_id: str) -> Scenario:
+            return Scenario((make_entity(entity_id, "known"),), (), host=entity_id)
+
+        # JSON reads the escapes of a high then a low surrogate as one character.
+        with pytest.raises(ComputationError, match="surrogate pair"):
+            serialize_scenario(named("\ud800\udfff"))
+        for entity_id in ("\ud800", "\U0001F600", "\udfff\ud800"):
+            s = named(entity_id)
+            assert parse_scenario(serialize_scenario(s)).scenario == s
+
 
 class TestExportDot:
     def test_office_matches_the_golden_file(self, office):
@@ -646,36 +677,49 @@ def renamed(value, old: str, new: str):
     return new if value == old else value
 
 
+EDITS = ("replace", "drop", "add", "rename")
+
+
+def mutate(doc, edits: int, choose, value, key, new_id, actions=EDITS):
+    """``doc`` after ``edits`` edits: a value replaced, a key or item dropped,
+    one added, or an id renamed wherever it appears. ``choose(items)`` picks
+    one of ``items``, and ``value()``, ``key()`` and ``new_id()`` give what an
+    edit writes: the two fuzzers below differ only in these."""
+    for _ in range(edits):
+        target = choose(containers(doc))
+        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+        action = choose(actions)
+        if action == "rename":
+            doc = renamed(doc, choose(FIXTURE_ENTITIES + FIXTURE_CONNECTIONS), new_id())
+        elif action != "add" and keys:
+            picked = choose(keys)
+            if action == "replace":
+                target[picked] = value()
+            else:
+                del target[picked]
+        elif isinstance(target, dict):
+            target[key()] = value()
+        else:
+            target.append(value())
+    return doc
+
+
 @st.composite
 def mutated_fixture(draw, paths, min_edits=1, surrogates=False) -> str:
     """JSON text of one of the fixtures at ``paths`` after ``min_edits`` to four
-    random edits: a value replaced, a key or item dropped, or one added. With
+    random edits (see :func:`mutate`) of values from :func:`json_values`. With
     ``surrogates``, added strings and keys may be a lone surrogate, and a fourth
     edit renames an id to one wherever the id appears."""
     strings, new_keys = st.text(max_size=6), st.text(min_size=1, max_size=6)
-    actions = ["replace", "drop", "add"]
     if surrogates:
         strings, new_keys = strings | st.just(SURROGATE), new_keys | st.just(SURROGATE)
-        actions.append("rename")
     values = json_values(strings)
     doc = json.loads(draw(st.sampled_from(paths)).read_text())
-    for _ in range(draw(st.integers(min_value=min_edits, max_value=4))):
-        target = draw(st.sampled_from(containers(doc)))
-        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
-        action = draw(st.sampled_from(actions))
-        if action == "rename":
-            old = draw(st.sampled_from(FIXTURE_ENTITIES + FIXTURE_CONNECTIONS))
-            doc = renamed(doc, old, SURROGATE)
-        elif action != "add" and keys:
-            key = draw(st.sampled_from(keys))
-            if action == "replace":
-                target[key] = draw(values)
-            else:
-                del target[key]
-        elif isinstance(target, dict):
-            target[draw(new_keys)] = draw(values)
-        else:
-            target.append(draw(values))
+    edits = draw(st.integers(min_value=min_edits, max_value=4))
+    doc = mutate(
+        doc, edits, lambda items: draw(st.sampled_from(items)), lambda: draw(values),
+        lambda: draw(new_keys), lambda: SURROGATE, EDITS if surrogates else EDITS[:3],
+    )
     return json_source(doc)
 
 
@@ -703,28 +747,13 @@ HOSTILE_IDS = ['say "hi"', "back\\slash", "tail\\", '\\"', "naïve", "π→∞",
 
 def seeded_mutation(rng: random.Random, docs: list) -> dict:
     """A copy of one of ``docs`` (parsed fixtures) after one to four edits
-    drawn from ``rng``: a value replaced, a key or item dropped, one added, or
-    an id renamed wherever it appears. Stdlib only, so a seed names the same
-    document on every run."""
+    (see :func:`mutate`) drawn from ``rng``. Stdlib only, so a seed names the
+    same document on every run."""
     doc = copy.deepcopy(rng.choice(docs))
-    for _ in range(rng.randint(1, 4)):
-        target = rng.choice(containers(doc))
-        keys = list(target) if isinstance(target, dict) else list(range(len(target)))
-        action = rng.choice(("replace", "drop", "add", "rename"))
-        if action == "rename":
-            old = rng.choice(FIXTURE_ENTITIES + FIXTURE_CONNECTIONS)
-            doc = renamed(doc, old, rng.choice(HOSTILE_IDS))
-        elif action != "add" and keys:
-            key = rng.choice(keys)
-            if action == "replace":
-                target[key] = copy.deepcopy(rng.choice(EDIT_VALUES))
-            else:
-                del target[key]
-        elif isinstance(target, dict):
-            target[rng.choice(EDIT_KEYS)] = copy.deepcopy(rng.choice(EDIT_VALUES))
-        else:
-            target.append(copy.deepcopy(rng.choice(EDIT_VALUES)))
-    return doc
+    return mutate(
+        doc, rng.randint(1, 4), rng.choice, lambda: copy.deepcopy(rng.choice(EDIT_VALUES)),
+        lambda: rng.choice(EDIT_KEYS), lambda: rng.choice(HOSTILE_IDS),
+    )
 
 
 def diagnostics_text(seeds) -> str:
