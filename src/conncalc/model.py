@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 import decimal
+import sys
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
@@ -42,7 +43,8 @@ LITERAL_MAX_EXPONENT = 10_000
 
 
 class _LiteralTooLarge(ValueError):
-    """A numeric literal past the literal limits."""
+    """A numeric literal past the literal limits, or a number with no exact
+    text form to print."""
 
 
 def check_literal(text: str) -> None:
@@ -70,6 +72,51 @@ def _literal(value: str | decimal.Decimal) -> Fraction:
 _MEMO_SIZE = 4096
 _MEMO_LITERAL_LENGTH = 32
 _memo_literal = lru_cache(maxsize=_MEMO_SIZE)(_literal)
+
+
+def _shortest_text(numerator: int, denominator: int) -> str:
+    """Shortest exact text of the reduced fraction ``numerator/denominator``.
+    One whose digits pass Python's int-to-str limit has no exact text form."""
+    try:
+        if denominator == 1:
+            return str(numerator)
+        rest, twos, fives = denominator, 0, 0
+        while rest % 2 == 0:
+            rest //= 2
+            twos += 1
+        while rest % 5 == 0:
+            rest //= 5
+            fives += 1
+        if rest != 1:
+            return f"{numerator}/{denominator}"
+        scale = max(twos, fives)
+        digits = str(abs(numerator) * 10**scale // denominator).rjust(scale + 1, "0")
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise _LiteralTooLarge(f"number too long to print exactly (over {limit} digits)") from None
+    # The last digit is never 0: the numerator shares no factor with 2**twos * 5**fives.
+    sign = "-" if numerator < 0 else ""
+    return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
+
+
+# Values repeat as literals do, so up to _MEMO_SIZE texts are kept, all dropped
+# at once (one call, safe across threads) when full. A text longer than a
+# memoized literal is printed every call: 1/10**9999 has 10,001 characters.
+_texts: dict[tuple[int, int], str] = {}
+
+
+def _exact_text(numerator: int, denominator: int) -> str:
+    """:func:`_shortest_text`, memoized; errors are never cached. Validation
+    checks that every number has it, after any range check, so that what
+    validates can be written."""
+    text = _texts.get((numerator, denominator))
+    if text is None:
+        text = _shortest_text(numerator, denominator)
+        if len(text) <= _MEMO_LITERAL_LENGTH:
+            if len(_texts) >= _MEMO_SIZE:
+                _texts.clear()
+            _texts[numerator, denominator] = text
+    return text
 
 
 def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
@@ -149,6 +196,10 @@ class AttributeVector:
                 raise ValidationError(
                     f"attribute out of open interval (0,1): {name}={_number_text(value)}"
                 )
+            try:
+                _exact_text(value.numerator, value.denominator)
+            except _LiteralTooLarge as exc:
+                raise ValidationError(f"attribute {name}: {exc}") from None
             object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -190,7 +241,8 @@ class Connection:
     def __post_init__(self):
         if type(self.kind) is not ConnectionKind:
             object.__setattr__(self, "kind", ConnectionKind(self.kind))
-        object.__setattr__(self, "magnitude", to_rational(self.magnitude))
+        if type(self.magnitude) is not Fraction:
+            object.__setattr__(self, "magnitude", to_rational(self.magnitude))
 
     def endpoints(self) -> frozenset[str]:
         return frozenset((self.src, self.dst))
@@ -212,7 +264,8 @@ class RosterHypothetical:
     magnitude: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "magnitude", to_rational(self.magnitude))
+        if type(self.magnitude) is not Fraction:
+            object.__setattr__(self, "magnitude", to_rational(self.magnitude))
 
 
 RosterEntry = RosterRef | RosterHypothetical
@@ -416,11 +469,16 @@ def connection_value(
     return value
 
 
+# The magnitude range in integers: its bounds are whole numbers.
+_MAGNITUDE_LOW, _MAGNITUDE_HIGH = MAGNITUDE_MIN.numerator, MAGNITUDE_MAX.numerator
+
+
 def _check_magnitude(subject: str, magnitude: Fraction, violations: list[Violation]) -> None:
-    """The [1, 10] range rule for connections and hypothetical roster entries."""
-    # In integers: the bounds are whole numbers and a denominator is positive.
-    low, high = MAGNITUDE_MIN.numerator, MAGNITUDE_MAX.numerator
-    if not low * magnitude.denominator <= magnitude.numerator <= high * magnitude.denominator:
+    """The [1, 10] range rule for connections and hypothetical roster entries,
+    then the printing rule (see :func:`_exact_text`)."""
+    numerator, denominator = magnitude.numerator, magnitude.denominator
+    # A denominator is positive, so the range holds in integers.
+    if not _MAGNITUDE_LOW * denominator <= numerator <= _MAGNITUDE_HIGH * denominator:
         violations.append(
             Violation(
                 subject,
@@ -428,6 +486,11 @@ def _check_magnitude(subject: str, magnitude: Fraction, violations: list[Violati
                 f"magnitude {_number_text(magnitude)} outside [{MAGNITUDE_MIN}, {MAGNITUDE_MAX}]",
             )
         )
+    else:
+        try:
+            _exact_text(numerator, denominator)
+        except _LiteralTooLarge as exc:
+            violations.append(Violation(subject, "magnitude", str(exc)))
 
 
 def validate_scenario(scenario: Scenario) -> list[Violation]:
@@ -444,6 +507,13 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                 Violation(entity.id, "id", "duplicate entity id")
             )
         entity_ids.add(entity.id)
+
+    desired = scenario.desired_connectivity
+    if desired is not None:
+        try:
+            _exact_text(desired.numerator, desired.denominator)
+        except _LiteralTooLarge as exc:
+            violations.append(Violation("<scenario>", "desired_connectivity", str(exc)))
 
     if not scenario.host:
         violations.append(Violation("<scenario>", "host", "host id must be nonempty"))

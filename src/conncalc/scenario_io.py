@@ -11,12 +11,16 @@ to rationals before any float arithmetic can occur).
 The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
 ``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
 record's on-disk fields: their keys, order, decoders, defaults and encoders.
-``_fields`` reads any record by its table and ``_record_doc`` writes it.
+``_fields`` reads any record by its table and ``_record_text`` writes it:
+each encoder returns its field's JSON text (strings through the C
+``encode_basestring_ascii`` that ``json.dumps`` uses, rationals through the
+memoized ``format_rational``), laid out as ``json.dumps(indent=2)`` would,
+without building a document first.
 
 Every report is one document, a dict with a ``type`` key and one key per
 field, that ``emit_report`` prints as JSON or as table text filled in from
 the same keys; ``_TABLE_LINES`` holds each report class's ``type`` and table
-text. ``json_text`` is the one JSON writer for reports and scenario files.
+text. ``json_text`` is the one JSON writer for reports.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ __all__ = [
 ]
 
 import json
-import sys
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from operator import attrgetter
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
 from .ablation import QualityTrajectory, ReplacementReport
@@ -50,6 +54,7 @@ from .model import (
     Scenario,
     ScoringMode,
     _LiteralTooLarge,
+    _exact_text,
     _number_text,
     ensure_valid,
     to_rational,
@@ -111,30 +116,14 @@ def format_rational(value) -> str:
     Integers print bare, dyadic/decimal denominators print as terminating
     decimals with no trailing zeros, everything else prints ``p/q``. A value
     whose digits exceed Python's int-to-str limit raises
-    :class:`ComputationError`: it has no exact text form to print.
+    :class:`ComputationError`: it has no exact text form to print. Texts
+    are memoized (see ``model._exact_text``).
     """
     value = to_rational(value)
-    num, den = value.numerator, value.denominator
     try:
-        if den == 1:
-            return str(num)
-        rest, twos, fives = den, 0, 0
-        while rest % 2 == 0:
-            rest //= 2
-            twos += 1
-        while rest % 5 == 0:
-            rest //= 5
-            fives += 1
-        if rest != 1:
-            return f"{num}/{den}"
-        scale = max(twos, fives)
-        digits = str(abs(num) * 10**scale // den).rjust(scale + 1, "0")
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ComputationError(f"number too long to print exactly (over {limit} digits)") from None
-    # The last digit is never 0: num shares no factor with den = 2**twos * 5**fives.
-    sign = "-" if num < 0 else ""
-    return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
+        return _exact_text(value.numerator, value.denominator)
+    except _LiteralTooLarge as exc:
+        raise ComputationError(str(exc)) from None
 
 
 def _at(location: str | None, key: str) -> str:
@@ -151,6 +140,9 @@ def _warn(location: str, message: str) -> ParseDiagnostic:
 
 
 def _warn_unknown(item: dict, known, location: str, diags: list[ParseDiagnostic]) -> None:
+    """Warn at each key of ``item`` that the set or keys view ``known`` lacks."""
+    if item.keys() <= known:
+        return
     for key in sorted(item.keys() - known):
         diags.append(_warn(_at(location, key), "unknown key ignored"))
 
@@ -241,37 +233,49 @@ def _attributes(value, location, key: str, diags: list[ParseDiagnostic]) -> Attr
 
 
 _REQUIRED = object()  # default of a field whose absence is an error
-_by_value = attrgetter("value")
+
+
+def _json_rational(value: Fraction) -> str:
+    return f'"{format_rational(value)}"'
+
+
+def _json_flag(value: bool) -> str:
+    return "true" if value else "false"
+
 
 # Field tables: record field -> (decoder, default when absent, encoder), in
-# the order fields are decoded, reported and written. A decoder that treats
-# null as absent (``_string``, ``_polarity``) says "missing required key" for it.
+# the order fields are decoded, reported and written. An encoder returns the
+# field's JSON text; a str enum member is a string, written as its value. A
+# decoder that treats null as absent (``_string``, ``_polarity``) says
+# "missing required key" for it.
 _ATTRIBUTE_FIELDS = {
-    "existence": (_number, _REQUIRED, format_rational),
-    "inner_state": (_number, _REQUIRED, format_rational),
-    "external_state": (_number, _REQUIRED, format_rational),
-    "communication_state": (_number, _REQUIRED, format_rational),
+    "existence": (_number, _REQUIRED, _json_rational),
+    "inner_state": (_number, _REQUIRED, _json_rational),
+    "external_state": (_number, _REQUIRED, _json_rational),
+    "communication_state": (_number, _REQUIRED, _json_rational),
 }
 _ENTITY_FIELDS = {
-    "id": (_string, _REQUIRED, str),
-    "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED, _by_value),
-    "attributes": (_attributes, AttributeVector(), lambda a: _record_doc(a, _ATTRIBUTE_FIELDS)),
+    "id": (_string, _REQUIRED, _json_string),
+    "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED, _json_string),
+    "attributes": (
+        _attributes, AttributeVector(), lambda a: _record_text(a, _ATTRIBUTE_FIELDS, "      ")
+    ),
 }
 _CONNECTION_FIELDS = {
-    "id": (_string, _REQUIRED, str),
-    "src": (_string, _REQUIRED, str),
-    "dst": (_string, _REQUIRED, str),
-    "kind": (_choice(ConnectionKind, "connection kind", strings_only=True), _REQUIRED, _by_value),
-    "polarity": (_polarity, _REQUIRED, int),
-    "magnitude": (_number, _REQUIRED, format_rational),
-    "time_index": (_time_index, 0, int),
-    "blocked": (_flag, False, bool),
-    "confirmed": (_flag, False, bool),
+    "id": (_string, _REQUIRED, _json_string),
+    "src": (_string, _REQUIRED, _json_string),
+    "dst": (_string, _REQUIRED, _json_string),
+    "kind": (_choice(ConnectionKind, "connection kind", strings_only=True), _REQUIRED, _json_string),
+    "polarity": (_polarity, _REQUIRED, int.__repr__),
+    "magnitude": (_number, _REQUIRED, _json_rational),
+    "time_index": (_time_index, 0, int.__repr__),
+    "blocked": (_flag, False, _json_flag),
+    "confirmed": (_flag, False, _json_flag),
 }
 _HYPOTHETICAL_FIELDS = {
-    "src": (_string, _REQUIRED, str),
-    "dst": (_string, _REQUIRED, str),
-    "magnitude": (_number, _REQUIRED, format_rational),
+    "src": (_string, _REQUIRED, _json_string),
+    "dst": (_string, _REQUIRED, _json_string),
+    "magnitude": (_number, _REQUIRED, _json_rational),
 }
 _scoring_mode = _choice(ScoringMode, "scoring mode", strings_only=False)
 
@@ -282,7 +286,7 @@ def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagno
     if not isinstance(item, dict):
         diags.append(_err(location, f"{what} must be an object, got {type(item).__name__}"))
         return None
-    _warn_unknown(item, table, location, diags)
+    _warn_unknown(item, table.keys(), location, diags)
     values = {}
     for key, (decode, default, _) in table.items():
         if key in item:
@@ -417,15 +421,35 @@ def parse_scenario(text: str) -> ParseResult:
     return ParseResult(scenario, tuple(diags))
 
 
-def _record_doc(record, table: dict) -> dict:
-    """The on-disk object of a record: its fields in table order, each written
-    by its encoder, leaving out a field at its default."""
-    doc = {}
+# A high then a low surrogate, which JSON text escapes as two characters but
+# reads back as one.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _record_text(record, table: dict, indent: str) -> str:
+    """JSON text of a record whose opening brace sits at ``indent``: its
+    fields in table order, each written by its encoder, leaving out a field
+    at its default."""
+    inner = indent + "  "
+    lines = []
     for key, (_, default, encode) in table.items():
         value = getattr(record, key)
         if default is _REQUIRED or value != default:
-            doc[key] = encode(value)
-    return doc
+            lines.append(f'{inner}"{key}": {encode(value)}')
+    return "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+
+
+def _roster_entry_text(entry: RosterEntry) -> str:
+    if isinstance(entry, RosterRef):
+        key, value = "ref", _json_string(entry.ref)
+    else:
+        key, value = "hypothetical", _record_text(entry, _HYPOTHETICAL_FIELDS, "      ")
+    return f'{{\n      "{key}": {value}\n    }}'
+
+
+def _array_text(items: list[str]) -> str:
+    """JSON text of a top-level array of items written at a four-space indent."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -435,33 +459,36 @@ def serialize_scenario(scenario: Scenario) -> str:
     Entities and connections are sorted by id (the scenario normalizes
     itself on construction), keys appear in a fixed order, optional fields
     at their defaults are omitted, and every rational is written in its
-    shortest exact form. Output is ASCII with a trailing newline. A surrogate
+    shortest exact form. Output is ASCII with a trailing newline, laid out as
+    ``json.dumps(doc, indent=2, ensure_ascii=True)`` lays it out. A surrogate
     pair, which JSON reads back as one character, raises ComputationError.
     """
     ensure_valid(scenario)
-    doc: dict[str, object] = {
-        "version": FORMAT_VERSION,
-        "host": scenario.host,
-        "mode": scenario.scoring_mode.value,
-    }
+    lines = [
+        f'  "version": {FORMAT_VERSION}',
+        f'  "host": {_json_string(scenario.host)}',
+        f'  "mode": {_json_string(scenario.scoring_mode)}',
+    ]
     if scenario.desired_connectivity is not None:
-        doc["desired_connectivity"] = format_rational(scenario.desired_connectivity)
-    doc["entities"] = [_record_doc(e, _ENTITY_FIELDS) for e in scenario.entities]
-    doc["connections"] = [_record_doc(c, _CONNECTION_FIELDS) for c in scenario.connections]
+        lines.append(f'  "desired_connectivity": {_json_rational(scenario.desired_connectivity)}')
+    entities = [_record_text(e, _ENTITY_FIELDS, "    ") for e in scenario.entities]
+    connections = [_record_text(c, _CONNECTION_FIELDS, "    ") for c in scenario.connections]
+    lines.append(f'  "entities": {_array_text(entities)}')
+    lines.append(f'  "connections": {_array_text(connections)}')
     if scenario.ideal_roster is not None:
-        doc["ideal_roster"] = [
-            {"ref": entry.ref} if isinstance(entry, RosterRef)
-            else {"hypothetical": _record_doc(entry, _HYPOTHETICAL_FIELDS)}
-            for entry in scenario.ideal_roster
-        ]
-    text = json_text(doc)
-    if "\\ud" in text and json.loads(text) != doc:
+        roster = list(map(_roster_entry_text, scenario.ideal_roster))
+        lines.append(f'  "ideal_roster": {_array_text(roster)}')
+    text = "{\n" + ",\n".join(lines) + "\n}\n"
+    # Every other string of a valid scenario names an entity or connection id.
+    if "\\ud" in text and any(
+        _SURROGATE_PAIR.search(item.id) for item in scenario.entities + scenario.connections
+    ):
         raise ComputationError("a string holds a surrogate pair, which reads back as one character")
-    return text + "\n"
+    return text
 
 
 def json_text(doc: dict) -> str:
-    """The one JSON writer for scenario files and report documents."""
+    """The one JSON writer for report documents."""
     return json.dumps(doc, indent=2, ensure_ascii=True)
 
 

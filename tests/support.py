@@ -187,6 +187,59 @@ def oracle_paths(
     return sorted(found, key=lambda p: (len(p.entities), p.entities))
 
 
+def reference_number(value: Fraction) -> str:
+    """Shortest exact text of a rational, found by search: an integer bare, a
+    value that some power of ten clears by the smallest such power (so no
+    trailing zero), anything else ``p/q``."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    for places in range(1, value.denominator.bit_length() + 1):
+        if 10**places % value.denominator == 0:
+            digits = str(abs(value.numerator) * 10**places // value.denominator)
+            digits = digits.rjust(places + 1, "0")
+            return f"{'-' if value < 0 else ''}{digits[:-places]}.{digits[-places:]}"
+    return f"{value.numerator}/{value.denominator}"
+
+
+def reference_doc(scenario: Scenario) -> dict:
+    """The canonical document of a scenario, spelled out from its dataclass
+    fields: keys in field order, enums by value, rationals as
+    :func:`reference_number` text, and these defaults left out: an entity's
+    default attribute vector, a connection's time index 0 and false flags,
+    and an absent desired connectivity or roster. ``serialize_scenario``
+    writes it as ``json.dumps(doc, indent=2, ensure_ascii=True)`` does."""
+
+    def record(item, omitted=()) -> dict:
+        doc = {}
+        for f in dataclasses.fields(item):
+            value = getattr(item, f.name)
+            if f.name in omitted and value == f.default:
+                continue
+            if isinstance(value, Fraction):
+                value = reference_number(value)
+            elif isinstance(value, (EntityKind, ConnectionKind)):
+                value = value.value
+            elif isinstance(value, AttributeVector):
+                if value == AttributeVector():
+                    continue
+                value = record(value)
+            doc[f.name] = value
+        return doc
+
+    doc: dict = {"version": 1, "host": scenario.host, "mode": scenario.scoring_mode.value}
+    if scenario.desired_connectivity is not None:
+        doc["desired_connectivity"] = reference_number(scenario.desired_connectivity)
+    doc["entities"] = [record(e) for e in scenario.entities]
+    omitted = ("time_index", "blocked", "confirmed")
+    doc["connections"] = [record(c, omitted) for c in scenario.connections]
+    if scenario.ideal_roster is not None:
+        doc["ideal_roster"] = [
+            record(entry) if isinstance(entry, RosterRef) else {"hypothetical": record(entry)}
+            for entry in scenario.ideal_roster
+        ]
+    return doc
+
+
 def random_scenario(
     rng: random.Random,
     *,

@@ -133,6 +133,45 @@ class TestValidate:
         assert out.endswith("invalid\n")
 
     @pytest.mark.parametrize(
+        "site, location, message",
+        [
+            ("desired", "<scenario>.desired_connectivity", ""),
+            ("attribute", "entities[1].attributes", "attribute existence: "),
+            ("magnitude", "ab.magnitude", ""),
+            ("hypothetical", "ideal_roster[0].magnitude", ""),
+        ],
+        ids=["desired", "attribute", "magnitude", "hypothetical"],
+    )
+    def test_number_with_no_exact_text_is_refused(
+        self, site, location, message, tmp_path, capsys
+    ):
+        # 10**5000 has 5,001 digits. 1/2**6200 and (2**6200 + 1)/2**6200 are
+        # in range and written with fewer than 4,300 digits, but their decimal
+        # forms have 6,200 places. What validate accepts, closure must write.
+        doc = json.loads(SMALL_DOC % {"version": "1", "mode": '"raw"', "polarity": "1"})
+        in_range = f"{2**6200 + 1}/{2**6200}"
+        if site == "desired":
+            doc["desired_connectivity"] = "1e5000"
+        elif site == "attribute":
+            doc["entities"][1]["attributes"] = {
+                "existence": f"1/{2**6200}", "inner_state": "0.5",
+                "external_state": "0.5", "communication_state": "0.5",
+            }
+        elif site == "magnitude":
+            doc["connections"][0]["magnitude"] = in_range
+        else:
+            doc["ideal_roster"] = [{"hypothetical": {"src": "a", "dst": "b", "magnitude": in_range}}]
+        message += "number too long to print exactly (over 4300 digits)"
+        text = json.dumps(doc)
+        assert [(d.location, d.message) for d in parse_scenario(text).errors] == [(location, message)]
+        path, closed = tmp_path / "unprintable.json", tmp_path / "closed.json"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 1
+        assert f"error {location}: {message}\n" in capsys.readouterr().out
+        assert main(["closure", str(path), "-o", str(closed)]) == 1
+        assert not closed.exists()
+
+    @pytest.mark.parametrize(
         "fragments, location, message",
         [
             ({"mode": "[]"}, "mode", "unknown scoring mode: []"),
@@ -284,16 +323,17 @@ class TestUnprintableResult:
         "args, site",
         [
             (["quality"], "desired"),
-            (["closure"], "desired"),
             (["score", "--mode", "impact"], "attribute"),
         ],
-        ids=["quality", "closure", "impact-score"],
+        ids=["quality", "impact-score"],
     )
     def test_exits_2_with_an_error_line(self, args, site, tmp_path, capsys):
-        # Each result is valid but has more digits than Python converts to text.
+        # Each file is valid and each of its numbers prints, but the result has
+        # more digits than Python converts to text: 100 * 2 / (2**6200 / 3) is
+        # 75 / 2**6197, whose decimal form has 4,333 digits.
         doc = json.loads(SMALL_DOC % {"version": "1", "mode": '"raw"', "polarity": "1"})
         if site == "desired":
-            doc["desired_connectivity"] = "1e5000"
+            doc["desired_connectivity"] = f"{2**6200}/3"
         else:
             doc["entities"][1]["attributes"] = {
                 "existence": "1e-5000", "inner_state": "0.5",

@@ -111,6 +111,22 @@ class TestToRational:
 
     @pytest.mark.parametrize(
         "build",
+        [
+            lambda x: conn("c", "a", "b", magnitude=x).magnitude,
+            lambda x: RosterHypothetical(src="a", dst="b", magnitude=x).magnitude,
+        ],
+        ids=["connection", "hypothetical"],
+    )
+    def test_magnitudes_that_are_not_exact_fractions_are_coerced(self, build):
+        class Exact(Fraction):
+            pass
+
+        for given, value in (("2.5", Fraction(5, 2)), (7, Fraction(7)), (Exact(5, 2), Fraction(5, 2))):
+            magnitude = build(given)
+            assert type(magnitude) is Fraction and magnitude == value, given
+
+    @pytest.mark.parametrize(
+        "build",
         [to_rational, lambda x: conn("c", "a", "b", magnitude=x)],
         ids=["to_rational", "connection"],
     )
