@@ -531,11 +531,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(Violation(conn.id, "id", "duplicate connection id"))
         conn_ids.add(conn.id)
 
-        for which, endpoint in (("src", conn.src), ("dst", conn.dst)):
-            if endpoint not in entity_ids:
-                violations.append(
-                    Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
-                )
+        if conn.src not in entity_ids:
+            violations.append(Violation(subject, "src", f"endpoint {conn.src!r} is not an entity"))
+        if conn.dst not in entity_ids:
+            violations.append(Violation(subject, "dst", f"endpoint {conn.dst!r} is not an entity"))
         is_loop = conn.src == conn.dst
         if is_loop and conn.kind is not ConnectionKind.SELF:
             violations.append(

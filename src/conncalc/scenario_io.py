@@ -11,7 +11,11 @@ to rationals before any float arithmetic can occur).
 The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
 ``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
 record's on-disk fields: their keys, order, decoders, defaults and encoders.
-``_fields`` reads any record by its table and ``_record_text`` writes it:
+``_fields`` reads any record by its table and is the one path that writes a
+diagnostic. A well-formed connection record, or entity record without
+``attributes``, takes the plain step first (``_plain_connection``,
+``_plain_entity``), which builds the record that ``_fields`` would have built;
+any other record goes through ``_fields``. ``_record_text`` writes a record:
 each encoder returns its field's JSON text (strings through the C
 ``encode_basestring_ascii`` that ``json.dumps`` uses, rationals through the
 memoized ``format_rational``), laid out as ``json.dumps(indent=2)`` would,
@@ -317,6 +321,50 @@ def _parse_connection(item, location: str, diags: list[ParseDiagnostic]) -> Conn
     return _build(Connection, _fields(item, _CONNECTION_FIELDS, "connection", location, diags))
 
 
+# The plain step: a record that every field decoder accepts without a
+# diagnostic is built in one step; for any other, None comes back and the
+# record goes through ``_fields``, which writes every diagnostic. A value of a
+# type the decoders accept but these checks do not (an int magnitude, a str
+# subclass) takes the table path too, which builds the same record.
+_ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
+_CONNECTION_KINDS = {kind.value: kind for kind in ConnectionKind}
+_DEFAULT_ATTRIBUTES = _ENTITY_FIELDS["attributes"][1]
+
+
+def _plain_entity(item) -> Entity | None:
+    """The entity of a well-formed record with no ``attributes``, or None."""
+    if type(item) is not dict or "attributes" in item or not item.keys() <= _ENTITY_FIELDS.keys():
+        return None
+    entity_id, kind = item.get("id"), item.get("kind")
+    if type(entity_id) is not str or type(kind) is not str or kind not in _ENTITY_KINDS:
+        return None
+    return Entity(entity_id, _ENTITY_KINDS[kind], _DEFAULT_ATTRIBUTES)
+
+
+def _plain_connection(item) -> Connection | None:
+    """The connection of a well-formed record, or None."""
+    if type(item) is not dict or not item.keys() <= _CONNECTION_FIELDS.keys():
+        return None
+    get = item.get
+    conn_id, src, dst, kind = get("id"), get("src"), get("dst"), get("kind")
+    polarity, magnitude, time_index = get("polarity"), get("magnitude"), get("time_index", 0)
+    blocked, confirmed = get("blocked", False), get("confirmed", False)
+    if not (
+        type(conn_id) is str and type(src) is str and type(dst) is str
+        and type(kind) is str and kind in _CONNECTION_KINDS
+        and type(polarity) is int and (polarity == 1 or polarity == -1)
+        and type(magnitude) is str and type(time_index) is int
+        and type(blocked) is bool and type(confirmed) is bool
+    ):
+        return None
+    try:
+        magnitude = to_rational(magnitude)
+    except ValueError:  # _LiteralTooLarge too: the table path reports it
+        return None
+    kind = _CONNECTION_KINDS[kind]
+    return Connection(conn_id, src, dst, kind, polarity, magnitude, time_index, blocked, confirmed)
+
+
 def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> RosterEntry | None:
     if not isinstance(item, dict):
         diags.append(_err(location, f"roster entry must be an object, got {type(item).__name__}"))
@@ -338,14 +386,23 @@ def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> Ro
     return _build(RosterHypothetical, values)
 
 
-def _item_list(raw, key: str, parse, diags: list[ParseDiagnostic]) -> list | None:
-    """The items of the array ``raw`` that ``parse`` decodes, or None if it is
-    not an array."""
+def _item_list(
+    raw, key: str, parse, diags: list[ParseDiagnostic], plain=lambda item: None
+) -> list | None:
+    """The items of the array ``raw`` that ``plain`` builds or, failing that,
+    ``parse`` decodes, or None if it is not an array."""
     if not isinstance(raw, list):
         diags.append(_err(key, f"expected an array, got {type(raw).__name__}"))
         return None
-    parsed = (parse(item, f"{key}[{i}]", diags) for i, item in enumerate(raw))
-    return [item for item in parsed if item is not None]
+    items = []
+    for i, item in enumerate(raw):
+        record = plain(item)
+        if record is None:
+            record = parse(item, f"{key}[{i}]", diags)
+            if record is None:
+                continue
+        items.append(record)
+    return items
 
 
 def parse_connection_doc(
@@ -393,11 +450,14 @@ def parse_scenario(text: str) -> ParseResult:
 
     # A null entities or connections array is missing; a null roster is not an array.
     arrays = {}
-    for key, parse in (("entities", _parse_entity), ("connections", _parse_connection)):
+    for key, parse, plain in (
+        ("entities", _parse_entity, _plain_entity),
+        ("connections", _parse_connection, _plain_connection),
+    ):
         if doc.get(key) is None:
             diags.append(_err(key, "missing required key"))
         else:
-            arrays[key] = _item_list(doc[key], key, parse, diags)
+            arrays[key] = _item_list(doc[key], key, parse, diags, plain)
     roster = None
     if "ideal_roster" in doc:
         roster = _item_list(doc["ideal_roster"], "ideal_roster", _parse_roster_entry, diags)
@@ -515,6 +575,8 @@ def export_dot(scenario: Scenario) -> str:
     """
     ensure_valid(scenario)
     lines = ["graph scenario {", "  node [shape=ellipse];"]
+    # Each entity id is quoted once; every endpoint names an entity.
+    quoted = {entity.id: _dot_quote(entity.id) for entity in scenario.entities}
     for entity in scenario.entities:
         attrs = []
         if entity.id == scenario.host:
@@ -522,7 +584,7 @@ def export_dot(scenario: Scenario) -> str:
         if entity.kind in (EntityKind.HIDDEN, EntityKind.UNKNOWN):
             attrs.append('style="dashed"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_dot_quote(entity.id)}{suffix};")
+        lines.append(f"  {quoted[entity.id]}{suffix};")
     for conn in scenario.connections:
         sign = "+" if conn.polarity > 0 else "-"
         label = sign + format_rational(conn.magnitude)
@@ -531,9 +593,7 @@ def export_dot(scenario: Scenario) -> str:
         if conn.blocked:
             attrs.append('color="gray"')
         attrs.append(f"id={_dot_quote(conn.id)}")
-        lines.append(
-            f"  {_dot_quote(conn.src)} -- {_dot_quote(conn.dst)} [{', '.join(attrs)}];"
-        )
+        lines.append(f"  {quoted[conn.src]} -- {quoted[conn.dst]} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

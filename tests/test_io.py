@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import conncalc.model
+import conncalc.scenario_io
 from conncalc import (
     AttributeVector,
     ComputationError,
@@ -48,6 +49,7 @@ from conncalc import (
     run_replacement,
     serialize_scenario,
     silent_closure,
+    to_rational,
 )
 from conncalc.cli import main
 from conncalc.metrics import quality_report
@@ -57,8 +59,13 @@ from conncalc.scenario_io import (
     _CONNECTION_FIELDS,
     _ENTITY_FIELDS,
     _HYPOTHETICAL_FIELDS,
+    _REQUIRED,
     _TABLE_LINES,
     ValidationReport,
+    _build,
+    _fields,
+    _plain_connection,
+    _plain_entity,
 )
 
 from . import support, test_cli
@@ -422,6 +429,108 @@ class TestRationalTextCount:
                 format_rational(Fraction(1, 2**6200))
 
 
+# Each record type with a plain step: its array's key, the step, its field
+# table and class, and a well-formed record with only the required fields.
+PLAIN_STEPS = (
+    ("connections", _plain_connection, _CONNECTION_FIELDS, Connection,
+     {"id": "c", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": "2"}),
+    ("entities", _plain_entity, _ENTITY_FIELDS, Entity, {"id": "a", "kind": "known"}),
+)
+# One valid value off its default for each field of those tables. A field
+# added to a table needs one here, and the plain step must decode it.
+PLAIN_SAMPLES = {
+    "connections": {
+        "id": "c1", "src": "a", "dst": "b", "kind": "silent", "polarity": -1,
+        "magnitude": "7/2", "time_index": 3, "blocked": True, "confirmed": True,
+    },
+    "entities": {
+        "id": "a1", "kind": "hidden",
+        "attributes": {"existence": "0.5", "inner_state": "1/3", "external_state": "0.25",
+                       "communication_state": "0.9"},
+    },
+}
+
+
+def took_plain_step(plain, table: dict, cls, item) -> bool:
+    """Whether ``plain`` built ``item``; when it did, the field tables build
+    the same record, of the same field types, with no diagnostic."""
+    record = plain(item)
+    if record is None:
+        return False
+    diags = []
+    built = _build(cls, _fields(item, table, "record", "record", diags))
+    assert diags == [] and built == record, item
+    assert [type(getattr(built, key)) for key in table] == [
+        type(getattr(record, key)) for key in table
+    ], item
+    return True
+
+
+class TestPlainStep:
+    """A well-formed record takes the plain step, which builds what the field
+    tables would build; only a record it refuses reaches ``_fields``."""
+
+    def test_seeded_mutation_records_match_the_field_tables(self):
+        docs = mutation_sources()
+        taken = total = 0
+        for seed in range(4000):
+            text = json.dumps(seeded_mutation(random.Random(seed), docs))
+            doc = json.loads(text, parse_float=to_rational)
+            for name, plain, table, cls, _ in PLAIN_STEPS:
+                records = doc.get(name) if isinstance(doc, dict) else None
+                for item in records if isinstance(records, list) else ():
+                    total += 1
+                    taken += took_plain_step(plain, table, cls, item)
+        assert total > 30_000 and total / 2 < taken < total
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_drawn_records_match_the_field_tables(self, data):
+        _, plain, table, cls, base = data.draw(st.sampled_from(PLAIN_STEPS))
+        values = json_values() | st.sampled_from(EDIT_VALUES).map(copy.deepcopy)
+        keys = st.sampled_from(list(table)) | st.text(max_size=6)
+        item = dict(base)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            key = data.draw(keys)
+            if data.draw(st.booleans()):
+                item.pop(key, None)
+            else:
+                item[key] = data.draw(values)
+        took_plain_step(plain, table, cls, data.draw(st.just(item) | values))
+
+    def test_every_table_field_has_a_plain_sample(self):
+        for name, plain, table, cls, _ in PLAIN_STEPS:
+            samples = PLAIN_SAMPLES[name]
+            for key, (_, default, _) in table.items():
+                item = {k: samples[k] for k, field in table.items() if field[1] is _REQUIRED}
+                item[key] = samples[key]
+                diags = []
+                built = _build(cls, _fields(item, table, name, name, diags))
+                assert diags == [] and getattr(built, key) != default, key
+                assert took_plain_step(plain, table, cls, item) == (key != "attributes"), key
+
+    def test_fields_decodes_only_entities_with_attributes(self, monkeypatch):
+        s = support.random_scenario(
+            support.random.Random(2024),
+            max_entities=40,
+            min_connections=2000,
+            max_connections=2000,
+            with_roster=False,
+        )
+        with_attributes = sum(e.attributes != AttributeVector() for e in s.entities)
+        assert with_attributes > 0
+        tables = []
+        original = conncalc.scenario_io._fields
+
+        def counted(item, table, *args):
+            tables.append(table)
+            return original(item, table, *args)
+
+        monkeypatch.setattr(conncalc.scenario_io, "_fields", counted)
+        assert parse_scenario(serialize_scenario(s)).scenario == s
+        assert tables == [_ENTITY_FIELDS, _ATTRIBUTE_FIELDS] * with_attributes
+
+
 class TestSerializeScenario:
     def test_fixtures_are_self_golden(self, office_path, confusion_path):
         for path in (office_path, confusion_path):
@@ -583,6 +692,23 @@ class TestExportDot:
         graph = parse_dot(text)
         assert set(graph.nodes) == {'he said "hi"', "b\\c", 'q\\\\"r', "t\\\\"}
         assert [e.attrs["id"] for e in graph.edges] == ['a"b', 'c\\\\"d']
+
+    def test_each_entity_id_is_quoted_once(self, monkeypatch):
+        s = support.random_scenario(
+            support.random.Random(2024), max_entities=40, min_connections=2000, max_connections=2000
+        )
+        quoted = []
+        original = conncalc.scenario_io._dot_quote
+
+        def counted(value):
+            quoted.append(value)
+            return original(value)
+
+        monkeypatch.setattr(conncalc.scenario_io, "_dot_quote", counted)
+        text = export_dot(s)
+        monkeypatch.undo()
+        assert text == export_dot(s)
+        assert len(quoted) <= len(s.entities) + 2 * len(s.connections)
 
     def test_output_is_deterministic(self, office):
         assert export_dot(office) == export_dot(office)
