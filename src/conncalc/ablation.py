@@ -122,16 +122,18 @@ def run_removal(
     valuation = scenario.valuation
     values = {c.id: 0 if c.blocked else valuation.values[c.id] for c in scenario.connections}
     total = sum(values.values())
+    # quality(score, ideal) in integers: score is total / valuation.denominator,
+    # and the ideal is positive, so ideal_units is too.
+    scale, ideal_units = 100 * ideal.denominator, valuation.denominator * ideal.numerator
     steps: list[TrajectoryStep] = []
     for number, connection_id in enumerate(schedule, start=1):
         total -= values[connection_id]
-        score = Fraction(total, valuation.denominator)
         steps.append(
             TrajectoryStep(
                 step=number,
                 blocked_connection=connection_id,
-                score=score,
-                efficiency_percent=quality(score, ideal),
+                score=Fraction(total, valuation.denominator),
+                efficiency_percent=Fraction(scale * total, ideal_units),
             )
         )
     return QualityTrajectory(order=order, ideal=ideal, steps=tuple(steps))

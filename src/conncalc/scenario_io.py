@@ -18,13 +18,15 @@ diagnostic. A well-formed connection record, or entity record without
 any other record goes through ``_fields``. ``_record_text`` writes a record:
 each encoder returns its field's JSON text (strings through the C
 ``encode_basestring_ascii`` that ``json.dumps`` uses, rationals through the
-memoized ``format_rational``), laid out as ``json.dumps(indent=2)`` would,
-without building a document first.
+memoized ``format_rational``), laid out as ``json.dumps(indent=2)`` would
+(the layout of ``_json_block``), without building a document first.
 
 Every report is one document, a dict with a ``type`` key and one key per
 field, that ``emit_report`` prints as JSON or as table text filled in from
 the same keys; ``_TABLE_LINES`` holds each report class's ``type`` and table
-text. ``json_text`` is the one JSON writer for reports.
+text. ``json_text`` is the one JSON writer for reports: the same string
+encoder and ``_json_block``, never ``json.dumps``. Report rationals are
+printed each time, never memoized: a report's values seldom repeat.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .model import (
     _LiteralTooLarge,
     _exact_text,
     _number_text,
+    _shortest_text,
     ensure_valid,
     to_rational,
     validate_scenario,  # noqa: F401 - kept importable here; the benchmark tracer wraps it
@@ -486,10 +489,21 @@ def parse_scenario(text: str) -> ParseResult:
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
+def _json_block(ends: str, items: list[str], indent: str) -> str:
+    """JSON text of an object or array (``ends`` is ``{}`` or ``[]``) whose
+    opening bracket sits at ``indent``, laid out as ``json.dumps(indent=2)``
+    lays it out: each of its items' texts on a line of its own, two spaces in."""
+    if not items:
+        return ends
+    inner = indent + "  "
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
+
+
 def _record_text(record, table: dict, indent: str) -> str:
     """JSON text of a record whose opening brace sits at ``indent``: its
     fields in table order, each written by its encoder, leaving out a field
-    at its default."""
+    at its default. It runs once per record, so it lays the record out as
+    :func:`_json_block` would, without the call."""
     inner = indent + "  "
     lines = []
     for key, (_, default, encode) in table.items():
@@ -504,12 +518,7 @@ def _roster_entry_text(entry: RosterEntry) -> str:
         key, value = "ref", _json_string(entry.ref)
     else:
         key, value = "hypothetical", _record_text(entry, _HYPOTHETICAL_FIELDS, "      ")
-    return f'{{\n      "{key}": {value}\n    }}'
-
-
-def _array_text(items: list[str]) -> str:
-    """JSON text of a top-level array of items written at a four-space indent."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    return _json_block("{}", [f'"{key}": {value}'], "    ")
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -525,31 +534,26 @@ def serialize_scenario(scenario: Scenario) -> str:
     """
     ensure_valid(scenario)
     lines = [
-        f'  "version": {FORMAT_VERSION}',
-        f'  "host": {_json_string(scenario.host)}',
-        f'  "mode": {_json_string(scenario.scoring_mode)}',
+        f'"version": {FORMAT_VERSION}',
+        f'"host": {_json_string(scenario.host)}',
+        f'"mode": {_json_string(scenario.scoring_mode)}',
     ]
     if scenario.desired_connectivity is not None:
-        lines.append(f'  "desired_connectivity": {_json_rational(scenario.desired_connectivity)}')
+        lines.append(f'"desired_connectivity": {_json_rational(scenario.desired_connectivity)}')
     entities = [_record_text(e, _ENTITY_FIELDS, "    ") for e in scenario.entities]
     connections = [_record_text(c, _CONNECTION_FIELDS, "    ") for c in scenario.connections]
-    lines.append(f'  "entities": {_array_text(entities)}')
-    lines.append(f'  "connections": {_array_text(connections)}')
+    lines.append(f'"entities": {_json_block("[]", entities, "  ")}')
+    lines.append(f'"connections": {_json_block("[]", connections, "  ")}')
     if scenario.ideal_roster is not None:
         roster = list(map(_roster_entry_text, scenario.ideal_roster))
-        lines.append(f'  "ideal_roster": {_array_text(roster)}')
-    text = "{\n" + ",\n".join(lines) + "\n}\n"
+        lines.append(f'"ideal_roster": {_json_block("[]", roster, "  ")}')
+    text = _json_block("{}", lines, "") + "\n"
     # Every other string of a valid scenario names an entity or connection id.
     if "\\ud" in text and any(
         _SURROGATE_PAIR.search(item.id) for item in scenario.entities + scenario.connections
     ):
         raise ComputationError("a string holds a surrogate pair, which reads back as one character")
     return text
-
-
-def json_text(doc: dict) -> str:
-    """The one JSON writer for report documents."""
-    return json.dumps(doc, indent=2, ensure_ascii=True)
 
 
 def _dot_quote(value: str) -> str:
@@ -666,10 +670,18 @@ def _field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+_PLAIN_TYPES = frozenset((str, int, bool, type(None)))
+
+
 def _doc_value(value):
     """JSON form of a report value: rationals as exact strings, enums by value."""
-    if isinstance(value, Fraction):
-        return format_rational(value)
+    if type(value) in _PLAIN_TYPES:
+        return value
+    if isinstance(value, Fraction):  # as format_rational, without the memo
+        try:
+            return _shortest_text(value.numerator, value.denominator)
+        except _LiteralTooLarge as exc:
+            raise ComputationError(str(exc)) from None
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, tuple):
@@ -677,6 +689,28 @@ def _doc_value(value):
     if is_dataclass(value):
         return {name: _doc_value(getattr(value, name)) for name in _field_names(type(value))}
     return value
+
+
+def json_text(value, indent: str = "") -> str:
+    """The one JSON writer for report documents: the text that
+    ``json.dumps(value, indent=2, ensure_ascii=True)`` writes for a document
+    of string-keyed dicts, lists, strings, ints, booleans and None, with
+    strings through its C encoder. ``indent`` is that of the value's line."""
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return _json_flag(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json_string(k)}: {json_text(v, inner)}" for k, v in value.items()]
+        return _json_block("{}", items, indent)
+    if isinstance(value, list):
+        return _json_block("[]", [json_text(v, inner) for v in value], indent)
+    raise TypeError(f"a report document cannot hold {type(value).__name__}")
 
 
 def emit_report(report, fmt: str = "table") -> str:

@@ -356,13 +356,25 @@ coprime_magnitudes = st.one_of(
 
 # Ids that a writer must quote or escape: quotes, backslashes, control and
 # non-ASCII characters, and a lone surrogate, which JSON text escapes but
-# UTF-8 cannot encode. Only the high one: JSON reads "\ud800\udfff" as one
-# character, so serialize_scenario refuses a high surrogate before a low one.
+# UTF-8 cannot encode. ``st.characters()`` can draw a low surrogate after the
+# high one, and JSON reads "\ud800\udfff" as one character, so
+# serialize_scenario refuses an id that holds such a pair (see
+# :func:`holds_surrogate_pair`).
 hostile_ids = st.text(
     st.sampled_from('"\\\'/ a\x00\n\u00e9\u2192\U0001f600\ud800') | st.characters(),
     min_size=1,
     max_size=4,
 )
+
+
+def holds_surrogate_pair(scenario: Scenario) -> bool:
+    """Whether any id of the scenario holds a high surrogate followed by a low one."""
+    ids = [item.id for item in scenario.entities + scenario.connections]
+    return any(
+        "\ud800" <= high <= "\udbff" and "\udc00" <= low <= "\udfff"
+        for text in ids
+        for high, low in zip(text, text[1:])
+    )
 
 
 def _distinct_ids(draw, ids, prefix: str, count: int) -> list[str]:

@@ -6,9 +6,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import conncalc.ablation
+import conncalc.metrics
 import conncalc.model
 from conncalc import (
     AttributeVector,
@@ -387,6 +389,48 @@ class TestAgainstTheOracle:
             return
         report = run_replacement(s, blocked_id, replacement)
         assert report == support.oracle_replacement(s, blocked_id, replacement)
+
+
+# A scenario whose score is negative from the start and at every step of a
+# least-first removal cut off after two steps.
+NEGATIVE_TOTAL = scenario_of(
+    conn("big", "a", "b", polarity=-1, magnitude=7),
+    conn("x", "a", "c", magnitude=Fraction(10, 3)),
+    conn("y", "a", "d", magnitude=1),
+)
+
+
+class TestIntegerEfficiency:
+    """Removal computes each step's efficiency in integers, never through
+    ``metrics.quality``, and gets the value that ``quality`` gives."""
+
+    @given(
+        st.one_of(support.scenarios(), support.coprime_scenarios()),
+        st.sampled_from(RemovalOrder),
+        max_steps_draws,
+    )
+    @example(NEGATIVE_TOTAL, RemovalOrder.LEAST_FIRST, 2)
+    @example(NEGATIVE_TOTAL, RemovalOrder.MOST_FIRST, None)
+    def test_equals_quality_of_the_step_score(self, s, order, max_steps):
+        if ideal_connectivity(s) == 0:
+            return
+        calls = []
+
+        def counted(actual, desired):
+            calls.append((actual, desired))
+            return quality(actual, desired)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(conncalc.metrics, "quality", counted)
+            patch.setattr(conncalc.ablation, "quality", counted)
+            trajectory = run_removal(s, order, max_steps)
+        assert calls == []
+        for step in trajectory.steps:
+            assert step.efficiency_percent == quality(step.score, trajectory.ideal)
+
+    def test_the_negative_example_goes_below_zero_and_is_cut_off(self):
+        trajectory = run_removal(NEGATIVE_TOTAL, RemovalOrder.LEAST_FIRST, max_steps=2)
+        assert [step.efficiency_percent < 0 for step in trajectory.steps] == [True, True]
 
 
 class TestValidationCount:

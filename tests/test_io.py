@@ -12,6 +12,7 @@ import random
 import re
 import sys
 from collections import Counter
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,17 +24,26 @@ import conncalc.model
 import conncalc.scenario_io
 from conncalc import (
     AttributeVector,
+    Band,
     ComputationError,
+    ConfusionCause,
+    ConfusionReport,
     Connection,
     ConnectionKind,
+    ConnectivityReport,
     Entity,
     ParseDiagnostic,
     ParseResult,
+    Path as ConnectionPath,
+    QualityTrajectory,
     RemovalOrder,
+    ReplacementReport,
     RosterHypothetical,
     RosterRef,
     Scenario,
+    ScoringMode,
     Severity,
+    TrajectoryStep,
     ValidationError,
     connectivity_score,
     detect_confusion,
@@ -52,7 +62,7 @@ from conncalc import (
     to_rational,
 )
 from conncalc.cli import main
-from conncalc.metrics import quality_report
+from conncalc.metrics import QualityReport, quality_report
 from conncalc.paths import PathsReport
 from conncalc.scenario_io import (
     _ATTRIBUTE_FIELDS,
@@ -66,6 +76,7 @@ from conncalc.scenario_io import (
     _fields,
     _plain_connection,
     _plain_entity,
+    json_text,
 )
 
 from . import support, test_cli
@@ -531,6 +542,13 @@ class TestPlainStep:
         assert tables == [_ENTITY_FIELDS, _ATTRIBUTE_FIELDS] * with_attributes
 
 
+# An id that ``support.hostile_ids`` can draw: its high and low surrogates
+# read back from JSON text as one character, so it cannot be written.
+PAIRED_ID_SCENARIO = Scenario(
+    entities=(make_entity("\ud800\udc00", "known"),), connections=(), host="\ud800\udc00"
+)
+
+
 class TestSerializeScenario:
     def test_fixtures_are_self_golden(self, office_path, confusion_path):
         for path in (office_path, confusion_path):
@@ -593,7 +611,12 @@ class TestSerializeScenario:
             desired_connectivity=Fraction(1, 3),
         )
     )
+    @example(PAIRED_ID_SCENARIO)
     def test_writes_the_reference_document(self, s):
+        if support.holds_surrogate_pair(s):
+            with pytest.raises(ComputationError, match="surrogate pair"):
+                serialize_scenario(s)
+            return
         expected = json.dumps(support.reference_doc(s), indent=2, ensure_ascii=True) + "\n"
         assert serialize_scenario(s) == expected
 
@@ -623,7 +646,12 @@ class TestRoundTrip:
         assert parse_scenario(serialize_scenario(office)).scenario == office
 
     @given(support.scenarios(ids=support.hostile_ids))
+    @example(PAIRED_ID_SCENARIO)
     def test_serialize_parse_serialize_is_stable(self, s):
+        if support.holds_surrogate_pair(s):
+            with pytest.raises(ComputationError, match="surrogate pair"):
+                serialize_scenario(s)
+            return
         text = serialize_scenario(s)
         result = parse_scenario(text)
         assert result.ok, error_text(result)
@@ -807,6 +835,136 @@ class TestEmitReport:
             emit_report(efficiency(office), "yaml")
         with pytest.raises(TypeError):
             emit_report({"score": 7})
+
+
+# Report strings: ids a writer must escape, lone surrogates included, and any text.
+report_strings = support.hostile_ids | st.text(max_size=6)
+
+
+@st.composite
+def report_paths(draw):
+    entities = draw(st.lists(report_strings, min_size=1, max_size=4))
+    # A one-entity path is a loop over one self-connection.
+    count = max(len(entities) - 1, 1)
+    hops = draw(st.lists(report_strings, min_size=count, max_size=count))
+    return ConnectionPath(tuple(entities), tuple(hops))
+
+
+def tuples(elements, max_size=4):
+    """Tuples of ``elements``, the empty one included."""
+    return st.lists(elements, max_size=max_size).map(tuple)
+
+
+# One strategy per report class of ``_TABLE_LINES``, built from its fields.
+REPORTS = {
+    ConnectivityReport: st.builds(
+        ConnectivityReport, support.rationals, support.rationals, support.rationals,
+        st.sampled_from(Band), st.sampled_from(ScoringMode),
+    ),
+    ConfusionReport: st.builds(
+        ConfusionReport, support.rationals, support.rationals, st.booleans(),
+        tuples(st.sampled_from(ConfusionCause)),
+    ),
+    QualityReport: st.builds(
+        QualityReport, support.rationals, support.rationals, support.rationals,
+        st.sampled_from(Band),
+    ),
+    QualityTrajectory: st.builds(
+        QualityTrajectory, st.sampled_from(RemovalOrder), support.rationals,
+        tuples(st.builds(TrajectoryStep, st.integers(0, 10**6), report_strings,
+                         support.rationals, support.rationals)),
+    ),
+    ReplacementReport: st.builds(
+        ReplacementReport, report_strings, report_strings, support.rationals,
+        support.rationals, support.rationals, support.rationals,
+    ),
+    PathsReport: st.builds(
+        PathsReport, report_strings, report_strings, st.integers(0, 99), tuples(report_paths())
+    ),
+    ValidationReport: st.builds(
+        ValidationReport, st.booleans(),
+        tuples(st.builds(ParseDiagnostic, st.sampled_from(Severity), report_strings,
+                         report_strings)),
+    ),
+}
+
+
+def reference_report_doc(report) -> dict:
+    """A report's document spelled out from its dataclass fields: a ``type``
+    key, then each field, rationals as :func:`support.reference_number` text,
+    enums by value and tuples as lists."""
+
+    def value(item):
+        if isinstance(item, Fraction):
+            return support.reference_number(item)
+        if isinstance(item, Enum):
+            return item.value
+        if isinstance(item, tuple):
+            return [value(element) for element in item]
+        if dataclasses.is_dataclass(item):
+            return {f.name: value(getattr(item, f.name)) for f in dataclasses.fields(item)}
+        return item
+
+    return {"type": _TABLE_LINES[type(report)].type, **value(report)}
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a report went through json.dumps")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | report_strings,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(report_strings, children, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestReportJson:
+    """Report JSON is ``json.dumps(doc, indent=2, ensure_ascii=True)``'s text,
+    written without json's encoder."""
+
+    def test_every_report_class_has_a_strategy(self):
+        assert set(REPORTS) == set(_TABLE_LINES)
+
+    @given(st.one_of(*REPORTS.values()))
+    def test_equals_json_dumps_of_the_document(self, report):
+        expected = json.dumps(reference_report_doc(report), indent=2, ensure_ascii=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(json.encoder, "_make_iterencode", _refuse)
+            patch.setattr(json, "dumps", _refuse)
+            assert emit_report(report, "machine") == expected
+
+    @given(json_values)
+    def test_writer_equals_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2, ensure_ascii=True)
+
+    def test_a_value_json_cannot_hold_is_refused(self):
+        with pytest.raises(TypeError):
+            json_text({"x": [1.5]})
+
+
+class TestReportTexts:
+    """Report rationals are printed each time, not kept in the rational-text memo."""
+
+    def test_a_long_trajectory_leaves_the_memo_unchanged(self):
+        steps = tuple(
+            TrajectoryStep(i, f"c{i}", Fraction(i, 7), Fraction(100 * i, 7 * 13))
+            for i in range(1, 401)
+        )
+        trajectory = QualityTrajectory(RemovalOrder.MOST_FIRST, Fraction(13, 3), steps)
+        texts = conncalc.model._texts
+        kept = dict(texts)
+        for fmt in ("table", "machine"):
+            assert "4900/91" in emit_report(trajectory, fmt)
+        assert conncalc.model._texts is texts
+        assert texts == kept
+
+    @pytest.mark.parametrize("fmt", ["table", "machine"])
+    def test_a_value_with_no_text_form_raises(self, fmt):
+        report = quality_report(Fraction(1, 2**6200), Fraction(1))
+        with pytest.raises(ComputationError, match="too long to print exactly"):
+            emit_report(report, fmt)
 
 
 class TestParseConnectionDoc:
