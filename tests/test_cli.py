@@ -864,18 +864,31 @@ HELP_COMMANDS = (
 GOLDEN_HELP = GOLDEN / "cli_help.txt"
 
 
+# Usage errors that each command's own parser reports, then an unknown command.
+USAGE_ERRORS = (
+    ["--format", "xml", "score", "scenario.json"],
+    ["score", "scenario.json", "--format", "xml"],
+    ["paths", "scenario.json", "--to", "b"],
+    ["paths", "scenario.json", "--from", "a", "--to", "b", "--max-hops", "0"],
+    ["ablate", "scenario.json"],
+    ["ablate", "scenario.json", "--order", "sideways"],
+    ["score", "scenario.json", "--mode", "loud"],
+    ["closure"],
+    ["frobnicate"],
+)
+
+
 def help_text() -> str:
-    """``--help`` of the root and of each command, then a bad ``--format``
-    before and after the command: each command line with its exit code,
-    stdout and stderr, at a fixed width of 80 columns.
+    """``--help`` of the root and of each command, then the usage errors of
+    ``USAGE_ERRORS``: each command line with its exit code, stdout and
+    stderr, at a fixed width of 80 columns.
 
     ``GOLDEN_HELP`` holds this text. A change that means to alter the help
     writes it again, from the repository root: ``PYTHONPATH=src python -c
     "from tests.test_cli import *; GOLDEN_HELP.write_text(help_text())"``."""
     lines = []
     argvs = [["--help"], *([command, "--help"] for command in HELP_COMMANDS)]
-    argvs += [["--format", "xml", "score", "scenario.json"]]
-    argvs += [["score", "scenario.json", "--format", "xml"]]
+    argvs += USAGE_ERRORS
     for argv in argvs:
         with (
             mock.patch.dict(os.environ, COLUMNS="80"),
