@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 parse or validation failure (unreadable and non-UTF-8
-files included), 2 a computation error on valid input (undefined ratio, unknown
-id, bad state transition) or output that cannot be encoded, 64 usage errors.
+files included) or an ``-o`` file that cannot be written, 2 a computation error
+on valid input (undefined ratio, unknown id, bad state transition) or output
+that cannot be encoded, 64 usage errors.
+
+A run builds the root parser and the parser of the one command it runs.
 """
 
 from __future__ import annotations
@@ -157,6 +160,74 @@ def _cmd_export_dot(args: argparse.Namespace):
     return export_dot(_load_scenario(args.file))
 
 
+def _option(*flags: str, **keywords):
+    return flags, keywords
+
+
+# The one list of commands: name, handler, help text, and the arguments the
+# command takes besides ``file`` and ``--format``.
+_COMMANDS = (
+    ("validate", _cmd_validate, "parse a scenario file and report diagnostics", ()),
+    ("score", _cmd_score, "report score, ideal, efficiency, and band", (
+        _option("--mode", choices=tuple(_MODES), default=None,
+                help="override the scenario's scoring mode"),
+    )),
+    ("quality", _cmd_quality, "report quality against the desired connectivity", ()),
+    ("confusion", _cmd_confusion, "assess confusion and its causes", ()),
+    ("paths", _cmd_paths, "enumerate simple paths between two entities", (
+        _option("--from", dest="src", required=True, metavar="ENTITY", help="start entity id"),
+        _option("--to", dest="dst", required=True, metavar="ENTITY", help="goal entity id"),
+        _option("--max-hops", type=_positive_int, default=3,
+                help="maximum connections per path (default: 3)"),
+        _option("--include-silent", action="store_true", help="let silent connections carry hops"),
+    )),
+    ("closure", _cmd_closure, "add silent connections until the law holds", (
+        _option("-o", "--output", help="write the closed scenario here instead of stdout"),
+    )),
+    ("ablate", _cmd_ablate, "run a removal or replacement experiment", (
+        _option("--order", choices=tuple(o.value for o in RemovalOrder), required=True,
+                help="removal order by importance"),
+        _option("--replace", type=_replace_spec, default=None, metavar="SPEC", help=(
+            "run a replacement instead: JSON with 'blocked' (connection id) "
+            "and 'connection' (the substitute connection object)"
+        )),
+    )),
+    ("export-dot", _cmd_export_dot, "render the scenario as a DOT graph", (
+        _option("-o", "--output", help="write the DOT text here instead of stdout"),
+    )),
+)
+
+
+class _CommandParser:
+    """Stands in for one command's parser until argparse first uses it, so a
+    run builds the parser of the command it runs and no other. ``add_parser``
+    passes its keywords here, the command's ``handler`` and ``options`` with
+    them."""
+
+    def __init__(self, *, handler, options, **keywords):
+        self._spec = handler, options, keywords
+
+    def __getattr__(self, name: str):
+        # Reached only for names the stand-in lacks, so whichever method
+        # argparse calls on a command's parser builds it first.
+        if "_parser" not in vars(self):
+            handler, options, keywords = self._spec
+            parser = _Parser(**keywords)
+            parser.add_argument("file", help="scenario JSON file")
+            # No default, so a root ``--format`` stands unless this one is given.
+            parser.add_argument(
+                "--format",
+                choices=tuple(_REPORT_FORMATS),
+                default=argparse.SUPPRESS,
+                help="output format for this command",
+            )
+            for flags, option in options:
+                parser.add_argument(*flags, **option)
+            parser.set_defaults(handler=handler)
+            self._parser = parser
+        return getattr(self._parser, name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="conncalc",
@@ -168,73 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format for reports (default: table)",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name: str, handler, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("file", help="scenario JSON file")
-        # No default, so a root ``--format`` stands unless this one is given.
-        p.add_argument(
-            "--format",
-            choices=tuple(_REPORT_FORMATS),
-            default=argparse.SUPPRESS,
-            help="output format for this command",
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar="command", parser_class=_CommandParser
+    )
+    for name, handler, help_text, options in _COMMANDS:
+        sub.add_parser(
+            name, help=help_text, description=help_text, handler=handler, options=options
         )
-        p.set_defaults(handler=handler)
-        return p
-
-    command("validate", _cmd_validate, "parse a scenario file and report diagnostics")
-
-    p = command("score", _cmd_score, "report score, ideal, efficiency, and band")
-    p.add_argument(
-        "--mode",
-        choices=tuple(_MODES),
-        default=None,
-        help="override the scenario's scoring mode",
-    )
-
-    command("quality", _cmd_quality, "report quality against the desired connectivity")
-    command("confusion", _cmd_confusion, "assess confusion and its causes")
-
-    p = command("paths", _cmd_paths, "enumerate simple paths between two entities")
-    p.add_argument("--from", dest="src", required=True, metavar="ENTITY", help="start entity id")
-    p.add_argument("--to", dest="dst", required=True, metavar="ENTITY", help="goal entity id")
-    p.add_argument(
-        "--max-hops",
-        type=_positive_int,
-        default=3,
-        help="maximum connections per path (default: 3)",
-    )
-    p.add_argument(
-        "--include-silent",
-        action="store_true",
-        help="let silent connections carry hops",
-    )
-
-    p = command("closure", _cmd_closure, "add silent connections until the law holds")
-    p.add_argument("-o", "--output", help="write the closed scenario here instead of stdout")
-
-    p = command("ablate", _cmd_ablate, "run a removal or replacement experiment")
-    p.add_argument(
-        "--order",
-        choices=tuple(o.value for o in RemovalOrder),
-        required=True,
-        help="removal order by importance",
-    )
-    p.add_argument(
-        "--replace",
-        type=_replace_spec,
-        default=None,
-        metavar="SPEC",
-        help=(
-            "run a replacement instead: JSON with 'blocked' (connection id) "
-            "and 'connection' (the substitute connection object)"
-        ),
-    )
-
-    p = command("export-dot", _cmd_export_dot, "render the scenario as a DOT graph")
-    p.add_argument("-o", "--output", help="write the DOT text here instead of stdout")
-
     return parser
 
 

@@ -3,20 +3,22 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 import conncalc
-from conncalc import law_holds, parse_scenario, serialize_scenario, silent_closure
-from conncalc.cli import main
+from conncalc import Connection, cli, law_holds, parse_scenario, serialize_scenario, silent_closure
+from conncalc.cli import ReplaceSpec, build_parser, main
 
 from .conftest import GOLDEN
 
@@ -316,6 +318,49 @@ class TestRenderCount:
         assert main(["--format", fmt, *args]) == 0
         assert len(calls) == renders
         assert capsys.readouterr().out
+
+
+class TestParserCount:
+    """A run builds the root parser and the parser of the command it runs,
+    and no other; the root's own help and usage errors build no command
+    parser."""
+
+    @pytest.mark.parametrize(
+        "argv, code, built",
+        [
+            (["validate", "{file}"], 0, ["validate"]),
+            (["score", "{file}"], 0, ["score"]),
+            (["quality", "{file}"], 0, ["quality"]),
+            (["--format", "json", "confusion", "{file}"], 0, ["confusion"]),
+            (["paths", "{file}", "--from", "Ea", "--to", "Ec"], 0, ["paths"]),
+            (["closure", "{file}"], 0, ["closure"]),
+            (["ablate", "{file}", "--order", "least-first"], 0, ["ablate"]),
+            (["export-dot", "{file}", "--format", "json"], 0, ["export-dot"]),
+            (["score", "--help"], 0, ["score"]),
+            (["ablate", "{file}"], 64, ["ablate"]),
+            (["--help"], 0, []),
+            (["frobnicate"], 64, []),
+            ([], 64, []),
+        ],
+        ids=[
+            "validate", "score", "quality", "confusion", "paths", "closure", "ablate",
+            "export-dot", "score-help", "ablate-usage-error", "help", "unknown-command",
+            "no-arguments",
+        ],
+    )
+    def test_one_command_parser_per_run(
+        self, argv, code, built, office_path, monkeypatch, capsys
+    ):
+        progs = []
+        original = conncalc.cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            progs.append(kwargs["prog"])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(conncalc.cli._Parser, "__init__", counted)
+        assert main([arg.format(file=office_path) for arg in argv]) == code
+        assert progs == ["conncalc", *(f"conncalc {command}" for command in built)]
 
 
 class TestUnprintableResult:
@@ -817,6 +862,115 @@ class TestJsonDocuments:
         assert capsys.readouterr().out == expected
 
 
+F = "scenario.json"
+
+# Each command line and every attribute of the namespace it parses to, so a
+# lost default, ``dest`` or ``set_defaults`` shows even where help would not.
+PARSED = {
+    "validate": (
+        ["validate", F],
+        dict(command="validate", format="table", file=F, handler=cli._cmd_validate),
+    ),
+    "root-format": (
+        ["--format", "json", "validate", F],
+        dict(command="validate", format="json", file=F, handler=cli._cmd_validate),
+    ),
+    "command-format": (
+        ["validate", F, "--format", "json"],
+        dict(command="validate", format="json", file=F, handler=cli._cmd_validate),
+    ),
+    "command-format-wins": (
+        ["--format", "json", "validate", F, "--format", "table"],
+        dict(command="validate", format="table", file=F, handler=cli._cmd_validate),
+    ),
+    "score": (
+        ["score", F],
+        dict(command="score", format="table", file=F, handler=cli._cmd_score, mode=None),
+    ),
+    "score-mode": (
+        ["--format", "json", "score", F, "--mode", "impact"],
+        dict(command="score", format="json", file=F, handler=cli._cmd_score, mode="impact"),
+    ),
+    "quality": (
+        ["quality", F],
+        dict(command="quality", format="table", file=F, handler=cli._cmd_quality),
+    ),
+    "confusion": (
+        ["confusion", F, "--format", "json"],
+        dict(command="confusion", format="json", file=F, handler=cli._cmd_confusion),
+    ),
+    "paths": (
+        ["paths", F, "--from", "a", "--to", "b"],
+        dict(
+            command="paths", format="table", file=F, handler=cli._cmd_paths,
+            src="a", dst="b", max_hops=3, include_silent=False,
+        ),
+    ),
+    "paths-options": (
+        ["paths", F, "--to", "b", "--from", "a", "--max-hops", "2", "--include-silent"],
+        dict(
+            command="paths", format="table", file=F, handler=cli._cmd_paths,
+            src="a", dst="b", max_hops=2, include_silent=True,
+        ),
+    ),
+    "closure": (
+        ["closure", F],
+        dict(command="closure", format="table", file=F, handler=cli._cmd_closure, output=None),
+    ),
+    "closure-output": (
+        ["closure", F, "-o", "out.json"],
+        dict(
+            command="closure", format="table", file=F, handler=cli._cmd_closure,
+            output="out.json",
+        ),
+    ),
+    "ablate": (
+        ["ablate", F, "--order", "most-first"],
+        dict(
+            command="ablate", format="table", file=F, handler=cli._cmd_ablate,
+            order="most-first", replace=None,
+        ),
+    ),
+    "ablate-replace": (
+        ["ablate", F, "--order", "least-first", "--replace", _REPLACE_SPEC],
+        dict(
+            command="ablate", format="table", file=F, handler=cli._cmd_ablate,
+            order="least-first",
+            replace=ReplaceSpec(
+                "ea-eb",
+                Connection(
+                    id="fresh", src="Ea", dst="Eb", kind="real", polarity=1,
+                    magnitude=Fraction(7),
+                ),
+            ),
+        ),
+    ),
+    "export-dot": (
+        ["export-dot", F],
+        dict(
+            command="export-dot", format="table", file=F, handler=cli._cmd_export_dot,
+            output=None,
+        ),
+    ),
+    "export-dot-output": (
+        ["--format", "json", "export-dot", F, "--output", "g.dot"],
+        dict(
+            command="export-dot", format="json", file=F, handler=cli._cmd_export_dot,
+            output="g.dot",
+        ),
+    ),
+}
+
+
+class TestParsedNamespace:
+    @pytest.mark.parametrize("name", PARSED)
+    def test_every_attribute(self, name):
+        argv, expected = PARSED[name]
+        parsed = vars(build_parser().parse_args(argv))
+        assert parsed["handler"] is expected["handler"]
+        assert parsed == expected
+
+
 class TestUsageAndErrors:
     def test_no_arguments(self, capsys):
         assert main([]) == 64
@@ -839,6 +993,15 @@ class TestUsageAndErrors:
         missing = tmp_path / "absent.json"
         assert main(["score", str(missing)]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["closure", "export-dot"])
+    @pytest.mark.parametrize("target, code", [(".", errno.EISDIR), ("missing/x.out", errno.ENOENT)])
+    def test_unwritable_output_file(self, command, target, code, office_path, tmp_path, capsys):
+        path = str(tmp_path / target)
+        assert main([command, str(office_path), "-o", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
 
     def test_warnings_go_to_stderr(self, tmp_path, capsys):
         doc = {
