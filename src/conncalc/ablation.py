@@ -92,7 +92,7 @@ def removal_schedule(scenario: Scenario, order: RemovalOrder) -> list[str]:
     # Integer values over one positive denominator rank as the values do.
     ranked = [(abs(value), conn_id) for conn_id, value in scenario.valuation.values.items()]
     if order is RemovalOrder.LEAST_FIRST:
-        ranked.sort(key=lambda pair: (pair[0], pair[1]))
+        ranked.sort()
     else:
         ranked.sort(key=lambda pair: (-pair[0], pair[1]))
     return [connection_id for _, connection_id in ranked]

@@ -159,22 +159,21 @@ def efficiency(scenario: Scenario) -> ConnectivityReport:
     )
 
 
-def _real_component_index(scenario: Scenario) -> dict[str, int]:
-    """Connected-component index over unblocked real connections."""
-    index = {e.id: i for i, e in enumerate(scenario.entities)}
-    parent = {i: i for i in index.values()}
+def _real_component_index(scenario: Scenario) -> dict[str, str]:
+    """Each entity id's component root over unblocked real connections."""
+    parent = {e.id: e.id for e in scenario.entities}
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(eid: str) -> str:
+        while parent[eid] != eid:
+            parent[eid] = parent[parent[eid]]
+            eid = parent[eid]
+        return eid
     for conn in scenario.connections:
         if conn.kind is ConnectionKind.REAL and not conn.blocked:
-            a, b = find(index[conn.src]), find(index[conn.dst])
+            a, b = find(conn.src), find(conn.dst)
             if a != b:
                 parent[a] = b
-    return {eid: find(i) for eid, i in index.items()}
+    return {eid: find(eid) for eid in parent}
 
 
 def detect_confusion(scenario: Scenario) -> ConfusionReport:

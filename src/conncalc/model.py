@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .errors import IntegrityError, ValidationError
+from .errors import ComputationError, IntegrityError, ValidationError
 
 MAGNITUDE_MIN = Fraction(1)
 MAGNITUDE_MAX = Fraction(10)
@@ -43,8 +43,7 @@ LITERAL_MAX_EXPONENT = 10_000
 
 
 class _LiteralTooLarge(ValueError):
-    """A numeric literal past the literal limits, or a number with no exact
-    text form to print."""
+    """A numeric literal past the literal limits."""
 
 
 def check_literal(text: str) -> None:
@@ -76,7 +75,8 @@ _memo_literal = lru_cache(maxsize=_MEMO_SIZE)(_literal)
 
 def _shortest_text(numerator: int, denominator: int) -> str:
     """Shortest exact text of the reduced fraction ``numerator/denominator``.
-    One whose digits pass Python's int-to-str limit has no exact text form."""
+    One whose digits pass Python's int-to-str limit has no exact text form:
+    it raises :class:`ComputationError`."""
     try:
         if denominator == 1:
             return str(numerator)
@@ -93,7 +93,7 @@ def _shortest_text(numerator: int, denominator: int) -> str:
         digits = str(abs(numerator) * 10**scale // denominator).rjust(scale + 1, "0")
     except ValueError:
         limit = sys.get_int_max_str_digits()
-        raise _LiteralTooLarge(f"number too long to print exactly (over {limit} digits)") from None
+        raise ComputationError(f"number too long to print exactly (over {limit} digits)") from None
     # The last digit is never 0: the numerator shares no factor with 2**twos * 5**fives.
     sign = "-" if numerator < 0 else ""
     return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
@@ -198,7 +198,7 @@ class AttributeVector:
                 )
             try:
                 _exact_text(value.numerator, value.denominator)
-            except _LiteralTooLarge as exc:
+            except ComputationError as exc:
                 raise ValidationError(f"attribute {name}: {exc}") from None
             object.__setattr__(self, name, value)
 
@@ -489,7 +489,7 @@ def _check_magnitude(subject: str, magnitude: Fraction, violations: list[Violati
     else:
         try:
             _exact_text(numerator, denominator)
-        except _LiteralTooLarge as exc:
+        except ComputationError as exc:
             violations.append(Violation(subject, "magnitude", str(exc)))
 
 
@@ -512,7 +512,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     if desired is not None:
         try:
             _exact_text(desired.numerator, desired.denominator)
-        except _LiteralTooLarge as exc:
+        except ComputationError as exc:
             violations.append(Violation("<scenario>", "desired_connectivity", str(exc)))
 
     if not scenario.host:

@@ -12,14 +12,14 @@ The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
 ``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
 record's on-disk fields: their keys, order, decoders, defaults and encoders.
 ``_fields`` reads any record by its table and is the one path that writes a
-diagnostic. A well-formed connection record, or entity record without
-``attributes``, takes the plain step first (``_plain_connection``,
-``_plain_entity``), which builds the record that ``_fields`` would have built;
-any other record goes through ``_fields``. ``_record_text`` writes a record:
-each encoder returns its field's JSON text (strings through the C
-``encode_basestring_ascii`` that ``json.dumps`` uses, rationals through the
-memoized ``format_rational``), laid out as ``json.dumps(indent=2)`` would
-(the layout of ``_json_block``), without building a document first.
+diagnostic. A well-formed connection record takes the plain step first
+(``_plain_connection``), which builds the record that ``_fields`` would have
+built; every other record, entities included, goes through ``_fields``.
+``_record_text`` writes a record: each encoder returns its field's JSON text
+(strings through the C ``encode_basestring_ascii`` that ``json.dumps`` uses,
+rationals through the memoized ``format_rational``), laid out as
+``json.dumps(indent=2)`` would (the layout of ``_json_block``), without
+building a document first.
 
 Every report is one document, a dict with a ``type`` key and one key per
 field, that ``emit_report`` prints as JSON or as table text filled in from
@@ -127,10 +127,7 @@ def format_rational(value) -> str:
     are memoized (see ``model._exact_text``).
     """
     value = to_rational(value)
-    try:
-        return _exact_text(value.numerator, value.denominator)
-    except _LiteralTooLarge as exc:
-        raise ComputationError(str(exc)) from None
+    return _exact_text(value.numerator, value.denominator)
 
 
 def _at(location: str | None, key: str) -> str:
@@ -324,24 +321,13 @@ def _parse_connection(item, location: str, diags: list[ParseDiagnostic]) -> Conn
     return _build(Connection, _fields(item, _CONNECTION_FIELDS, "connection", location, diags))
 
 
-# The plain step: a record that every field decoder accepts without a
-# diagnostic is built in one step; for any other, None comes back and the
-# record goes through ``_fields``, which writes every diagnostic. A value of a
-# type the decoders accept but these checks do not (an int magnitude, a str
-# subclass) takes the table path too, which builds the same record.
-_ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
+# The plain step: a connection record that every field decoder accepts
+# without a diagnostic is built in one step; for any other, None comes back
+# and the record goes through ``_fields``, which writes every diagnostic. A
+# value of a type the decoders accept but these checks do not (an int
+# magnitude, a str subclass) takes the table path too, which builds the same
+# record.
 _CONNECTION_KINDS = {kind.value: kind for kind in ConnectionKind}
-_DEFAULT_ATTRIBUTES = _ENTITY_FIELDS["attributes"][1]
-
-
-def _plain_entity(item) -> Entity | None:
-    """The entity of a well-formed record with no ``attributes``, or None."""
-    if type(item) is not dict or "attributes" in item or not item.keys() <= _ENTITY_FIELDS.keys():
-        return None
-    entity_id, kind = item.get("id"), item.get("kind")
-    if type(entity_id) is not str or type(kind) is not str or kind not in _ENTITY_KINDS:
-        return None
-    return Entity(entity_id, _ENTITY_KINDS[kind], _DEFAULT_ATTRIBUTES)
 
 
 def _plain_connection(item) -> Connection | None:
@@ -389,17 +375,15 @@ def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> Ro
     return _build(RosterHypothetical, values)
 
 
-def _item_list(
-    raw, key: str, parse, diags: list[ParseDiagnostic], plain=lambda item: None
-) -> list | None:
-    """The items of the array ``raw`` that ``plain`` builds or, failing that,
-    ``parse`` decodes, or None if it is not an array."""
+def _item_list(raw, key: str, parse, diags: list[ParseDiagnostic], plain=None) -> list | None:
+    """The items of the array ``raw`` that ``plain`` (when given) builds or,
+    failing that, ``parse`` decodes, or None if it is not an array."""
     if not isinstance(raw, list):
         diags.append(_err(key, f"expected an array, got {type(raw).__name__}"))
         return None
     items = []
     for i, item in enumerate(raw):
-        record = plain(item)
+        record = None if plain is None else plain(item)
         if record is None:
             record = parse(item, f"{key}[{i}]", diags)
             if record is None:
@@ -454,7 +438,7 @@ def parse_scenario(text: str) -> ParseResult:
     # A null entities or connections array is missing; a null roster is not an array.
     arrays = {}
     for key, parse, plain in (
-        ("entities", _parse_entity, _plain_entity),
+        ("entities", _parse_entity, None),
         ("connections", _parse_connection, _plain_connection),
     ):
         if doc.get(key) is None:
@@ -678,10 +662,7 @@ def _doc_value(value):
     if type(value) in _PLAIN_TYPES:
         return value
     if isinstance(value, Fraction):  # as format_rational, without the memo
-        try:
-            return _shortest_text(value.numerator, value.denominator)
-        except _LiteralTooLarge as exc:
-            raise ComputationError(str(exc)) from None
+        return _shortest_text(value.numerator, value.denominator)
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, tuple):

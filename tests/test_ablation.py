@@ -57,6 +57,8 @@ class TestRemovalOrder:
     def test_unknown_spelling_raises(self):
         with pytest.raises(ValueError):
             RemovalOrder("backwards")
+        with pytest.raises(ValueError):  # not a string: ``_missing_`` finds no member
+            RemovalOrder(3)
 
 
 class TestImportance:

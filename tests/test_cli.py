@@ -548,6 +548,13 @@ class TestPaths:
         )
         assert code == 64
 
+    def test_max_hops_must_be_an_integer(self, office_path, capsys):
+        code = main(
+            ["paths", str(office_path), "--from", "Ea", "--to", "Ec", "--max-hops", "abc"]
+        )
+        assert code == 64
+        assert "argument --max-hops: not an integer: 'abc'" in capsys.readouterr().err
+
 
 class TestClosure:
     def test_stdout(self, office_path, office, capsys):
@@ -613,6 +620,14 @@ class TestAblate:
         )
         assert code == 64
         assert "'blocked' and 'connection'" in capsys.readouterr().err
+
+    def test_replace_spec_blocked_must_be_a_string(self, office_path, capsys):
+        spec = json.dumps({"blocked": 5, "connection": {}})
+        code = main(
+            ["ablate", str(office_path), "--order", "least-first", "--replace", spec]
+        )
+        assert code == 64
+        assert "'blocked' must be a connection id string" in capsys.readouterr().err
 
     def test_replace_spec_nested_too_deep_is_a_usage_error(self, office_path, capsys):
         spec = "[" * 5000 + "]" * 5000

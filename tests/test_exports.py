@@ -95,3 +95,61 @@ def test_the_import_check_sees_an_unneeded_import(tmp_path):
     )
     assert unneeded_imports(path, []) == ["sample.py:5 Scenario"]
     assert unneeded_imports(path, ["Scenario"]) == []
+
+
+def unread_private_names(paths: list[Path]) -> list[str]:
+    """Module-level private names of ``paths`` (a ``def``, a ``class`` or an
+    assignment target) that no code in ``paths`` reads: no load of the name,
+    no attribute of that name, and no import of it."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in defined
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return found
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(sorted(SOURCE.glob("*.py"))) == []
+
+
+def test_the_private_name_check_sees_an_unread_name(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(
+        "__all__ = []\n"
+        "_LIMIT: int = 4\n"
+        "_KINDS, _SPARE = {}, {}\n"
+        "def _step(item):\n"
+        "    return _KINDS.get(item)\n"
+        "class _Helper:\n"
+        "    _private = 1\n"
+        "def _unused():\n"
+        "    return _Helper._private\n",
+        encoding="utf-8",
+    )
+    second.write_text("from .first import _step\nimport first\nfirst._LIMIT\n", encoding="utf-8")
+    assert unread_private_names([first]) == [
+        "first.py:2 _LIMIT", "first.py:3 _SPARE", "first.py:4 _step", "first.py:8 _unused"
+    ]
+    assert unread_private_names([first, second]) == ["first.py:3 _SPARE", "first.py:8 _unused"]
+

@@ -75,7 +75,6 @@ from conncalc.scenario_io import (
     _build,
     _fields,
     _plain_connection,
-    _plain_entity,
     json_text,
 )
 
@@ -439,13 +438,21 @@ class TestRationalTextCount:
             with pytest.raises(ComputationError, match="too long to print exactly"):
                 format_rational(Fraction(1, 2**6200))
 
+    def test_a_full_memo_is_emptied_and_texts_stay_right(self, monkeypatch):
+        monkeypatch.setattr(conncalc.model, "_texts", {})
+        size = conncalc.model._MEMO_SIZE
+        # A denominator of 7 (or 1) prints as ``str(Fraction)`` does.
+        values = [Fraction(n, 7) for n in range(1, size + 2)]
+        for _ in range(2):
+            assert [format_rational(v) for v in values] == list(map(str, values))
+            assert len(conncalc.model._texts) <= size
+
 
 # Each record type with a plain step: its array's key, the step, its field
 # table and class, and a well-formed record with only the required fields.
 PLAIN_STEPS = (
     ("connections", _plain_connection, _CONNECTION_FIELDS, Connection,
      {"id": "c", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": "2"}),
-    ("entities", _plain_entity, _ENTITY_FIELDS, Entity, {"id": "a", "kind": "known"}),
 )
 # One valid value off its default for each field of those tables. A field
 # added to a table needs one here, and the plain step must decode it.
@@ -453,11 +460,6 @@ PLAIN_SAMPLES = {
     "connections": {
         "id": "c1", "src": "a", "dst": "b", "kind": "silent", "polarity": -1,
         "magnitude": "7/2", "time_index": 3, "blocked": True, "confirmed": True,
-    },
-    "entities": {
-        "id": "a1", "kind": "hidden",
-        "attributes": {"existence": "0.5", "inner_state": "1/3", "external_state": "0.25",
-                       "communication_state": "0.9"},
     },
 }
 
@@ -478,13 +480,14 @@ def took_plain_step(plain, table: dict, cls, item) -> bool:
 
 
 class TestPlainStep:
-    """A well-formed record takes the plain step, which builds what the field
-    tables would build; only a record it refuses reaches ``_fields``."""
+    """A well-formed connection record takes the plain step, which builds what
+    the field tables would build; only a record it refuses, or an entity,
+    reaches ``_fields``."""
 
     def test_seeded_mutation_records_match_the_field_tables(self):
         docs = mutation_sources()
         taken = total = 0
-        for seed in range(4000):
+        for seed in range(7000):
             text = json.dumps(seeded_mutation(random.Random(seed), docs))
             doc = json.loads(text, parse_float=to_rational)
             for name, plain, table, cls, _ in PLAIN_STEPS:
@@ -518,9 +521,9 @@ class TestPlainStep:
                 diags = []
                 built = _build(cls, _fields(item, table, name, name, diags))
                 assert diags == [] and getattr(built, key) != default, key
-                assert took_plain_step(plain, table, cls, item) == (key != "attributes"), key
+                assert took_plain_step(plain, table, cls, item), key
 
-    def test_fields_decodes_only_entities_with_attributes(self, monkeypatch):
+    def test_fields_decodes_every_entity_and_no_connection(self, monkeypatch):
         s = support.random_scenario(
             support.random.Random(2024),
             max_entities=40,
@@ -528,8 +531,12 @@ class TestPlainStep:
             max_connections=2000,
             with_roster=False,
         )
-        with_attributes = sum(e.attributes != AttributeVector() for e in s.entities)
-        assert with_attributes > 0
+        expected = []
+        for e in s.entities:
+            expected.append(_ENTITY_FIELDS)
+            if e.attributes != AttributeVector():
+                expected.append(_ATTRIBUTE_FIELDS)
+        assert len(s.entities) < len(expected) < 2 * len(s.entities)
         tables = []
         original = conncalc.scenario_io._fields
 
@@ -539,7 +546,7 @@ class TestPlainStep:
 
         monkeypatch.setattr(conncalc.scenario_io, "_fields", counted)
         assert parse_scenario(serialize_scenario(s)).scenario == s
-        assert tables == [_ENTITY_FIELDS, _ATTRIBUTE_FIELDS] * with_attributes
+        assert tables == expected
 
 
 # An id that ``support.hostile_ids`` can draw: its high and low surrogates

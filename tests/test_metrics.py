@@ -97,6 +97,11 @@ class TestIdealConnectivity:
             ideal_connectivity(replace(s, ideal_roster=(RosterRef(ref="nope"),)))
         assert ideal_connectivity(replace(s, ideal_roster=(RosterRef(ref="c"),))) == 2
 
+    def test_connection_naming_a_missing_entity_is_an_integrity_error(self):
+        s = scenario_of(conn("c", "a", "b"), entities=(make_entity("a", "known"),))
+        with pytest.raises(IntegrityError, match="unknown entity id: 'b'"):
+            ideal_connectivity(s)
+
     @given(support.scenarios())
     def test_matches_oracle_and_is_non_negative(self, s):
         value = ideal_connectivity(s)
