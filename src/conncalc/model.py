@@ -99,24 +99,19 @@ def _shortest_text(numerator: int, denominator: int) -> str:
     return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
 
 
-# Values repeat as literals do, so up to _MEMO_SIZE texts are kept, all dropped
-# at once (one call, safe across threads) when full. A text longer than a
-# memoized literal is printed every call: 1/10**9999 has 10,001 characters.
-_texts: dict[tuple[int, int], str] = {}
+# Below 2**400 a numerator prints in at most 121 digits, and a denominator has
+# at most 399 factors of 2 or of 5, so each text form has under 640 digits, the
+# lowest limit sys.set_int_max_str_digits accepts (other than 0, no limit).
+_PRINTABLE_BITS = 400
 
 
-def _exact_text(numerator: int, denominator: int) -> str:
-    """:func:`_shortest_text`, memoized; errors are never cached. Validation
-    checks that every number has it, after any range check, so that what
-    validates can be written."""
-    text = _texts.get((numerator, denominator))
-    if text is None:
-        text = _shortest_text(numerator, denominator)
-        if len(text) <= _MEMO_LITERAL_LENGTH:
-            if len(_texts) >= _MEMO_SIZE:
-                _texts.clear()
-            _texts[numerator, denominator] = text
-    return text
+def _check_printable(numerator: int, denominator: int) -> None:
+    """Raise :class:`ComputationError` exactly when :func:`_shortest_text`
+    does, printing only a number too large to be sure of. Validation checks
+    every number, after any range check, so that what validates can be
+    written."""
+    if numerator.bit_length() > _PRINTABLE_BITS or denominator.bit_length() > _PRINTABLE_BITS:
+        _shortest_text(numerator, denominator)
 
 
 def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
@@ -197,7 +192,7 @@ class AttributeVector:
                     f"attribute out of open interval (0,1): {name}={_number_text(value)}"
                 )
             try:
-                _exact_text(value.numerator, value.denominator)
+                _check_printable(value.numerator, value.denominator)
             except ComputationError as exc:
                 raise ValidationError(f"attribute {name}: {exc}") from None
             object.__setattr__(self, name, value)
@@ -475,7 +470,7 @@ _MAGNITUDE_LOW, _MAGNITUDE_HIGH = MAGNITUDE_MIN.numerator, MAGNITUDE_MAX.numerat
 
 def _check_magnitude(subject: str, magnitude: Fraction, violations: list[Violation]) -> None:
     """The [1, 10] range rule for connections and hypothetical roster entries,
-    then the printing rule (see :func:`_exact_text`)."""
+    then the printing rule (see :func:`_check_printable`)."""
     numerator, denominator = magnitude.numerator, magnitude.denominator
     # A denominator is positive, so the range holds in integers.
     if not _MAGNITUDE_LOW * denominator <= numerator <= _MAGNITUDE_HIGH * denominator:
@@ -488,7 +483,7 @@ def _check_magnitude(subject: str, magnitude: Fraction, violations: list[Violati
         )
     else:
         try:
-            _exact_text(numerator, denominator)
+            _check_printable(numerator, denominator)
         except ComputationError as exc:
             violations.append(Violation(subject, "magnitude", str(exc)))
 
@@ -511,7 +506,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     desired = scenario.desired_connectivity
     if desired is not None:
         try:
-            _exact_text(desired.numerator, desired.denominator)
+            _check_printable(desired.numerator, desired.denominator)
         except ComputationError as exc:
             violations.append(Violation("<scenario>", "desired_connectivity", str(exc)))
 

@@ -17,7 +17,7 @@ diagnostic. A well-formed connection record takes the plain step first
 built; every other record, entities included, goes through ``_fields``.
 ``_record_text`` writes a record: each encoder returns its field's JSON text
 (strings through the C ``encode_basestring_ascii`` that ``json.dumps`` uses,
-rationals through the memoized ``format_rational``), laid out as
+rationals through ``format_rational``), laid out as
 ``json.dumps(indent=2)`` would (the layout of ``_json_block``), without
 building a document first.
 
@@ -25,8 +25,9 @@ Every report is one document, a dict with a ``type`` key and one key per
 field, that ``emit_report`` prints as JSON or as table text filled in from
 the same keys; ``_TABLE_LINES`` holds each report class's ``type`` and table
 text. ``json_text`` is the one JSON writer for reports: the same string
-encoder and ``_json_block``, never ``json.dumps``. Report rationals are
-printed each time, never memoized: a report's values seldom repeat.
+encoder and ``_json_block``, never ``json.dumps``. Every rational, in a
+scenario file, a DOT label or a report, is printed by ``format_rational``
+each time it is written; nothing keeps a text.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .model import (
     Scenario,
     ScoringMode,
     _LiteralTooLarge,
-    _exact_text,
     _number_text,
     _shortest_text,
     ensure_valid,
@@ -123,11 +123,11 @@ def format_rational(value) -> str:
     Integers print bare, dyadic/decimal denominators print as terminating
     decimals with no trailing zeros, everything else prints ``p/q``. A value
     whose digits exceed Python's int-to-str limit raises
-    :class:`ComputationError`: it has no exact text form to print. Texts
-    are memoized (see ``model._exact_text``).
+    :class:`ComputationError`: it has no exact text form to print. The text
+    is printed on every call and never kept.
     """
     value = to_rational(value)
-    return _exact_text(value.numerator, value.denominator)
+    return _shortest_text(value.numerator, value.denominator)
 
 
 def _at(location: str | None, key: str) -> str:
@@ -145,8 +145,6 @@ def _warn(location: str, message: str) -> ParseDiagnostic:
 
 def _warn_unknown(item: dict, known, location: str, diags: list[ParseDiagnostic]) -> None:
     """Warn at each key of ``item`` that the set or keys view ``known`` lacks."""
-    if item.keys() <= known:
-        return
     for key in sorted(item.keys() - known):
         diags.append(_warn(_at(location, key), "unknown key ignored"))
 
@@ -305,11 +303,8 @@ def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagno
 
 def _build(cls, values: dict | None):
     """``cls(**values)``, or None when any field failed to decode."""
-    if values is None:
+    if values is None or None in values.values():
         return None
-    for value in values.values():
-        if value is None:  # not ``None in``, which calls each Fraction's __eq__
-            return None
     return cls(**values)
 
 
@@ -661,7 +656,7 @@ def _doc_value(value):
     """JSON form of a report value: rationals as exact strings, enums by value."""
     if type(value) in _PLAIN_TYPES:
         return value
-    if isinstance(value, Fraction):  # as format_rational, without the memo
+    if isinstance(value, Fraction):
         return _shortest_text(value.numerator, value.denominator)
     if isinstance(value, Enum):
         return value.value

@@ -243,8 +243,24 @@ class TestValidate:
 
 
 class TestValidationCount:
-    """A command validates its scenario once: parsing does, and every metric
-    reads the result the scenario keeps."""
+    """A command validates each scenario it reads or builds once: parsing
+    validates the input, every metric reads the result the scenario keeps,
+    and a scenario the command builds is validated before it is used."""
+
+    @staticmethod
+    def _count(monkeypatch) -> list:
+        """The scenarios validated, counted under both names the function is
+        reachable by, so a validation through either one counts."""
+        calls = []
+        original = conncalc.model.validate_scenario
+
+        def counted(scenario):
+            calls.append(scenario)
+            return original(scenario)
+
+        monkeypatch.setattr(conncalc.model, "validate_scenario", counted)
+        monkeypatch.setattr(conncalc.scenario_io, "validate_scenario", counted)
+        return calls
 
     @pytest.mark.parametrize(
         "argv",
@@ -260,26 +276,42 @@ class TestValidationCount:
             ["--format", "json", "paths", "{file}", "--from", "Ea", "--to", "Ec"],
             ["--format", "json", "quality", "{file}"],
             ["ablate", "{file}", "--order", "least-first"],
+            ["export-dot", "{file}"],
         ],
         ids=[
             "score", "score-impact", "quality", "confusion", "json-score", "validate",
             "json-validate", "paths", "json-paths", "json-quality", "ablate-least-first",
+            "export-dot",
         ],
     )
     def test_one_validation_per_command(self, argv, office_path, monkeypatch):
-        calls = []
-        original = conncalc.model.validate_scenario
-
-        def counted(scenario):
-            calls.append(scenario)
-            return original(scenario)
-
-        # Both names the function is reachable by, so a validation through
-        # either one counts.
-        monkeypatch.setattr(conncalc.model, "validate_scenario", counted)
-        monkeypatch.setattr(conncalc.scenario_io, "validate_scenario", counted)
+        calls = self._count(monkeypatch)
         assert main([arg.format(file=office_path) for arg in argv]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["closure", "{file}"], [7, 22]),
+            (["ablate", "{file}", "--order", "least-first", "--replace", "{spec}"], [7, 8]),
+        ],
+        ids=["closure", "ablate-replace"],
+    )
+    def test_a_built_scenario_is_validated_once_more(
+        self, argv, sizes, office_path, monkeypatch, capsys
+    ):
+        # The input, then the scenario the command builds from it; ``sizes``
+        # are their connection counts.
+        calls = self._count(monkeypatch)
+        assert main([arg.format(file=office_path, spec=_REPLACE_SPEC) for arg in argv]) == 0
+        assert [len(s.connections) for s in calls] == sizes
+
+    def test_closure_of_a_closed_scenario_validates_once(self, office_path, tmp_path, monkeypatch):
+        closed = tmp_path / "closed.json"
+        assert main(["closure", str(office_path), "-o", str(closed)]) == 0
+        calls = self._count(monkeypatch)
+        assert main(["closure", str(closed), "-o", str(tmp_path / "again.json")]) == 0
+        assert [len(s.connections) for s in calls] == [22]
 
 
 class TestRenderCount:

@@ -390,62 +390,150 @@ class TestLiteralCheckCount:
         assert set(calls) <= set(literals)
 
 
-class TestRationalTextCount:
-    """Serializing prints each distinct rational once and writes its JSON text
-    without json's pure-Python encoder, which ``indent`` selects."""
+def _large_scenario():
+    return support.random_scenario(
+        support.random.Random(2024),
+        max_entities=40,
+        min_connections=2000,
+        max_connections=2000,
+    )
 
-    def test_each_distinct_rational_is_printed_once(self, monkeypatch):
-        s = support.random_scenario(
-            support.random.Random(2024),
-            max_entities=40,
-            min_connections=2000,
-            max_connections=2000,
-        )
-        written = {c.magnitude for c in s.connections} | {
+
+def _count_prints(monkeypatch) -> list[Fraction]:
+    """Count ``_shortest_text`` calls under both names it is reachable by:
+    the list of the values printed, in call order."""
+    printed = []
+    original = conncalc.model._shortest_text
+
+    def counted(numerator, denominator):
+        printed.append(Fraction(numerator, denominator))
+        return original(numerator, denominator)
+
+    monkeypatch.setattr(conncalc.model, "_shortest_text", counted)
+    monkeypatch.setattr(conncalc.scenario_io, "_shortest_text", counted)
+    return printed
+
+
+class TestRationalTextCount:
+    """Serializing prints each rational once per field it writes and writes
+    its JSON text without json's pure-Python encoder, which ``indent``
+    selects; parsing prints none."""
+
+    def test_each_written_rational_is_printed_once(self, monkeypatch):
+        s = _large_scenario()
+        written = [c.magnitude for c in s.connections] + [
             value
             for e in s.entities
             if e.attributes != AttributeVector()
             for value in e.attributes.as_tuple()
-        }
-        written |= {r.magnitude for r in s.ideal_roster or () if isinstance(r, RosterHypothetical)}
-        written |= {s.desired_connectivity} - {None}
+        ]
+        written += [r.magnitude for r in s.ideal_roster or () if isinstance(r, RosterHypothetical)]
+        written += [s.desired_connectivity] if s.desired_connectivity is not None else []
 
         def refuse(*args, **kwargs):
             raise AssertionError("json.encoder._make_iterencode was entered")
 
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-        printed = []
-        original = conncalc.model._shortest_text
-
-        def counted(numerator, denominator):
-            printed.append(Fraction(numerator, denominator))
-            return original(numerator, denominator)
-
-        monkeypatch.setattr(conncalc.model, "_shortest_text", counted)
-        monkeypatch.setattr(conncalc.model, "_texts", {})
+        printed = _count_prints(monkeypatch)
         text = serialize_scenario(s)
-        assert parse_scenario(text).scenario == s
         assert sorted(printed) == sorted(written)
+        assert parse_scenario(text).scenario == s
+
+    def test_parsing_prints_no_rational(self, monkeypatch):
+        s = _large_scenario()
+        text = serialize_scenario(s)
+        printed = _count_prints(monkeypatch)
+        assert parse_scenario(text).scenario == s
+        assert printed == []
 
     def test_a_long_text_is_printed_every_call_and_not_kept(self):
-        kept = dict(conncalc.model._texts)
         for _ in range(2):
             assert format_rational(Fraction(1, 10**9999)) == "0." + "0" * 9998 + "1"
-        assert conncalc.model._texts == kept
 
     def test_a_value_with_no_text_form_raises_on_every_call(self):
         for _ in range(2):
             with pytest.raises(ComputationError, match="too long to print exactly"):
                 format_rational(Fraction(1, 2**6200))
 
-    def test_a_full_memo_is_emptied_and_texts_stay_right(self, monkeypatch):
-        monkeypatch.setattr(conncalc.model, "_texts", {})
-        size = conncalc.model._MEMO_SIZE
-        # A denominator of 7 (or 1) prints as ``str(Fraction)`` does.
-        values = [Fraction(n, 7) for n in range(1, size + 2)]
-        for _ in range(2):
-            assert [format_rational(v) for v in values] == list(map(str, values))
-            assert len(conncalc.model._texts) <= size
+
+@contextlib.contextmanager
+def int_digit_limit(limit: int | None):
+    """Python's int-to-str digit limit set to ``limit`` (None leaves it),
+    restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(saved if limit is None else limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _print_outcome(check, value: Fraction) -> str | None:
+    """The message of the ComputationError ``check`` raises on ``value``, or None."""
+    try:
+        check(value.numerator, value.denominator)
+    except ComputationError as exc:
+        return str(exc)
+    return None
+
+
+def _ints_up_to_bits(bits: int):
+    return st.integers(0, bits).flatmap(lambda b: st.integers(-(2**b), 2**b))
+
+
+# Numerators and denominators on both sides of 400 bits, and denominators
+# whose decimal expansion is longer than either digit limit tested.
+printable_check_values = st.builds(
+    lambda numerator, twos, fives, odd: Fraction(numerator, 2**twos * 5**fives * odd),
+    _ints_up_to_bits(2400),
+    st.integers(0, 7000),
+    st.integers(0, 700),
+    st.integers(0, 500).flatmap(lambda b: st.integers(1, 2**b)),
+)
+
+
+class TestPrintableCheck:
+    """Validation's printability check raises exactly when printing does,
+    and prints no number that is sure to print."""
+
+    @pytest.mark.parametrize("limit", [None, 640], ids=["default", "640"])
+    @given(value=printable_check_values)
+    def test_raises_exactly_when_printing_does(self, limit, value):
+        with int_digit_limit(limit):
+            expected = _print_outcome(conncalc.model._shortest_text, value)
+            assert _print_outcome(conncalc.model._check_printable, value) == expected
+
+    @pytest.mark.parametrize(
+        "value, prints_at_4300, prints_at_640",
+        [
+            (Fraction(2**400 - 1, 2**399), True, True),
+            (Fraction(2**400, 2**401 + 1), True, True),
+            # The smallest numerator and denominator of this form past 640 digits.
+            (Fraction(2**641 - 1, 2**640), True, False),
+            (Fraction(1, 2**1000), True, False),
+            (Fraction(2**6200, 3), True, False),
+            (Fraction(1, 2**6200), False, False),
+        ],
+        ids=["400-bits", "p/q-past-400-bits", "641-bits", "1/2^1000", "2^6200/3", "1/2^6200"],
+    )
+    def test_pinned_values(self, value, prints_at_4300, prints_at_640):
+        for limit, prints in ((4300, prints_at_4300), (640, prints_at_640)):
+            with int_digit_limit(limit):
+                message = f"number too long to print exactly (over {limit} digits)"
+                assert _print_outcome(conncalc.model._shortest_text, value) == (
+                    None if prints else message
+                )
+                assert _print_outcome(conncalc.model._check_printable, value) == (
+                    None if prints else message
+                )
+
+    def test_a_400_bit_value_prints_401_characters_at_the_lowest_limit(self, monkeypatch):
+        value = Fraction(2**400 - 1, 2**399)
+        with int_digit_limit(640):
+            assert len(format_rational(value)) == 401
+            printed = _count_prints(monkeypatch)
+            conncalc.model._check_printable(value.numerator, value.denominator)
+            assert printed == []
 
 
 # Each record type with a plain step: its array's key, the step, its field
@@ -952,20 +1040,7 @@ class TestReportJson:
 
 
 class TestReportTexts:
-    """Report rationals are printed each time, not kept in the rational-text memo."""
-
-    def test_a_long_trajectory_leaves_the_memo_unchanged(self):
-        steps = tuple(
-            TrajectoryStep(i, f"c{i}", Fraction(i, 7), Fraction(100 * i, 7 * 13))
-            for i in range(1, 401)
-        )
-        trajectory = QualityTrajectory(RemovalOrder.MOST_FIRST, Fraction(13, 3), steps)
-        texts = conncalc.model._texts
-        kept = dict(texts)
-        for fmt in ("table", "machine"):
-            assert "4900/91" in emit_report(trajectory, fmt)
-        assert conncalc.model._texts is texts
-        assert texts == kept
+    """A report rational with no exact text form is refused, in both formats."""
 
     @pytest.mark.parametrize("fmt", ["table", "machine"])
     def test_a_value_with_no_text_form_raises(self, fmt):

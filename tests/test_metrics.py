@@ -300,6 +300,27 @@ class TestDetectConfusion:
         )
         assert ConfusionCause.MISSING_ENTITY_INFO not in detect_confusion(s).causes
 
+    @pytest.mark.parametrize(
+        "entities, connections",
+        [
+            pytest.param(
+                (make_entity("a", "known"), make_entity("b", "known"), make_entity("x", "hidden")),
+                (conn("aa", "a", "a"), conn("ab", "a", "b")),
+                id="isolated-hidden-entity",
+            ),
+            pytest.param(
+                (make_entity("a", "known"), make_entity("b", "known"), make_entity("c", "known")),
+                (conn("aa", "a", "a"), conn("ab", "a", "b"), conn("cc", "c", "c")),
+                id="entity-with-only-a-self-connection",
+            ),
+        ],
+    )
+    def test_no_cause_without_a_connection_that_shows_one(self, entities, connections):
+        # A hidden entity no connection touches, or an entity that no real
+        # path reaches but no non-self connection joins, is no cause.
+        s = Scenario(entities=entities, connections=connections, host="a", desired_connectivity=4)
+        assert detect_confusion(s).causes == ()
+
     @given(support.scenarios(with_desired=True))
     def test_confusion_invariant(self, s):
         report = detect_confusion(s)
