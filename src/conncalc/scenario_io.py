@@ -26,7 +26,7 @@ field, that ``emit_report`` prints as JSON or as table text filled in from
 the same keys; ``_TABLE_LINES`` holds each report class's ``type`` and table
 text. ``json_text`` is the one JSON writer for reports: the same string
 encoder and ``_json_block``, never ``json.dumps``. Every rational, in a
-scenario file, a DOT label or a report, is printed by ``format_rational``
+scenario file, a DOT label or a report, is printed by ``model._shortest_text``
 each time it is written; nothing keeps a text.
 """
 

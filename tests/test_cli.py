@@ -297,9 +297,7 @@ class TestValidationCount:
         ],
         ids=["closure", "ablate-replace"],
     )
-    def test_a_built_scenario_is_validated_once_more(
-        self, argv, sizes, office_path, monkeypatch, capsys
-    ):
+    def test_a_built_scenario_is_validated_once_more(self, argv, sizes, office_path, monkeypatch):
         # The input, then the scenario the command builds from it; ``sizes``
         # are their connection counts.
         calls = self._count(monkeypatch)
