@@ -9,6 +9,10 @@ boundary so serialized values reproduce byte for byte.
 Each scenario keeps one lazily built index: its validation result, impact
 factors, best connection per pair and kind, and a ``Valuation`` holding each
 connection's value as an integer over one denominator, so sums are exact.
+
+Parsed and closure-made connections, whose values are already typed, are
+built by ``_new_connection`` through an unfrozen twin class that is then
+swapped for ``Connection``, which skips the frozen ``__init__``'s setattr calls.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ __all__ = [
 
 import decimal
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -80,10 +84,8 @@ def _shortest_text(numerator: int, denominator: int) -> str:
     try:
         if denominator == 1:
             return str(numerator)
-        rest, twos, fives = denominator, 0, 0
-        while rest % 2 == 0:
-            rest //= 2
-            twos += 1
+        twos = (denominator & -denominator).bit_length() - 1
+        rest, fives = denominator >> twos, 0
         while rest % 5 == 0:
             rest //= 5
             fives += 1
@@ -241,6 +243,21 @@ class Connection:
 
     def endpoints(self) -> frozenset[str]:
         return frozenset((self.src, self.dst))
+
+
+# Unfrozen, the twin sets its slots without the frozen __init__'s object.__setattr__
+# calls. CPython lets an instance change class only between identical slot layouts.
+_ConnectionTwin = make_dataclass(
+    "_ConnectionTwin", [(f.name, f.type) for f in fields(Connection)], slots=True
+)
+
+
+def _new_connection(*values) -> Connection:
+    """``Connection(*values)`` for values that already have their field types
+    (all nine given), without ``__post_init__``'s coercions."""
+    record = _ConnectionTwin(*values)
+    record.__class__ = Connection
+    return record
 
 
 @dataclass(frozen=True, slots=True)

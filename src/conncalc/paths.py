@@ -19,7 +19,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import IntegrityError, StateError, ValidationError
-from .model import Connection, ConnectionKind, Scenario
+from .model import Connection, ConnectionKind, Scenario, _new_connection
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,13 +149,9 @@ def silent_closure(scenario: Scenario) -> Scenario:
     """
     used = {c.id for c in scenario.connections}
     additions = tuple(
-        Connection(
-            id=_fresh_id(f"sc:{a}:{b}", used),
-            src=a,
-            dst=b,
-            kind=kind,
-            polarity=1 if kind is ConnectionKind.SELF else -1,
-            magnitude=Fraction(1),
+        _new_connection(
+            _fresh_id(f"sc:{a}:{b}", used), a, b, kind,
+            1 if kind is ConnectionKind.SELF else -1, _ONE, 0, False, False,
         )
         for kind, a, b in _closure_gaps(scenario)
     )

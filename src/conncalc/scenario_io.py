@@ -14,7 +14,8 @@ record's on-disk fields: their keys, order, decoders, defaults and encoders.
 ``_fields`` reads any record by its table and is the one path that writes a
 diagnostic. A well-formed connection record takes the plain step first
 (``_plain_connection``), which builds the record that ``_fields`` would have
-built; every other record, entities included, goes through ``_fields``.
+built, through ``model._new_connection``; every other record, entities
+included, goes through ``_fields``.
 ``_record_text`` writes a record: each encoder returns its field's JSON text
 (strings through the C ``encode_basestring_ascii`` that ``json.dumps`` uses,
 rationals through ``format_rational``), laid out as
@@ -61,6 +62,7 @@ from .model import (
     Scenario,
     ScoringMode,
     _LiteralTooLarge,
+    _new_connection,
     _number_text,
     _shortest_text,
     ensure_valid,
@@ -346,7 +348,9 @@ def _plain_connection(item) -> Connection | None:
     except ValueError:  # _LiteralTooLarge too: the table path reports it
         return None
     kind = _CONNECTION_KINDS[kind]
-    return Connection(conn_id, src, dst, kind, polarity, magnitude, time_index, blocked, confirmed)
+    return _new_connection(
+        conn_id, src, dst, kind, polarity, magnitude, time_index, blocked, confirmed
+    )
 
 
 def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> RosterEntry | None:

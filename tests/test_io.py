@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import decimal
 import hashlib
 import io
 import json
@@ -118,6 +119,10 @@ DECIMAL_FRACTIONS = st.builds(
 )
 
 
+PRINTABLE_BITS = conncalc.model._PRINTABLE_BITS
+TERMINATING_EXPONENTS = (1, 2, 3, 10, 64, PRINTABLE_BITS - 1, PRINTABLE_BITS)
+
+
 class TestFormatRational:
     @pytest.mark.parametrize(
         ("value", "text"),
@@ -134,10 +139,28 @@ class TestFormatRational:
             (Fraction(-1, 3), "-1/3"),
             (Fraction(400, 9), "400/9"),
             (Fraction(1, 10**6), "0.000001"),
+            (Fraction(1, 6), "1/6"),
+            (Fraction(-7, 2**10 * 5**3 * 3), "-7/384000"),
         ],
     )
     def test_shortest_exact_form(self, value, text):
         assert format_rational(value) == text
+
+    @pytest.mark.parametrize(
+        ("twos", "fives"),
+        [(k, 0) for k in TERMINATING_EXPONENTS]
+        + [(0, k) for k in TERMINATING_EXPONENTS]
+        + [(1, 1), (3, 1), (1, 3), (7, 64), (64, 7), (PRINTABLE_BITS, 1), (1, PRINTABLE_BITS),
+           (PRINTABLE_BITS - 1, PRINTABLE_BITS), (PRINTABLE_BITS, PRINTABLE_BITS)],
+    )
+    def test_terminating_decimal_denominators(self, twos, fives):
+        # The expected text is the exact quotient in decimal arithmetic.
+        context = decimal.Context(prec=2 * PRINTABLE_BITS)
+        for numerator in (1, -3, 77, 2**PRINTABLE_BITS + 1):
+            value = Fraction(numerator, 2**twos * 5**fives)
+            quotient = context.divide(*map(decimal.Decimal, value.as_integer_ratio()))
+            assert not context.flags[decimal.Inexact]
+            assert format_rational(value) == format(quotient, "f"), (numerator, twos, fives)
 
     @given(support.rationals | DECIMAL_FRACTIONS)
     def test_output_reads_back_exactly(self, value):
@@ -456,6 +479,51 @@ class TestRationalTextCount:
                 format_rational(Fraction(1, 2**6200))
 
 
+def _count_connection_inits(monkeypatch) -> list[tuple]:
+    """Count ``Connection.__init__`` calls: the list of their arguments."""
+    calls = []
+    original = Connection.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Connection, "__init__", counted)
+    return calls
+
+
+class TestConnectionInitCount:
+    """Parsing a well-formed file and closing a scenario build their
+    connections without ``Connection.__init__``; a record only the field
+    table accepts is built by it once."""
+
+    def test_parsing_a_well_formed_file_calls_it_never(self, monkeypatch):
+        s = _large_scenario()
+        text = serialize_scenario(s)
+        inits = _count_connection_inits(monkeypatch)
+        assert parse_scenario(text).scenario == s
+        assert len(s.connections) == 2000 and inits == []
+
+    def test_closure_calls_it_never(self, monkeypatch):
+        s = Scenario(
+            entities=tuple(make_entity(f"e{i:02}", "known") for i in range(60)),
+            connections=(conn("c", "e00", "e01"),),
+            host="e00",
+        )
+        inits = _count_connection_inits(monkeypatch)
+        closed = silent_closure(s)
+        assert len(closed.connections) == 1 + 60 + 60 * 59 // 2 - 1
+        assert inits == []
+
+    def test_a_record_the_plain_step_refuses_calls_it_once(self, monkeypatch):
+        item = {"id": "ab", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": 2}
+        assert _plain_connection(item) is None
+        inits = _count_connection_inits(monkeypatch)
+        result = parse_doc(connections=[item])
+        assert result.ok and result.scenario.connection("ab").magnitude == 2
+        assert len(inits) == 1
+
+
 @contextlib.contextmanager
 def int_digit_limit(limit: int | None):
     """Python's int-to-str digit limit set to ``limit`` (None leaves it),
@@ -554,16 +622,23 @@ PLAIN_SAMPLES = {
 
 def took_plain_step(plain, table: dict, cls, item) -> bool:
     """Whether ``plain`` built ``item``; when it did, the field tables build
-    the same record, of the same field types, with no diagnostic."""
+    the same record, of the same class, hash and field types, with no
+    diagnostic, and the record is frozen."""
     record = plain(item)
     if record is None:
         return False
     diags = []
     built = _build(cls, _fields(item, table, "record", "record", diags))
-    assert diags == [] and built == record, item
+    assert diags == [] and built == record and type(record) is cls, item
+    assert hash(record) == hash(built), item
     assert [type(getattr(built, key)) for key in table] == [
         type(getattr(record, key)) for key in table
     ], item
+    for key in table:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, key, getattr(built, key))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, key)
     return True
 
 

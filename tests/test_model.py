@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import decimal
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ from conncalc import (
     ensure_valid,
     impact_factor,
     make_entity,
+    silent_closure,
     to_rational,
     validate_scenario,
     with_connection,
@@ -217,6 +221,38 @@ class TestEntityAndConnection:
         assert make_entity("x", "known").attributes == AttributeVector()
         with pytest.raises(ValidationError):
             make_entity("", "known")
+
+
+def _builder_values(which: str) -> tuple:
+    """The field values of a parsed sample record or of a closure addition."""
+    if which == "plain-sample":
+        from .test_io import PLAIN_SAMPLES  # a top-level import would be circular
+
+        record = Connection(**PLAIN_SAMPLES["connections"])
+    else:
+        entities = (make_entity("a", "known"), make_entity("b", "known"))
+        record = silent_closure(scenario_of(entities=entities)).connection("sc:a:b:0")
+    return tuple(getattr(record, f.name) for f in fields(Connection))
+
+
+class TestNewConnection:
+    """``model._new_connection`` builds the same frozen ``Connection`` as the
+    constructor from values that already have their field types."""
+
+    @pytest.mark.parametrize("which", ["plain-sample", "closure"])
+    def test_same_record_as_the_constructor(self, which):
+        values = _builder_values(which)
+        built, made = conncalc.model._new_connection(*values), Connection(*values)
+        assert type(built) is Connection
+        assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+        assert replace(built, blocked=True) == replace(made, blocked=True)
+        assert copy.deepcopy(built) == made
+        assert pickle.loads(pickle.dumps(built)) == made
+        with pytest.raises(FrozenInstanceError):
+            built.magnitude = Fraction(3)
+
+    def test_the_twin_has_the_same_slots(self):
+        assert conncalc.model._ConnectionTwin.__slots__ == Connection.__slots__
 
 
 class TestScenarioContainer:
