@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import ComputationError
 from .metrics import connectivity_score, ideal_connectivity, quality
-from .model import Connection, Scenario, connection_value, ensure_valid, with_connection
+from .model import Connection, Scenario, _builder, connection_value, ensure_valid, with_connection
 
 
 class RemovalOrder(str, Enum):
@@ -49,6 +49,9 @@ class TrajectoryStep:
     blocked_connection: str
     score: Fraction
     efficiency_percent: Fraction
+
+
+_new_step = _builder(TrajectoryStep)
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,11 +132,11 @@ def run_removal(
     for number, connection_id in enumerate(schedule, start=1):
         total -= values[connection_id]
         steps.append(
-            TrajectoryStep(
-                step=number,
-                blocked_connection=connection_id,
-                score=Fraction(total, valuation.denominator),
-                efficiency_percent=Fraction(scale * total, ideal_units),
+            _new_step(
+                number,
+                connection_id,
+                Fraction(total, valuation.denominator),
+                Fraction(scale * total, ideal_units),
             )
         )
     return QualityTrajectory(order=order, ideal=ideal, steps=tuple(steps))

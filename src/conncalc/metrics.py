@@ -213,9 +213,14 @@ def detect_confusion(scenario: Scenario) -> ConfusionReport:
     ):
         causes.append(ConfusionCause.MISSING_PATH_INFO)
 
-    self_mags = {c.magnitude for c in scenario.connections if c.kind is ConnectionKind.SELF}
-    other_mags = {c.magnitude for c in scenario.connections if c.kind is not ConnectionKind.SELF}
-    if self_mags and other_mags and len(self_mags | other_mags) > 1:
+    # Both kinds present and some magnitude unequal; ``is`` spares comparing shared objects.
+    connections = scenario.connections
+    first = connections[0].magnitude if connections else None
+    if (
+        any(c.kind is ConnectionKind.SELF for c in connections)
+        and any(c.kind is not ConnectionKind.SELF for c in connections)
+        and any(c.magnitude is not first and c.magnitude != first for c in connections)
+    ):
         causes.append(ConfusionCause.SELF_CONFLICT)
 
     confused = not (z > 0 and quality_percent > 50)

@@ -10,9 +10,10 @@ Each scenario keeps one lazily built index: its validation result, impact
 factors, best connection per pair and kind, and a ``Valuation`` holding each
 connection's value as an integer over one denominator, so sums are exact.
 
-Parsed and closure-made connections, whose values are already typed, are
-built by ``_new_connection`` through an unfrozen twin class that is then
-swapped for ``Connection``, which skips the frozen ``__init__``'s setattr calls.
+Records whose values are already typed (parsed and closed connections,
+removal steps) are built by a ``_builder`` function, which skips the frozen
+``__init__``'s setattr calls. Validation and ``impact_factors`` work once per
+distinct magnitude or attribute vector object, which records share.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import attrgetter
 
 from .errors import ComputationError, IntegrityError, ValidationError
 
@@ -187,9 +189,10 @@ class AttributeVector:
     communication_state: Fraction = DEFAULT_ATTRIBUTE
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self)):
+        for name in _ATTRIBUTE_NAMES:
             value = to_rational(getattr(self, name))
-            if not 0 < value < 1:
+            # A denominator is positive, so this is 0 < value < 1.
+            if not 0 < value.numerator < value.denominator:
                 raise ValidationError(
                     f"attribute out of open interval (0,1): {name}={_number_text(value)}"
                 )
@@ -200,7 +203,10 @@ class AttributeVector:
             object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return tuple(getattr(self, name) for name in _ATTRIBUTE_NAMES)
+
+
+_ATTRIBUTE_NAMES = tuple(f.name for f in fields(AttributeVector))
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,19 +251,25 @@ class Connection:
         return frozenset((self.src, self.dst))
 
 
-# Unfrozen, the twin sets its slots without the frozen __init__'s object.__setattr__
-# calls. CPython lets an instance change class only between identical slot layouts.
-_ConnectionTwin = make_dataclass(
-    "_ConnectionTwin", [(f.name, f.type) for f in fields(Connection)], slots=True
-)
+def _builder(cls):
+    """A function making ``cls(*values)``, every field given with its type, without
+    ``__post_init__`` or the frozen ``__init__``'s setattr calls: an unfrozen twin
+    sets the slots and takes ``cls`` as its class, which CPython allows only
+    between identical slot layouts."""
+    twin = make_dataclass(
+        f"_{cls.__name__}Twin", [(f.name, f.type) for f in fields(cls)], slots=True
+    )
+
+    def build(*values):
+        record = twin(*values)
+        record.__class__ = cls
+        return record
+
+    build.twin = twin
+    return build
 
 
-def _new_connection(*values) -> Connection:
-    """``Connection(*values)`` for values that already have their field types
-    (all nine given), without ``__post_init__``'s coercions."""
-    record = _ConnectionTwin(*values)
-    record.__class__ = Connection
-    return record
+_new_connection = _builder(Connection)
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,11 +313,9 @@ class Scenario:
     desired_connectivity: Fraction | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "entities", tuple(sorted(self.entities, key=attrgetter("id"))))
         object.__setattr__(
-            self, "entities", tuple(sorted(self.entities, key=lambda e: e.id))
-        )
-        object.__setattr__(
-            self, "connections", tuple(sorted(self.connections, key=lambda c: c.id))
+            self, "connections", tuple(sorted(self.connections, key=attrgetter("id")))
         )
         if self.ideal_roster is not None:
             object.__setattr__(self, "ideal_roster", tuple(self.ideal_roster))
@@ -350,7 +360,15 @@ class Scenario:
 
     @cached_property
     def impact_factors(self) -> dict[str, Fraction]:
-        return {e.id: impact_factor(e) for e in self.entities}
+        # One per distinct vector object; the entities keep each alive, so no id repeats.
+        by_vector: dict[int, Fraction] = {}
+        factors = {}
+        for e in self.entities:
+            factor = by_vector.get(id(e.attributes))
+            if factor is None:
+                factor = by_vector[id(e.attributes)] = impact_factor(e)
+            factors[e.id] = factor
+        return factors
 
     @cached_property
     def links(self) -> dict[str, dict[str, dict[ConnectionKind, Connection]]]:
@@ -455,7 +473,9 @@ def make_entity(
 
 def impact_factor(entity: Entity) -> Fraction:
     """Arithmetic mean of the four attribute values; strictly inside (0, 1)."""
-    return sum(entity.attributes.as_tuple(), Fraction(0)) / 4
+    values = entity.attributes.as_tuple()
+    common = lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (common // v.denominator) for v in values), 4 * common)
 
 
 def connection_value(
@@ -485,29 +505,27 @@ def connection_value(
 _MAGNITUDE_LOW, _MAGNITUDE_HIGH = MAGNITUDE_MIN.numerator, MAGNITUDE_MAX.numerator
 
 
-def _check_magnitude(subject: str, magnitude: Fraction, violations: list[Violation]) -> None:
+def _check_magnitude(magnitude: Fraction) -> str | None:
     """The [1, 10] range rule for connections and hypothetical roster entries,
-    then the printing rule (see :func:`_check_printable`)."""
+    then the printing rule (see :func:`_check_printable`): the message of the
+    first one broken, or None."""
     numerator, denominator = magnitude.numerator, magnitude.denominator
     # A denominator is positive, so the range holds in integers.
     if not _MAGNITUDE_LOW * denominator <= numerator <= _MAGNITUDE_HIGH * denominator:
-        violations.append(
-            Violation(
-                subject,
-                "magnitude",
-                f"magnitude {_number_text(magnitude)} outside [{MAGNITUDE_MIN}, {MAGNITUDE_MAX}]",
-            )
-        )
-    else:
-        try:
-            _check_printable(numerator, denominator)
-        except ComputationError as exc:
-            violations.append(Violation(subject, "magnitude", str(exc)))
+        return f"magnitude {_number_text(magnitude)} outside [{MAGNITUDE_MIN}, {MAGNITUDE_MAX}]"
+    try:
+        _check_printable(numerator, denominator)
+    except ComputationError as exc:
+        return str(exc)
+    return None
 
 
 def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Report every invariant breach; an empty list means the scenario is valid."""
     violations: list[Violation] = []
+    # id(magnitude) -> its _check_magnitude message: each distinct object is
+    # checked once. The scenario keeps every magnitude alive, so no id repeats.
+    checked: dict[int, str | None] = {}
 
     entity_ids: set[str] = set()
     for entity in scenario.entities:
@@ -560,7 +578,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(
                 Violation(subject, "polarity", f"polarity must be +1 or -1, got {conn.polarity}")
             )
-        _check_magnitude(subject, conn.magnitude, violations)
+        key = id(conn.magnitude)
+        if key not in checked:
+            checked[key] = _check_magnitude(conn.magnitude)
+        if checked[key] is not None:
+            violations.append(Violation(subject, "magnitude", checked[key]))
         if not isinstance(conn.time_index, int) or isinstance(conn.time_index, bool) or conn.time_index < 0:
             violations.append(
                 Violation(subject, "time_index", "time_index must be a non-negative integer")
@@ -580,7 +602,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                         violations.append(
                             Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
                         )
-                _check_magnitude(subject, entry.magnitude, violations)
+                key = id(entry.magnitude)
+                if key not in checked:
+                    checked[key] = _check_magnitude(entry.magnitude)
+                if checked[key] is not None:
+                    violations.append(Violation(subject, "magnitude", checked[key]))
 
     return violations
 

@@ -325,11 +325,12 @@ def _parse_connection(item, location: str, diags: list[ParseDiagnostic]) -> Conn
 # magnitude, a str subclass) takes the table path too, which builds the same
 # record.
 _CONNECTION_KINDS = {kind.value: kind for kind in ConnectionKind}
+_CONNECTION_KEYS = frozenset(_CONNECTION_FIELDS)
 
 
 def _plain_connection(item) -> Connection | None:
     """The connection of a well-formed record, or None."""
-    if type(item) is not dict or not item.keys() <= _CONNECTION_FIELDS.keys():
+    if type(item) is not dict or not _CONNECTION_KEYS.issuperset(item):
         return None
     get = item.get
     conn_id, src, dst, kind = get("id"), get("src"), get("dst"), get("kind")

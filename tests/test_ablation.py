@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +23,7 @@ from conncalc import (
     IntegrityError,
     RemovalOrder,
     Scenario,
+    TrajectoryStep,
     ValidationError,
     block,
     connectivity_score,
@@ -501,3 +502,35 @@ class TestImpactFactorCount:
         assert report.quality_after == report.quality_before
         assert len(calls) <= len(s.entities)
         assert len(calls) == len(set(calls))
+
+
+class TestStepInitCount:
+    """Removal builds its steps through the typed builder, never through the
+    frozen ``TrajectoryStep.__init__``."""
+
+    def test_removal_calls_it_never(self, monkeypatch):
+        s = support.random_scenario(
+            support.random.Random(2024),
+            max_entities=40,
+            min_connections=400,
+            max_connections=400,
+            with_roster=False,
+        )
+        built = run_removal(s, RemovalOrder.MOST_FIRST)
+        calls = []
+        original = TrajectoryStep.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args or kwargs)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrajectoryStep, "__init__", counted)
+        trajectory = run_removal(s, RemovalOrder.MOST_FIRST)
+        assert len(trajectory.steps) == 400 and calls == []
+        assert trajectory == built
+        step = trajectory.steps[0]
+        made = TrajectoryStep.__new__(TrajectoryStep)
+        original(made, step.step, step.blocked_connection, step.score, step.efficiency_percent)
+        assert type(step) is TrajectoryStep and step == made and hash(step) == hash(made)
+        with pytest.raises(FrozenInstanceError):
+            step.score = Fraction(0)

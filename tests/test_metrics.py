@@ -199,6 +199,11 @@ class TestEfficiency:
         assert (report.efficiency_percent == 100) == pristine
 
 
+# One of two shared magnitude objects, or a fresh object equal to one of them.
+_SHARED = st.sampled_from((Fraction(2), Fraction(3)))
+SHARED_OR_EQUAL_MAGNITUDES = _SHARED | _SHARED.map(lambda m: Fraction(m.numerator, m.denominator))
+
+
 class TestDetectConfusion:
     def test_confusion_fixture(self, confusion):
         report = detect_confusion(confusion)
@@ -320,6 +325,22 @@ class TestDetectConfusion:
         # path reaches but no non-self connection joins, is no cause.
         s = Scenario(entities=entities, connections=connections, host="a", desired_connectivity=4)
         assert detect_confusion(s).causes == ()
+
+    @given(
+        st.one_of(
+            support.scenarios(with_desired=True, magnitude_values=SHARED_OR_EQUAL_MAGNITUDES),
+            support.scenarios(with_desired=True),
+            support.scenarios(with_desired=True, max_entities=1),  # self-connections only
+            support.scenarios(with_desired=True, max_connections=0),
+        )
+    )
+    def test_self_conflict_matches_the_set_formula(self, s):
+        self_mags = {c.magnitude for c in s.connections if c.kind is ConnectionKind.SELF}
+        other_mags = {c.magnitude for c in s.connections if c.kind is not ConnectionKind.SELF}
+        expected = bool(self_mags and other_mags and len(self_mags | other_mags) > 1)
+        causes = detect_confusion(s).causes
+        assert (ConfusionCause.SELF_CONFLICT in causes) == expected
+        assert ConfusionCause.SELF_CONFLICT not in causes[:-1]
 
     @given(support.scenarios(with_desired=True))
     def test_confusion_invariant(self, s):

@@ -29,6 +29,8 @@ from conncalc import (
     ensure_valid,
     impact_factor,
     make_entity,
+    parse_scenario,
+    serialize_scenario,
     silent_closure,
     to_rational,
     validate_scenario,
@@ -174,6 +176,9 @@ class TestToRational:
         assert messages[0] == messages[1]
 
 
+TINY = Fraction(1, 10**100)
+
+
 class TestAttributeVector:
     def test_defaults(self):
         vec = AttributeVector()
@@ -191,6 +196,24 @@ class TestAttributeVector:
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             AttributeVector(existence=0.5)
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, 1, -TINY, TINY, 1 - TINY, 1 + TINY],
+        ids=["0", "1", "below-0", "above-0", "below-1", "above-1"],
+    )
+    def test_accepts_exactly_the_open_interval_at_its_bounds(self, value):
+        for name in ("existence", "inner_state", "external_state", "communication_state"):
+            if 0 < value < 1:
+                assert getattr(AttributeVector(**{name: value}), name) == value
+            else:
+                with pytest.raises(ValidationError, match=f"open interval \\(0,1\\): {name}="):
+                    AttributeVector(**{name: value})
+
+    @given(st.one_of(support.attribute_vectors, support.coprime_attribute_vectors))
+    def test_impact_factor_equals_the_oracle(self, vec):
+        entity = Entity(id="x", kind=EntityKind.KNOWN, attributes=vec)
+        assert impact_factor(entity) == support.oracle_impact(entity)
 
     @given(support.attribute_vectors)
     def test_impact_factor_is_the_mean_and_stays_inside_the_interval(self, vec):
@@ -252,7 +275,7 @@ class TestNewConnection:
             built.magnitude = Fraction(3)
 
     def test_the_twin_has_the_same_slots(self):
-        assert conncalc.model._ConnectionTwin.__slots__ == Connection.__slots__
+        assert conncalc.model._new_connection.twin.__slots__ == Connection.__slots__
 
 
 class TestScenarioContainer:
@@ -423,3 +446,98 @@ class TestValidation:
 
     def test_ensure_valid_passes_silently_on_valid_input(self):
         ensure_valid(scenario_of(conn("c", "a", "b")))
+
+    def test_shared_magnitude_objects_give_one_violation_per_record(self):
+        # Validation checks each distinct magnitude object once; every record
+        # holding a bad one still gets its own violation, in record order.
+        wide, equal_wide = Fraction(11), Fraction(11)
+        unprintable = Fraction(2**15000 + 1, 2**15000)  # in [1, 10], 15,001 digits
+        equal_unprintable = Fraction(2**15000 + 1, 2**15000)
+        s = scenario_of(
+            conn("c1", "a", "b", magnitude=wide),
+            conn("c2", "a", "b", magnitude=equal_wide),
+            conn("c3", "a", "b", magnitude=unprintable),
+            conn("c4", "a", "b", magnitude=wide),
+            conn("c5", "a", "b", magnitude=Fraction(2)),
+            conn("c6", "a", "b", magnitude=unprintable),
+            conn("c7", "a", "b", magnitude=equal_unprintable),
+            conn("c8", "a", "b", polarity=2, magnitude=wide),
+            ideal_roster=(
+                RosterHypothetical(src="a", dst="b", magnitude=wide),
+                RosterHypothetical(src="a", dst="b", magnitude=unprintable),
+            ),
+        )
+        assert s.connection("c4").magnitude is wide and s.ideal_roster[1].magnitude is unprintable
+        outside = "magnitude 11 outside [1, 10]"
+        too_long = "number too long to print exactly (over 4300 digits)"
+        assert [(v.subject, v.field, v.message) for v in validate_scenario(s)] == [
+            ("c1", "magnitude", outside),
+            ("c2", "magnitude", outside),
+            ("c3", "magnitude", too_long),
+            ("c4", "magnitude", outside),
+            ("c6", "magnitude", too_long),
+            ("c7", "magnitude", too_long),
+            ("c8", "polarity", "polarity must be +1 or -1, got 2"),
+            ("c8", "magnitude", outside),
+            ("ideal_roster[0]", "magnitude", outside),
+            ("ideal_roster[1]", "magnitude", too_long),
+        ]
+
+
+# The magnitude scale of the benchmark's generated files.
+MAGNITUDE_SCALE = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "1.5", "2.5", "7.25", "9.5")
+
+
+class TestSharedValueCounts:
+    """A parsed file shares one object per repeated literal, and validation
+    and impact factors do their work once per distinct object. These count
+    calls and never time anything."""
+
+    def test_validation_checks_each_distinct_magnitude_once(self, monkeypatch):
+        rng = support.random.Random(2024)
+        s = support.random_scenario(
+            rng, max_entities=40, min_connections=2000, max_connections=2000, with_roster=False
+        )
+        connections = tuple(
+            replace(c, magnitude=Fraction(rng.choice(MAGNITUDE_SCALE))) for c in s.connections
+        )
+        text = serialize_scenario(replace(s, connections=connections))
+        calls = []
+        original = conncalc.model._check_magnitude
+
+        def counted(magnitude):
+            calls.append(magnitude)
+            return original(magnitude)
+
+        monkeypatch.setattr(conncalc.model, "_check_magnitude", counted)
+        parsed = parse_scenario(text).scenario
+        assert parsed is not None and len(parsed.connections) == 2000
+        distinct = {id(c.magnitude) for c in parsed.connections}
+        assert len(calls) == len(distinct) <= len(MAGNITUDE_SCALE)
+
+    def test_impact_factors_value_each_distinct_vector_once(self, monkeypatch):
+        rng = support.random.Random(2024)
+        entities = [
+            make_entity(
+                f"e{i:04d}",
+                "known",
+                AttributeVector(*(Fraction(rng.randint(1, 99), 100) for _ in range(4)))
+                if i % 5 == 0
+                else None,
+            )
+            for i in range(1000)
+        ]
+        # Parsed, the 800 entities without attributes share the one default vector.
+        text = serialize_scenario(scenario_of(entities=tuple(entities), host="e0000"))
+        parsed = parse_scenario(text)
+        calls = []
+        original = conncalc.model.impact_factor
+
+        def counted(entity):
+            calls.append(entity.id)
+            return original(entity)
+
+        monkeypatch.setattr(conncalc.model, "impact_factor", counted)
+        factors = parsed.scenario.impact_factors
+        assert len(calls) <= 201
+        assert factors == {e.id: support.oracle_impact(e) for e in parsed.scenario.entities}
