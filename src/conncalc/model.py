@@ -583,7 +583,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             checked[key] = _check_magnitude(conn.magnitude)
         if checked[key] is not None:
             violations.append(Violation(subject, "magnitude", checked[key]))
-        if not isinstance(conn.time_index, int) or isinstance(conn.time_index, bool) or conn.time_index < 0:
+        t = conn.time_index
+        if not (type(t) is int and t >= 0) and (
+            not isinstance(t, int) or isinstance(t, bool) or t < 0
+        ):
             violations.append(
                 Violation(subject, "time_index", "time_index must be a non-negative integer")
             )

@@ -15,6 +15,7 @@ __all__ = [
     "Path", "block", "confirm_silent", "find_paths", "law_holds", "silent_closure", "unblock",
 ]
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -85,18 +86,21 @@ def find_paths(
 
     links = scenario.links
     kinds = {ConnectionKind.REAL, ConnectionKind.SILENT} if include_silent else {ConnectionKind.REAL}
-    # Depth first with an explicit stack; the sort below fixes the order.
+    # Depth first with an explicit stack; the sort below fixes the order. A
+    # trail never holds dst: the hop to dst is one lookup, and the other
+    # neighbours are scanned only while a further hop fits.
     sequences: list[tuple[str, ...]] = []
     stack = [(src,)]
     while stack:
         trail = stack.pop()
-        for nxt, joined in links.get(trail[-1], {}).items():
-            if nxt in trail or kinds.isdisjoint(joined):
-                continue
-            if nxt == dst:
-                sequences.append((*trail, nxt))
-            elif len(trail) < max_hops:
-                stack.append((*trail, nxt))
+        neighbours = links.get(trail[-1], {})
+        joined = neighbours.get(dst)
+        if joined is not None and not kinds.isdisjoint(joined):
+            sequences.append((*trail, dst))
+        if len(trail) < max_hops:
+            for nxt, joined in neighbours.items():
+                if nxt != dst and nxt not in trail and not kinds.isdisjoint(joined):
+                    stack.append((*trail, nxt))
     sequences.sort(key=lambda seq: (len(seq), seq))
     return [
         Path(entities=seq, hops=tuple(scenario.hop(a, b, kinds).id for a, b in zip(seq, seq[1:])))
@@ -116,11 +120,16 @@ def _closure_gaps(scenario: Scenario):
     for entity in scenario.entities:
         if entity.id not in with_self:
             yield ConnectionKind.SELF, entity.id, entity.id
-    joined = {c.endpoints() for c in scenario.connections if c.src != c.dst}
+    neighbours: defaultdict[str, set[str]] = defaultdict(set)
+    for c in scenario.connections:
+        if c.src != c.dst:
+            neighbours[c.src].add(c.dst)
+            neighbours[c.dst].add(c.src)
     ids = [e.id for e in scenario.entities]
     for i, a in enumerate(ids):
+        joined = neighbours[a]
         for b in ids[i + 1 :]:
-            if frozenset((a, b)) not in joined:
+            if b not in joined:
                 yield ConnectionKind.SILENT, a, b
 
 

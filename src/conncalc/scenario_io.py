@@ -28,7 +28,8 @@ the same keys; ``_TABLE_LINES`` holds each report class's ``type`` and table
 text. ``json_text`` is the one JSON writer for reports: the same string
 encoder and ``_json_block``, never ``json.dumps``. Every rational, in a
 scenario file, a DOT label or a report, is printed by ``model._shortest_text``
-each time it is written; nothing keeps a text.
+each time it is written (a DOT label once per signed magnitude object in one
+export); no text outlives the call that wrote it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
 from typing import NamedTuple
 
 from .ablation import QualityTrajectory, ReplacementReport
@@ -326,15 +328,19 @@ def _parse_connection(item, location: str, diags: list[ParseDiagnostic]) -> Conn
 # record.
 _CONNECTION_KINDS = {kind.value: kind for kind in ConnectionKind}
 _CONNECTION_KEYS = frozenset(_CONNECTION_FIELDS)
+_required_connection_keys = itemgetter("id", "src", "dst", "kind", "polarity", "magnitude")
 
 
 def _plain_connection(item) -> Connection | None:
     """The connection of a well-formed record, or None."""
     if type(item) is not dict or not _CONNECTION_KEYS.issuperset(item):
         return None
+    try:
+        conn_id, src, dst, kind, polarity, magnitude = _required_connection_keys(item)
+    except KeyError:
+        return None
     get = item.get
-    conn_id, src, dst, kind = get("id"), get("src"), get("dst"), get("kind")
-    polarity, magnitude, time_index = get("polarity"), get("magnitude"), get("time_index", 0)
+    time_index = get("time_index", 0)
     blocked, confirmed = get("blocked", False), get("confirmed", False)
     if not (
         type(conn_id) is str and type(src) is str and type(dst) is str
@@ -573,15 +579,20 @@ def export_dot(scenario: Scenario) -> str:
             attrs.append('style="dashed"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {quoted[entity.id]}{suffix};")
+    # Each signed magnitude is quoted once; the scenario keeps every magnitude alive.
+    labels: dict[tuple[bool, int], str] = {}
     for conn in scenario.connections:
-        sign = "+" if conn.polarity > 0 else "-"
-        label = sign + format_rational(conn.magnitude)
+        key = (conn.polarity > 0, id(conn.magnitude))
+        label = labels.get(key)
+        if label is None:
+            sign = "+" if conn.polarity > 0 else "-"
+            label = labels[key] = _dot_quote(sign + format_rational(conn.magnitude))
         style = "solid" if conn.kind is ConnectionKind.REAL else "dashed"
-        attrs = [f"label={_dot_quote(label)}", f'style="{style}"']
-        if conn.blocked:
-            attrs.append('color="gray"')
-        attrs.append(f"id={_dot_quote(conn.id)}")
-        lines.append(f"  {quoted[conn.src]} -- {quoted[conn.dst]} [{', '.join(attrs)}];")
+        gray = ', color="gray"' if conn.blocked else ""
+        lines.append(
+            f"  {quoted[conn.src]} -- {quoted[conn.dst]}"
+            f' [label={label}, style="{style}"{gray}, id={_dot_quote(conn.id)}];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -8,17 +8,26 @@ between the two; a step that is quadratic reads near ``SCALE ** 2``. The
 counts are exact for the seeded files, so the test times nothing and cannot
 flake. Work done inside C without a call, such as big-integer arithmetic or
 a list scan, makes no event and is not seen.
+
+Path search is counted the same way, one ``find_paths`` call over two hops on
+the silent closure of generated scenarios of n and 2n entities, with the pair
+index already built. There every entity neighbours every other, so the
+two-hop paths grow with n; a search that scans the neighbours of the last
+entity on the last hop grows with n squared.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from conncalc import find_paths, parse_scenario, silent_closure
 from conncalc.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -41,9 +50,8 @@ def files(tmp_path_factory) -> list[str]:
     return [job["file"] for job in jobs]
 
 
-def profile_events(argv: list[str]) -> int:
-    """The ``call`` and ``c_call`` events of a ``main(argv)`` run after a
-    first, uncounted run of the same command."""
+def counted_events(call):
+    """``call()``'s result and the ``call`` and ``c_call`` events it made."""
     count = 0
 
     def profile(frame, event, arg):
@@ -51,13 +59,20 @@ def profile_events(argv: list[str]) -> int:
         if event == "call" or event == "c_call":
             count += 1
 
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
+def profile_events(argv: list[str]) -> int:
+    """The profile events of a ``main(argv)`` run after a first, uncounted
+    run of the same command."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-        sys.setprofile(profile)
-        try:
-            code = main(argv)
-        finally:
-            sys.setprofile(None)
+        code, count = counted_events(lambda: main(argv))
     assert code == 0
     return count
 
@@ -68,3 +83,30 @@ def test_profile_events_grow_linearly(files, command):
     small, large = (profile_events([name, path, *options]) for path in files)
     assert small > 0
     assert large / small <= MAX_RATIO, (command, small, large)
+
+
+# Two-hop paths between two entities of a closed graph number about n, and
+# the count reads about 2 from n to 2n entities; a search that scans every
+# neighbour on the last hop reads about 3.4.
+PATH_ENTITIES = 40
+MAX_PATH_RATIO = 2.5
+
+
+def path_search_events(n: int) -> int:
+    doc = gen.scenario_doc(
+        random.Random(3), n, 4 * n, silent_share=0.3, blocked_share=0.1, desired=False
+    )
+    closed = silent_closure(parse_scenario(json.dumps(doc)).scenario)
+    assert closed.links  # the pair index is built before counting
+    src, dst = closed.entities[0].id, closed.entities[-1].id
+    paths, count = counted_events(
+        lambda: find_paths(closed, src, dst, 2, include_silent=True)
+    )
+    assert len(paths) > n // 2
+    return count
+
+
+def test_path_search_events_grow_with_the_paths():
+    small, large = (path_search_events(n) for n in (PATH_ENTITIES, 2 * PATH_ENTITIES))
+    assert small > 0
+    assert large / small <= MAX_PATH_RATIO, (small, large)

@@ -892,9 +892,13 @@ class TestExportDot:
         assert [e.attrs["id"] for e in graph.edges] == ['a"b', 'c\\\\"d']
 
     def test_each_entity_id_is_quoted_once(self, monkeypatch):
-        s = support.random_scenario(
+        # Parsed from its file, as a command reads it: equal magnitude
+        # literals then share one object.
+        s = parse_scenario(serialize_scenario(support.random_scenario(
             support.random.Random(2024), max_entities=40, min_connections=2000, max_connections=2000
-        )
+        ))).scenario
+        labels = {(c.polarity > 0, id(c.magnitude)) for c in s.connections}
+        assert len(labels) < len(s.connections)
         quoted = []
         original = conncalc.scenario_io._dot_quote
 
@@ -906,7 +910,23 @@ class TestExportDot:
         text = export_dot(s)
         monkeypatch.undo()
         assert text == export_dot(s)
-        assert len(quoted) <= len(s.entities) + 2 * len(s.connections)
+        # Once per entity, once per connection id, once per distinct label.
+        assert len(quoted) <= len(s.entities) + len(s.connections) + len(labels)
+
+    def test_labels_follow_sign_and_value_not_the_magnitude_object(self):
+        shared = Fraction(5, 2)
+        s = scenario_of(
+            conn("ab", "a", "b", magnitude=shared),
+            conn("ac", "a", "c", polarity=-1, magnitude=shared),
+            conn("bc", "b", "c", magnitude=Fraction(5, 2)),
+            conn("bd", "b", "d", polarity=-1, magnitude=Fraction(5, 2)),
+        )
+        ab, ac, bc, bd = s.connections
+        assert ab.magnitude is ac.magnitude is shared
+        assert bc.magnitude is not shared and bd.magnitude is not shared
+        graph = parse_dot(export_dot(s))
+        labels = {e.attrs["id"]: e.attrs["label"] for e in graph.edges}
+        assert labels == {"ab": "+2.5", "ac": "-2.5", "bc": "+2.5", "bd": "-2.5"}
 
     def test_output_is_deterministic(self, office):
         assert export_dot(office) == export_dot(office)

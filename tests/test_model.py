@@ -420,6 +420,13 @@ class TestValidation:
         disguised = scenario_of(conn("c", "a", "b", time_index=True))
         assert any(v.field == "time_index" for v in validate_scenario(disguised))
 
+        class Tick(int):
+            pass
+
+        for value, flagged in ((Tick(3), False), (Tick(-1), True), (Fraction(2), True), ("2", True)):
+            s = scenario_of(conn("c", "a", "b", time_index=value))
+            assert any(v.field == "time_index" for v in validate_scenario(s)) is flagged, value
+
     def test_roster_ref_must_exist(self):
         s = scenario_of(conn("c", "a", "b"), ideal_roster=(RosterRef(ref="nope"),))
         assert any(v.field == "ref" for v in validate_scenario(s))

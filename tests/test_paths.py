@@ -28,6 +28,7 @@ from conncalc import (
     silent_closure,
     unblock,
 )
+from conncalc.paths import _closure_gaps
 
 from . import support
 from .test_model import conn, scenario_of
@@ -207,6 +208,22 @@ class TestSilentClosure:
         # the real a-loop id "sc:a:a:0" is taken by an unrelated connection
         assert "sc:a:a:1" in ids
         assert len(ids) == len(closed.connections)
+
+    @given(support.scenarios(max_connections=12))
+    def test_gaps_match_the_pair_set_formula(self, s):
+        # The oracle keeps the pair-set formula: one frozenset per joined pair
+        # and per tested pair. Blocked connections join, self-connections do not.
+        with_self = {c.src for c in s.connections if c.kind is ConnectionKind.SELF}
+        expected = [(ConnectionKind.SELF, e.id, e.id) for e in s.entities if e.id not in with_self]
+        joined = {c.endpoints() for c in s.connections if c.src != c.dst}
+        ids = [e.id for e in s.entities]
+        expected += [
+            (ConnectionKind.SILENT, a, b)
+            for i, a in enumerate(ids)
+            for b in ids[i + 1 :]
+            if frozenset((a, b)) not in joined
+        ]
+        assert list(_closure_gaps(s)) == expected
 
     @given(support.scenarios())
     def test_closure_establishes_the_law_and_validates(self, s):
