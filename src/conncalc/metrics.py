@@ -160,20 +160,19 @@ def efficiency(scenario: Scenario) -> ConnectivityReport:
 
 
 def _real_component_index(scenario: Scenario) -> dict[str, str]:
-    """Each entity id's component root over unblocked real connections."""
-    parent = {e.id: e.id for e in scenario.entities}
-
-    def find(eid: str) -> str:
-        while parent[eid] != eid:
-            parent[eid] = parent[parent[eid]]
-            eid = parent[eid]
-        return eid
-    for conn in scenario.connections:
-        if conn.kind is ConnectionKind.REAL and not conn.blocked:
-            a, b = find(conn.src), find(conn.dst)
-            if a != b:
-                parent[a] = b
-    return {eid: find(eid) for eid in parent}
+    """Each entity id's component label over unblocked real connections."""
+    links = scenario.real_links
+    component: dict[str, str] = {}
+    for e in scenario.entities:
+        if e.id not in component:
+            component[e.id] = e.id
+            stack = [e.id]
+            while stack:
+                for nxt in links.get(stack.pop(), ()):
+                    if nxt not in component:
+                        component[nxt] = e.id
+                        stack.append(nxt)
+    return component
 
 
 def detect_confusion(scenario: Scenario) -> ConfusionReport:
@@ -199,11 +198,8 @@ def detect_confusion(scenario: Scenario) -> ConfusionReport:
     quality_percent = quality(z, scenario.desired_connectivity)
 
     causes: list[ConfusionCause] = []
-    unclear = (EntityKind.HIDDEN, EntityKind.UNKNOWN)
-    if any(
-        scenario.entity(c.src).kind in unclear or scenario.entity(c.dst).kind in unclear
-        for c in scenario.connections
-    ):
+    unclear = {e.id for e in scenario.entities if e.kind is not EntityKind.KNOWN}
+    if any(c.src in unclear or c.dst in unclear for c in scenario.connections):
         causes.append(ConfusionCause.MISSING_ENTITY_INFO)
 
     component = _real_component_index(scenario)
@@ -281,7 +277,7 @@ def distance_sum(scenario: Scenario, path) -> Fraction | None:
     path = _check_path_args(scenario, path)
     total = Fraction(0)
     for a, b in zip(path, path[1:]):
-        best = scenario.hop(a, b)
+        best = scenario.links.get(a, {}).get(b)
         if best is None:
             return None
         total += connection_value(best, scenario)
@@ -299,7 +295,7 @@ def path_viability(scenario: Scenario, path) -> Fraction:
     path = _check_path_args(scenario, path)
     product = Fraction(1)
     for a, b in zip(path, path[1:]):
-        if scenario.hop(a, b) is None:
+        if b not in scenario.links.get(a, {}):
             return Fraction(0)
         product *= scenario.impact_factors[b]
     return product

@@ -6,7 +6,8 @@ law (every entity carries a self-connection and every entity pair is joined
 by at least one connection, silently if nothing real is known) and the
 blocking and confirmation life cycle of individual connections. One scan
 finds what the law lacks; ``law_holds`` and ``silent_closure`` share it.
-Path search walks the scenario's pair index, ``Scenario.links``.
+Path search walks the scenario's pair index, ``Scenario.real_links`` or,
+with silent connections, ``Scenario.links``.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ __all__ = [
     "Path", "block", "confirm_silent", "find_paths", "law_holds", "silent_closure", "unblock",
 ]
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import IntegrityError, StateError, ValidationError
-from .model import Connection, ConnectionKind, Scenario, _new_connection
+from .model import Connection, ConnectionKind, Scenario, _best_links, _new_connection
 
 _ONE = Fraction(1)
 
@@ -73,7 +73,8 @@ def find_paths(
     are ordered shortest first, then lexicographically by entity sequence.
 
     When src == dst the only admissible path is the trivial one over an
-    unblocked self-connection, if the entity has one.
+    unblocked self-connection, if the entity has one. The scenario must be
+    valid: a connection's kind is read from its endpoints.
     """
     scenario.entity(src)
     scenario.entity(dst)
@@ -81,11 +82,10 @@ def find_paths(
         raise ValueError(f"max_hops must be a positive integer, got {max_hops!r}")
 
     if src == dst:
-        loop = scenario.hop(src, src, {ConnectionKind.SELF})
+        loop = scenario.links.get(src, {}).get(src)
         return [] if loop is None else [Path(entities=(src,), hops=(loop.id,))]
 
-    links = scenario.links
-    kinds = {ConnectionKind.REAL, ConnectionKind.SILENT} if include_silent else {ConnectionKind.REAL}
+    links = scenario.links if include_silent else scenario.real_links
     # Depth first with an explicit stack; the sort below fixes the order. A
     # trail never holds dst: the hop to dst is one lookup, and the other
     # neighbours are scanned only while a further hop fits.
@@ -94,16 +94,15 @@ def find_paths(
     while stack:
         trail = stack.pop()
         neighbours = links.get(trail[-1], {})
-        joined = neighbours.get(dst)
-        if joined is not None and not kinds.isdisjoint(joined):
+        if dst in neighbours:
             sequences.append((*trail, dst))
         if len(trail) < max_hops:
-            for nxt, joined in neighbours.items():
-                if nxt != dst and nxt not in trail and not kinds.isdisjoint(joined):
+            for nxt in neighbours:
+                if nxt != dst and nxt not in trail:
                     stack.append((*trail, nxt))
     sequences.sort(key=lambda seq: (len(seq), seq))
     return [
-        Path(entities=seq, hops=tuple(scenario.hop(a, b, kinds).id for a, b in zip(seq, seq[1:])))
+        Path(entities=seq, hops=tuple(links[a][b].id for a, b in zip(seq, seq[1:])))
         for seq in sequences
     ]
 
@@ -120,16 +119,12 @@ def _closure_gaps(scenario: Scenario):
     for entity in scenario.entities:
         if entity.id not in with_self:
             yield ConnectionKind.SELF, entity.id, entity.id
-    neighbours: defaultdict[str, set[str]] = defaultdict(set)
-    for c in scenario.connections:
-        if c.src != c.dst:
-            neighbours[c.src].add(c.dst)
-            neighbours[c.dst].add(c.src)
+    joined = _best_links([c for c in scenario.connections if c.src != c.dst])
     ids = [e.id for e in scenario.entities]
     for i, a in enumerate(ids):
-        joined = neighbours[a]
+        neighbours = joined.get(a, {})
         for b in ids[i + 1 :]:
-            if b not in joined:
+            if b not in neighbours:
                 yield ConnectionKind.SILENT, a, b
 
 

@@ -133,6 +133,31 @@ def _joining(scenario: Scenario, a: str, b: str) -> list[Connection]:
     return [c for c in scenario.connections if not c.blocked and {c.src, c.dst} == {a, b}]
 
 
+def oracle_link(scenario: Scenario, a: str, b: str, kinds=frozenset(ConnectionKind)):
+    """The strongest unblocked connection of one of ``kinds`` joining a and b
+    (highest polarity x magnitude, smallest id on ties), or None."""
+    candidates = [c for c in _joining(scenario, a, b) if c.kind in kinds]
+    return min(candidates, key=lambda c: (-c.polarity * c.magnitude, c.id), default=None)
+
+
+def oracle_real_components(scenario: Scenario) -> dict[str, str]:
+    """Each entity id's union-find root over unblocked real connections."""
+    parent = {e.id: e.id for e in scenario.entities}
+
+    def find(eid: str) -> str:
+        while parent[eid] != eid:
+            parent[eid] = parent[parent[eid]]
+            eid = parent[eid]
+        return eid
+
+    for conn in scenario.connections:
+        if conn.kind is ConnectionKind.REAL and not conn.blocked:
+            a, b = find(conn.src), find(conn.dst)
+            if a != b:
+                parent[a] = b
+    return {eid: find(eid) for eid in parent}
+
+
 def oracle_distance_sum(scenario: Scenario, path) -> Fraction | None:
     """Sum over the hops of the strongest joining connection's value; None
     when a hop has no unblocked connection."""

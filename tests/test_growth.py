@@ -1,4 +1,4 @@
-"""Work grows linearly with the input on the read commands guarded here.
+"""Work grows linearly with the input on the commands guarded here.
 
 One warm ``cli.main`` run of each command is counted in Python profile
 events (``call`` and ``c_call``, through ``sys.setprofile``) on the
@@ -34,20 +34,34 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
 
 SIZE, SCALE = 300, 4
+# ``paths`` also takes ``--from``/``--to`` from the job's own ``paths`` command.
+# ``closure`` is left out: by the connection law its output grows with the
+# entity pairs, not with the connections.
 COMMANDS = {
     "validate": ["validate"],
+    "score": ["score"],
     "score-impact": ["score", "--mode", "impact"],
+    "quality": ["quality"],
     "confusion": ["confusion"],
+    "ablate-most-first": ["ablate", "--order", "most-first"],
+    "export-dot": ["export-dot"],
+    "paths": ["paths", "--max-hops", "2"],
 }
-# The ratios read about 3.5; 5 leaves room for changes that stay linear, and
-# a quadratic step reads near 16.
+# The ratios read 2.8-3.8; 5 leaves room for changes that stay linear, and a
+# quadratic step reads near 16.
 MAX_RATIO = 5
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory) -> list[str]:
-    jobs = gen.generate("analyze", 5, tmp_path_factory.mktemp("growth"), (SIZE, SCALE * SIZE))
-    return [job["file"] for job in jobs]
+def jobs(tmp_path_factory) -> list[dict]:
+    return gen.generate("analyze", 5, tmp_path_factory.mktemp("growth"), (SIZE, SCALE * SIZE))
+
+
+def path_ends(job: dict) -> list[str]:
+    """The ``--from``/``--to`` options of the job's ``paths`` command."""
+    argv = next(argv for argv, _ in job["commands"] if argv[0] == "paths")
+    start = argv.index("--from")
+    return argv[start : start + 4]
 
 
 def counted_events(call):
@@ -78,9 +92,14 @@ def profile_events(argv: list[str]) -> int:
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
-def test_profile_events_grow_linearly(files, command):
+def test_profile_events_grow_linearly(jobs, command):
     name, *options = COMMANDS[command]
-    small, large = (profile_events([name, path, *options]) for path in files)
+    small, large = (
+        profile_events(
+            [name, job["file"], *options, *(path_ends(job) if name == "paths" else ())]
+        )
+        for job in jobs
+    )
     assert small > 0
     assert large / small <= MAX_RATIO, (command, small, large)
 

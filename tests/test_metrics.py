@@ -40,6 +40,7 @@ from conncalc import (
     silent_closure,
     with_connection,
 )
+from conncalc.metrics import _real_component_index
 from conncalc.model import with_scoring_mode
 
 from . import support
@@ -590,3 +591,86 @@ class TestIndexCounts:
         assert len(s.connections) == 2000
         assert distance_sum(s, ids) == expected
         assert CountingTuple.iterations <= 1
+
+
+def _partition(labels: dict[str, str]) -> set[frozenset[str]]:
+    groups: dict[str, set[str]] = {}
+    for eid, label in labels.items():
+        groups.setdefault(label, set()).add(eid)
+    return {frozenset(group) for group in groups.values()}
+
+
+class TestPairIndexAgainstTheOracles:
+    """The flat pair indexes and the component walk over them against
+    from-scratch scans of the connections. Few shared magnitudes and two or
+    three entities make parallel connections and ties common; the drawn
+    scenarios hold blocked real and silent connections."""
+
+    @given(
+        st.one_of(
+            support.coprime_scenarios(),
+            support.scenarios(
+                min_entities=2, max_entities=3, magnitude_values=SHARED_OR_EQUAL_MAGNITUDES
+            ),
+        )
+    )
+    def test_links_hold_the_strongest_joining_connection(self, s):
+        ids = [e.id for e in s.entities]
+        assert set(s.links) <= set(ids) and set(s.real_links) <= set(ids)
+        for a in ids:
+            for b in ids:
+                assert s.links.get(a, {}).get(b) is support.oracle_link(s, a, b)
+                assert s.real_links.get(a, {}).get(b) is (
+                    support.oracle_link(s, a, b, {ConnectionKind.REAL})
+                )
+
+    def test_ties_keep_the_smallest_id(self):
+        s = scenario_of(
+            conn("c2", "a", "b", magnitude=5),
+            conn("c1", "b", "a", magnitude=5),
+            conn("c0", "a", "b", kind=ConnectionKind.SILENT, magnitude=5),
+            conn("c3", "a", "b", magnitude=6, blocked=True),
+        )
+        assert s.links["a"]["b"].id == s.links["b"]["a"].id == "c0"
+        assert s.real_links["a"]["b"].id == s.real_links["b"]["a"].id == "c1"
+
+    @given(
+        st.one_of(
+            support.scenarios(),
+            support.scenarios(min_entities=4, max_entities=8, max_connections=12),
+        )
+    )
+    def test_real_components_match_the_union_find(self, s):
+        labels = _real_component_index(s)
+        assert labels.keys() == {e.id for e in s.entities}
+        assert _partition(labels) == _partition(support.oracle_real_components(s))
+
+
+def _fresh_scenario() -> Scenario:
+    return scenario_of(
+        conn("aa", "a", "a"),
+        conn("ab", "a", "b"),
+        conn("bc", "b", "c", kind=ConnectionKind.SILENT),
+        conn("cd", "c", "d", blocked=True),
+        desired_connectivity=4,
+    )
+
+
+class TestPairIndexCounts:
+    """Each command builds only the pair index it reads."""
+
+    @pytest.mark.parametrize(
+        "call, unbuilt",
+        [
+            pytest.param(lambda s: find_paths(s, "a", "c", 3), "links", id="real-paths"),
+            pytest.param(detect_confusion, "links", id="confusion"),
+            pytest.param(
+                lambda s: find_paths(s, "a", "c", 3, include_silent=True), "real_links",
+                id="silent-paths",
+            ),
+        ],
+    )
+    def test_only_the_read_index_is_built(self, call, unbuilt):
+        s = _fresh_scenario()
+        call(s)
+        assert unbuilt not in vars(s)
