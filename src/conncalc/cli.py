@@ -11,6 +11,7 @@ A run builds the root parser and the parser of the one command it runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -250,20 +251,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command's records hold no reference cycles, so refcounting frees them;
+    # the cyclic collector is paused while it runs, and left as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code
-    try:
-        result = args.handler(args)
-        _write_output(args, result)
-    except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConncalcError, UnicodeEncodeError) as exc:  # computation errors; unencodable output
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 1 if isinstance(result, ValidationReport) and not result.valid else 0
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+        try:
+            result = args.handler(args)
+            _write_output(args, result)
+        except (ValidationError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ConncalcError, UnicodeEncodeError) as exc:  # computation errors; unencodable output
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return 1 if isinstance(result, ValidationReport) and not result.valid else 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run() -> None:

@@ -198,13 +198,14 @@ def detect_confusion(scenario: Scenario) -> ConfusionReport:
     quality_percent = quality(z, scenario.desired_connectivity)
 
     causes: list[ConfusionCause] = []
-    unclear = {e.id for e in scenario.entities if e.kind is not EntityKind.KNOWN}
+    known, self_kind = EntityKind.KNOWN, ConnectionKind.SELF  # read once each
+    unclear = {e.id for e in scenario.entities if e.kind is not known}
     if any(c.src in unclear or c.dst in unclear for c in scenario.connections):
         causes.append(ConfusionCause.MISSING_ENTITY_INFO)
 
     component = _real_component_index(scenario)
     if any(
-        c.kind is not ConnectionKind.SELF and component[c.src] != component[c.dst]
+        c.kind is not self_kind and component[c.src] != component[c.dst]
         for c in scenario.connections
     ):
         causes.append(ConfusionCause.MISSING_PATH_INFO)
@@ -213,8 +214,8 @@ def detect_confusion(scenario: Scenario) -> ConfusionReport:
     connections = scenario.connections
     first = connections[0].magnitude if connections else None
     if (
-        any(c.kind is ConnectionKind.SELF for c in connections)
-        and any(c.kind is not ConnectionKind.SELF for c in connections)
+        any(c.kind is self_kind for c in connections)
+        and any(c.kind is not self_kind for c in connections)
         and any(c.magnitude is not first and c.magnitude != first for c in connections)
     ):
         causes.append(ConfusionCause.SELF_CONFLICT)

@@ -556,6 +556,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         )
 
     conn_ids: set[str] = set()
+    self_kind = ConnectionKind.SELF  # read once, as in ``real_links``
     for conn in scenario.connections:
         subject = conn.id or "<connection>"
         if not conn.id:
@@ -569,11 +570,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         if conn.dst not in entity_ids:
             violations.append(Violation(subject, "dst", f"endpoint {conn.dst!r} is not an entity"))
         is_loop = conn.src == conn.dst
-        if is_loop and conn.kind is not ConnectionKind.SELF:
+        if is_loop and conn.kind is not self_kind:
             violations.append(
                 Violation(subject, "kind", "connection with src = dst must have kind self")
             )
-        if not is_loop and conn.kind is ConnectionKind.SELF:
+        if not is_loop and conn.kind is self_kind:
             violations.append(
                 Violation(subject, "kind", "kind self requires src = dst")
             )

@@ -115,17 +115,18 @@ def _closure_gaps(scenario: Scenario):
     order. Blocked connections still count: blocking suppresses a
     connection's value, it does not erase the connection.
     """
-    with_self = {c.src for c in scenario.connections if c.kind is ConnectionKind.SELF}
+    self_kind, silent = ConnectionKind.SELF, ConnectionKind.SILENT  # read once each
+    with_self = {c.src for c in scenario.connections if c.kind is self_kind}
     for entity in scenario.entities:
         if entity.id not in with_self:
-            yield ConnectionKind.SELF, entity.id, entity.id
+            yield self_kind, entity.id, entity.id
     joined = _best_links([c for c in scenario.connections if c.src != c.dst])
     ids = [e.id for e in scenario.entities]
     for i, a in enumerate(ids):
         neighbours = joined.get(a, {})
         for b in ids[i + 1 :]:
             if b not in neighbours:
-                yield ConnectionKind.SILENT, a, b
+                yield silent, a, b
 
 
 def law_holds(scenario: Scenario) -> bool:
@@ -155,7 +156,7 @@ def silent_closure(scenario: Scenario) -> Scenario:
     additions = tuple(
         _new_connection(
             _fresh_id(f"sc:{a}:{b}", used), a, b, kind,
-            1 if kind is ConnectionKind.SELF else -1, _ONE, 0, False, False,
+            1 if a == b else -1, _ONE, 0, False, False,  # +1 on a self-connection
         )
         for kind, a, b in _closure_gaps(scenario)
     )

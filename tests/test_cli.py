@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import os
@@ -1014,6 +1015,52 @@ class TestParsedNamespace:
         parsed = vars(build_parser().parse_args(argv))
         assert parsed["handler"] is expected["handler"]
         assert parsed == expected
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector while a command runs and leaves it
+    as it found it, on every exit."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        """The collector's state on entry to ``main``; restored afterwards."""
+        enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["score", "{office}"], 0),
+            (["--help"], 0),
+            (["score", "{bad}"], 1),
+            (["score", "{lonely}"], 2),
+            (["frobnicate"], 64),
+        ],
+        ids=["exit-0", "help", "exit-1", "exit-2", "exit-64"],
+    )
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, collector, argv, expected, office_path, bad_file, lonely_file, capsys
+    ):
+        files = {"office": office_path, "bad": bad_file, "lonely": lonely_file}
+        paused = []
+        original = cli.parse_scenario
+
+        def watched(text):
+            paused.append(not gc.isenabled())
+            return original(text)
+
+        with mock.patch.object(cli, "parse_scenario", watched):
+            assert main([arg.format(**files) for arg in argv]) == expected
+        assert gc.isenabled() is collector
+        assert all(paused) and len(paused) == (argv[0] == "score")
+
+    def test_a_raising_command_leaves_the_collector_as_it_found_it(self, collector, office_path):
+        with mock.patch.object(cli, "efficiency", side_effect=RuntimeError("boom")):
+            with pytest.raises(RuntimeError, match="boom"):
+                main(["score", str(office_path)])
+        assert gc.isenabled() is collector
 
 
 class TestUsageAndErrors:

@@ -9,6 +9,10 @@ counts are exact for the seeded files, so the test times nothing and cannot
 flake. Work done inside C without a call, such as big-integer arithmetic or
 a list scan, makes no event and is not seen.
 
+No command leaves reference cycles that grow with the input: with the
+cyclic collector paused, the objects ``gc.collect()`` finds after one warm
+``cli.main`` run are as many at both sizes, ``closure`` included.
+
 Path search is counted the same way, one ``find_paths`` call over two hops on
 the silent closure of generated scenarios of n and 2n entities, with the pair
 index already built. There every entity neighbours every other, so the
@@ -19,6 +23,7 @@ entity on the last hop grows with n squared.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -27,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+import conncalc.scenario_io
 from conncalc import find_paths, parse_scenario, silent_closure
 from conncalc.cli import main
 
@@ -47,6 +53,8 @@ COMMANDS = {
     "export-dot": ["export-dot"],
     "paths": ["paths", "--max-hops", "2"],
 }
+# Closure's output grows with the entity pairs, but it leaves no cycle either.
+CYCLE_COMMANDS = {**COMMANDS, "closure": ["closure"]}
 # The ratios read 2.8-3.8; 5 leaves room for changes that stay linear, and a
 # quadratic step reads near 16.
 MAX_RATIO = 5
@@ -91,17 +99,53 @@ def profile_events(argv: list[str]) -> int:
     return count
 
 
+def command_argv(command: str, job: dict) -> list[str]:
+    name, *options = CYCLE_COMMANDS[command]
+    return [name, job["file"], *options, *(path_ends(job) if name == "paths" else ())]
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_profile_events_grow_linearly(jobs, command):
-    name, *options = COMMANDS[command]
-    small, large = (
-        profile_events(
-            [name, job["file"], *options, *(path_ends(job) if name == "paths" else ())]
-        )
-        for job in jobs
-    )
+    small, large = (profile_events(command_argv(command, job)) for job in jobs)
     assert small > 0
     assert large / small <= MAX_RATIO, (command, small, large)
+
+
+def cycle_objects(argv: list[str]) -> int:
+    """The objects ``gc.collect()`` finds unreachable after a ``main(argv)``
+    run that follows a first, uncounted run, with collection paused
+    throughout: what the run left in reference cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            gc.collect()
+            assert main(argv) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", list(CYCLE_COMMANDS))
+def test_cycle_garbage_does_not_grow(jobs, command):
+    # The parsers argparse builds hold cycles: about a hundred objects a run.
+    small, large = (cycle_objects(command_argv(command, job)) for job in jobs)
+    assert small == large, (command, small, large)
+
+
+def test_a_cycle_per_record_fails_the_cycle_guard(jobs, monkeypatch):
+    original = conncalc.scenario_io._new_connection
+
+    def planted(*values):
+        cycle = []
+        cycle.append(cycle)
+        return original(*values)
+
+    monkeypatch.setattr(conncalc.scenario_io, "_new_connection", planted)
+    small, large = (cycle_objects(command_argv("validate", job)) for job in jobs)
+    assert large - small == (SCALE - 1) * SIZE
 
 
 # Two-hop paths between two entities of a closed graph number about n, and

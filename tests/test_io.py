@@ -413,6 +413,45 @@ class TestLiteralCheckCount:
         assert set(calls) <= set(literals)
 
 
+class TestMagnitudeDecodeCount:
+    """The plain step decodes each distinct connection magnitude literal once
+    per file, from the parse's literal table, however often the file repeats it."""
+
+    def test_each_distinct_magnitude_literal_is_decoded_once(self, monkeypatch):
+        s = support.random_scenario(
+            support.random.Random(2024),
+            max_entities=40,
+            min_connections=2000,
+            max_connections=2000,
+            with_roster=False,
+        )
+        text = serialize_scenario(s)
+        magnitudes = {c["magnitude"] for c in json.loads(text)["connections"]}
+        assert len(s.connections) == 2000 and 50 < len(magnitudes) < 100
+
+        decoded = []
+        original = conncalc.scenario_io.to_rational
+
+        def counted(value):
+            decoded.append(value)
+            return original(value)
+
+        monkeypatch.setattr(conncalc.scenario_io, "to_rational", counted)
+        assert parse_scenario(text).scenario == s
+        assert Counter(v for v in decoded if v in magnitudes) == Counter(magnitudes)
+
+    def test_a_literal_that_fails_to_decode_is_never_stored(self):
+        base = PLAIN_STEPS[0][4]
+        literals = {}
+        for magnitude in ("1/0", "1e99999", "x"):
+            assert _plain_connection({**base, "magnitude": magnitude}, literals) is None
+        assert literals == {}
+        first = _plain_connection({**base, "magnitude": "5/2"}, literals)
+        second = _plain_connection({**base, "id": "d", "magnitude": "5/2"}, literals)
+        assert literals == {"5/2": Fraction(5, 2)}
+        assert first.magnitude is second.magnitude is literals["5/2"]
+
+
 def _large_scenario():
     return support.random_scenario(
         support.random.Random(2024),
@@ -517,7 +556,7 @@ class TestConnectionInitCount:
 
     def test_a_record_the_plain_step_refuses_calls_it_once(self, monkeypatch):
         item = {"id": "ab", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": 2}
-        assert _plain_connection(item) is None
+        assert _plain_connection(item, {}) is None
         inits = _count_connection_inits(monkeypatch)
         result = parse_doc(connections=[item])
         assert result.ok and result.scenario.connection("ab").magnitude == 2
@@ -624,7 +663,7 @@ def took_plain_step(plain, table: dict, cls, item) -> bool:
     """Whether ``plain`` built ``item``; when it did, the field tables build
     the same record, of the same class, hash and field types, with no
     diagnostic, and the record is frozen."""
-    record = plain(item)
+    record = plain(item, {})
     if record is None:
         return False
     diags = []
@@ -674,6 +713,42 @@ class TestPlainStep:
             else:
                 item[key] = data.draw(values)
         took_plain_step(plain, table, cls, data.draw(st.just(item) | values))
+
+    # A null optional field, with and without an unknown key, and an unknown
+    # key beside the required ones: each takes the table path, which reports it.
+    @pytest.mark.parametrize(
+        "extra, diagnostics",
+        [
+            ({"time_index": None}, ["error c.time_index: time_index must be an integer"]),
+            ({"blocked": None}, ["error c.blocked: blocked must be true or false"]),
+            ({"confirmed": None}, ["error c.confirmed: confirmed must be true or false"]),
+            ({"time_index": None, "note": 1}, [
+                "warning c.note: unknown key ignored",
+                "error c.time_index: time_index must be an integer",
+            ]),
+            ({"blocked": None, "note": 1}, [
+                "warning c.note: unknown key ignored",
+                "error c.blocked: blocked must be true or false",
+            ]),
+            ({"confirmed": None, "note": 1}, [
+                "warning c.note: unknown key ignored",
+                "error c.confirmed: confirmed must be true or false",
+            ]),
+            ({"note": "x"}, ["warning c.note: unknown key ignored"]),
+            ({"blocked": True, "note": "x"}, ["warning c.note: unknown key ignored"]),
+        ],
+        ids=lambda value: "+".join(value) if isinstance(value, dict) else "",
+    )
+    def test_a_null_optional_or_an_unknown_key_takes_the_table_path(self, extra, diagnostics):
+        _, plain, table, cls, base = PLAIN_STEPS[0]
+        item = {**base, **extra}
+        assert not took_plain_step(plain, table, cls, item)
+        diags = []
+        built = _build(cls, _fields(item, table, "connection", "c", diags))
+        assert [str(d) for d in diags] == diagnostics
+        assert (built is None) == any(d.startswith("error") for d in diagnostics)
+        result = parse_doc(connections=[item])
+        assert [str(d).replace("connections[0]", "c") for d in result.diagnostics] == diagnostics
 
     def test_every_table_field_has_a_plain_sample(self):
         for name, plain, table, cls, _ in PLAIN_STEPS:
