@@ -5,7 +5,8 @@ files included) or an ``-o`` file that cannot be written, 2 a computation error
 on valid input (undefined ratio, unknown id, bad state transition) or output
 that cannot be encoded, 64 usage errors.
 
-A run builds the root parser and the parser of the one command it runs.
+The parser is built once per process, on the first run, and reused by every
+run after it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import gc
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -199,36 +201,7 @@ _COMMANDS = (
 )
 
 
-class _CommandParser:
-    """Stands in for one command's parser until argparse first uses it, so a
-    run builds the parser of the command it runs and no other. ``add_parser``
-    passes its keywords here, the command's ``handler`` and ``options`` with
-    them."""
-
-    def __init__(self, *, handler, options, **keywords):
-        self._spec = handler, options, keywords
-
-    def __getattr__(self, name: str):
-        # Reached only for names the stand-in lacks, so whichever method
-        # argparse calls on a command's parser builds it first.
-        if "_parser" not in vars(self):
-            handler, options, keywords = self._spec
-            parser = _Parser(**keywords)
-            parser.add_argument("file", help="scenario JSON file")
-            # No default, so a root ``--format`` stands unless this one is given.
-            parser.add_argument(
-                "--format",
-                choices=tuple(_REPORT_FORMATS),
-                default=argparse.SUPPRESS,
-                help="output format for this command",
-            )
-            for flags, option in options:
-                parser.add_argument(*flags, **option)
-            parser.set_defaults(handler=handler)
-            self._parser = parser
-        return getattr(self._parser, name)
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="conncalc",
@@ -241,12 +214,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format for reports (default: table)",
     )
     sub = parser.add_subparsers(
-        dest="command", required=True, metavar="command", parser_class=_CommandParser
+        dest="command", required=True, metavar="command", parser_class=_Parser
     )
     for name, handler, help_text, options in _COMMANDS:
-        sub.add_parser(
-            name, help=help_text, description=help_text, handler=handler, options=options
+        command = sub.add_parser(name, help=help_text, description=help_text)
+        command.add_argument("file", help="scenario JSON file")
+        # No default, so a root ``--format`` stands unless this one is given.
+        command.add_argument(
+            "--format",
+            choices=tuple(_REPORT_FORMATS),
+            default=argparse.SUPPRESS,
+            help="output format for this command",
         )
+        for flags, option in options:
+            command.add_argument(*flags, **option)
+        command.set_defaults(handler=handler)
     return parser
 
 

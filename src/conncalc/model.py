@@ -401,14 +401,13 @@ def _best_links(connections) -> dict[str, dict[str, Connection]]:
 
 
 def with_scoring_mode(scenario: Scenario, mode: ScoringMode) -> Scenario:
-    """The scenario under another scoring mode, keeping the parts of its index
-    that do not depend on the mode, so it is not validated again."""
+    """The scenario under another scoring mode, keeping every part of its index
+    but ``valuation``, the one part that depends on the mode, so it is not
+    validated again."""
     rescored = replace(scenario, scoring_mode=mode)
-    mode_free = (
-        "_entities_by_id", "_connections_by_id", "violations", "impact_factors", "links",
-        "real_links",
+    rescored.__dict__.update(
+        (k, v) for k, v in vars(scenario).items() if k not in ("scoring_mode", "valuation")
     )
-    rescored.__dict__.update((k, v) for k, v in vars(scenario).items() if k in mode_free)
     return rescored
 
 

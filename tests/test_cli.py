@@ -352,26 +352,26 @@ class TestRenderCount:
 
 
 class TestParserCount:
-    """A run builds the root parser and the parser of the command it runs,
-    and no other; the root's own help and usage errors build no command
-    parser."""
+    """The first run in a process builds the root parser and every command's
+    parser, in ``_COMMANDS`` order, whatever it runs; a later run builds
+    none."""
 
     @pytest.mark.parametrize(
-        "argv, code, built",
+        "argv, code",
         [
-            (["validate", "{file}"], 0, ["validate"]),
-            (["score", "{file}"], 0, ["score"]),
-            (["quality", "{file}"], 0, ["quality"]),
-            (["--format", "json", "confusion", "{file}"], 0, ["confusion"]),
-            (["paths", "{file}", "--from", "Ea", "--to", "Ec"], 0, ["paths"]),
-            (["closure", "{file}"], 0, ["closure"]),
-            (["ablate", "{file}", "--order", "least-first"], 0, ["ablate"]),
-            (["export-dot", "{file}", "--format", "json"], 0, ["export-dot"]),
-            (["score", "--help"], 0, ["score"]),
-            (["ablate", "{file}"], 64, ["ablate"]),
-            (["--help"], 0, []),
-            (["frobnicate"], 64, []),
-            ([], 64, []),
+            (["validate", "{file}"], 0),
+            (["score", "{file}"], 0),
+            (["quality", "{file}"], 0),
+            (["--format", "json", "confusion", "{file}"], 0),
+            (["paths", "{file}", "--from", "Ea", "--to", "Ec"], 0),
+            (["closure", "{file}"], 0),
+            (["ablate", "{file}", "--order", "least-first"], 0),
+            (["export-dot", "{file}", "--format", "json"], 0),
+            (["score", "--help"], 0),
+            (["ablate", "{file}"], 64),
+            (["--help"], 0),
+            (["frobnicate"], 64),
+            ([], 64),
         ],
         ids=[
             "validate", "score", "quality", "confusion", "paths", "closure", "ablate",
@@ -380,7 +380,7 @@ class TestParserCount:
         ],
     )
     def test_one_command_parser_per_run(
-        self, argv, code, built, office_path, monkeypatch, capsys
+        self, argv, code, office_path, monkeypatch, capsys
     ):
         progs = []
         original = conncalc.cli._Parser.__init__
@@ -390,8 +390,13 @@ class TestParserCount:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(conncalc.cli._Parser, "__init__", counted)
-        assert main([arg.format(file=office_path) for arg in argv]) == code
-        assert progs == ["conncalc", *(f"conncalc {command}" for command in built)]
+        argv = [arg.format(file=office_path) for arg in argv]
+        build_parser.cache_clear()
+        assert main(argv) == code
+        assert progs == ["conncalc", *(f"conncalc {command[0]}" for command in cli._COMMANDS)]
+        progs.clear()
+        assert main(argv) == code
+        assert progs == []
 
 
 class TestUnprintableResult:
@@ -1015,6 +1020,15 @@ class TestParsedNamespace:
         parsed = vars(build_parser().parse_args(argv))
         assert parsed["handler"] is expected["handler"]
         assert parsed == expected
+
+    def test_the_shared_parser_carries_nothing_between_runs(self):
+        # Each case twice, forward and then reverse, so every case follows
+        # others that set a root ``--format``, ``--mode``, ``-o`` or ``--replace``.
+        parser = build_parser()
+        for name in [*PARSED, *reversed(PARSED)]:
+            argv, expected = PARSED[name]
+            assert build_parser() is parser
+            assert vars(parser.parse_args(argv)) == expected, name
 
 
 class TestCollectorPause:

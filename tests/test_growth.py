@@ -9,9 +9,9 @@ counts are exact for the seeded files, so the test times nothing and cannot
 flake. Work done inside C without a call, such as big-integer arithmetic or
 a list scan, makes no event and is not seen.
 
-No command leaves reference cycles that grow with the input: with the
-cyclic collector paused, the objects ``gc.collect()`` finds after one warm
-``cli.main`` run are as many at both sizes, ``closure`` included.
+No command leaves reference cycles: with the cyclic collector paused,
+``gc.collect()`` finds no object after one warm ``cli.main`` run, at either
+size, ``closure`` included.
 
 Path search is counted the same way, one ``find_paths`` call over two hops on
 the silent closure of generated scenarios of n and 2n entities, with the pair
@@ -130,9 +130,8 @@ def cycle_objects(argv: list[str]) -> int:
 
 @pytest.mark.parametrize("command", list(CYCLE_COMMANDS))
 def test_cycle_garbage_does_not_grow(jobs, command):
-    # The parsers argparse builds hold cycles: about a hundred objects a run.
-    small, large = (cycle_objects(command_argv(command, job)) for job in jobs)
-    assert small == large, (command, small, large)
+    counts = [cycle_objects(command_argv(command, job)) for job in jobs]
+    assert counts == [0, 0], (command, counts)
 
 
 def test_a_cycle_per_record_fails_the_cycle_guard(jobs, monkeypatch):
