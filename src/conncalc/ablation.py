@@ -25,7 +25,16 @@ from fractions import Fraction
 
 from .errors import ComputationError
 from .metrics import connectivity_score, ideal_connectivity, quality
-from .model import Connection, Scenario, _builder, connection_value, ensure_valid, with_connection
+from .model import (
+    Connection,
+    Scenario,
+    _PRINTABLE_BITS,
+    _builder,
+    _check_printable,
+    connection_value,
+    ensure_valid,
+    with_connection,
+)
 
 
 class RemovalOrder(str, Enum):
@@ -110,7 +119,8 @@ def run_removal(
 
     Every step's efficiency divides by the intact scenario's ideal
     connectivity, so the trajectory reflects only the removals. max_steps
-    truncates the schedule; None runs it to the end.
+    truncates the schedule; None runs it to the end. A value with no exact
+    text form raises :class:`ComputationError` before its step is built.
     """
     order = RemovalOrder(order)
     schedule = removal_schedule(scenario, order)
@@ -128,17 +138,21 @@ def run_removal(
     # quality(score, ideal) in integers: score is total / valuation.denominator,
     # and the ideal is positive, so ideal_units is too.
     scale, ideal_units = 100 * ideal.denominator, valuation.denominator * ideal.numerator
+    # Reduced, a step's score and efficiency have numerators at most ``most``
+    # and ``scale * most`` in size, over divisors of the two denominators. Below
+    # _PRINTABLE_BITS every one prints; past it, each step is checked.
+    _check_printable(ideal.numerator, ideal.denominator)
+    most = sum(map(abs, values.values()))
+    check = max(scale * most, valuation.denominator, ideal_units).bit_length() > _PRINTABLE_BITS
     steps: list[TrajectoryStep] = []
     for number, connection_id in enumerate(schedule, start=1):
         total -= values[connection_id]
-        steps.append(
-            _new_step(
-                number,
-                connection_id,
-                Fraction(total, valuation.denominator),
-                Fraction(scale * total, ideal_units),
-            )
-        )
+        score = Fraction(total, valuation.denominator)
+        efficiency = Fraction(scale * total, ideal_units)
+        if check:
+            _check_printable(score.numerator, score.denominator)
+            _check_printable(efficiency.numerator, efficiency.denominator)
+        steps.append(_new_step(number, connection_id, score, efficiency))
     return QualityTrajectory(order=order, ideal=ideal, steps=tuple(steps))
 
 

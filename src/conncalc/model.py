@@ -403,11 +403,11 @@ def _best_links(connections) -> dict[str, dict[str, Connection]]:
 def with_scoring_mode(scenario: Scenario, mode: ScoringMode) -> Scenario:
     """The scenario under another scoring mode, keeping every part of its index
     but ``valuation``, the one part that depends on the mode, so it is not
-    validated again."""
-    rescored = replace(scenario, scoring_mode=mode)
-    rescored.__dict__.update(
-        (k, v) for k, v in vars(scenario).items() if k not in ("scoring_mode", "valuation")
-    )
+    validated again. Its fields are already sorted and typed, so it is built
+    without ``__post_init__``."""
+    rescored = object.__new__(Scenario)
+    rescored.__dict__.update(vars(scenario), scoring_mode=ScoringMode(mode))
+    rescored.__dict__.pop("valuation", None)
     return rescored
 
 

@@ -16,20 +16,20 @@ diagnostic. A well-formed connection record takes the plain step first
 (``_plain_connection``), which builds the record that ``_fields`` would have
 built, through ``model._new_connection``, with one magnitude decode per
 distinct literal in the file; every other record goes through ``_fields``.
-``_record_text`` writes a record: each encoder returns its field's JSON text
-(strings through the C ``encode_basestring_ascii`` that ``json.dumps`` uses,
-rationals through ``format_rational``), laid out as
-``json.dumps(indent=2)`` would (the layout of ``_json_block``), without
-building a document first.
-
-Every report is one document, a dict with a ``type`` key and one key per
-field, that ``emit_report`` prints as JSON or as table text filled in from
-the same keys; ``_TABLE_LINES`` holds each report class's ``type`` and table
-text. ``json_text`` is the one JSON writer for reports: the same string
-encoder and ``_json_block``, never ``json.dumps``. Every rational, in a
-scenario file, a DOT label or a report, is printed by ``model._shortest_text``
-each time it is written (a DOT label once per signed magnitude object in one
-export); no text outlives the call that wrote it.
+Writing is generated code, as ``dataclasses`` generates ``__init__``: the
+first ``serialize_scenario`` call in a process builds one writer per field
+table (``_scenario_writers``), and the first render of a report class in a
+format builds its writer for that format (``_report_writer``) from the
+class's fields and its ``_TABLE_LINES`` entry, which holds its ``type`` and
+table text. Each
+writer lays its record out in one f-string read straight from the record's
+attributes, as ``json.dumps(indent=2, ensure_ascii=True)`` would (the layout
+of ``_json_block``), with strings through the C ``encode_basestring_ascii``
+that ``json.dumps`` uses. Every report is one document, a ``type`` key and one
+key per field, written as JSON or as table text. Every rational is printed by
+``model._shortest_text``: once per distinct object per ``serialize_scenario``
+call, once per signed magnitude object per DOT export, and once per field in
+a report. No text outlives the call that wrote it.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 from .ablation import QualityTrajectory, ReplacementReport
 from .errors import ComputationError, ValidationError
@@ -250,10 +251,11 @@ def _json_flag(value: bool) -> str:
 
 
 # Field tables: record field -> (decoder, default when absent, encoder), in
-# the order fields are decoded, reported and written. An encoder returns the
-# field's JSON text; a str enum member is a string, written as its value. A
-# decoder that treats null as absent (``_string``, ``_polarity``) says
-# "missing required key" for it.
+# the order fields are decoded, reported and written, required fields first.
+# An encoder returns the field's JSON text (a str enum member is a string,
+# written as its value), or is the field table of a nested record. A decoder
+# that treats null as absent (``_string``, ``_polarity``) says "missing
+# required key" for it.
 _ATTRIBUTE_FIELDS = {
     "existence": (_number, _REQUIRED, _json_rational),
     "inner_state": (_number, _REQUIRED, _json_rational),
@@ -263,9 +265,7 @@ _ATTRIBUTE_FIELDS = {
 _ENTITY_FIELDS = {
     "id": (_string, _REQUIRED, _json_string),
     "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED, _json_string),
-    "attributes": (
-        _attributes, AttributeVector(), lambda a: _record_text(a, _ATTRIBUTE_FIELDS, "      ")
-    ),
+    "attributes": (_attributes, AttributeVector(), _ATTRIBUTE_FIELDS),
 }
 _CONNECTION_FIELDS = {
     "id": (_string, _REQUIRED, _json_string),
@@ -494,26 +494,108 @@ def _json_block(ends: str, items: list[str], indent: str) -> str:
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
-def _record_text(record, table: dict, indent: str) -> str:
-    """JSON text of a record whose opening brace sits at ``indent``: its
-    fields in table order, each written by its encoder, leaving out a field
-    at its default. It runs once per record, so it lays the record out as
-    :func:`_json_block` would, without the call."""
-    inner = indent + "  "
-    lines = []
-    for key, (_, default, encode) in table.items():
-        value = getattr(record, key)
-        if default is _REQUIRED or value != default:
-            lines.append(f'{inner}"{key}": {encode(value)}')
-    return "{\n" + ",\n".join(lines) + "\n" + indent + "}"
+# The writers. Each scenario field table and each report class is written by
+# functions generated once per process, as ``dataclasses`` generates
+# ``__init__``: one f-string per record, laid out from the table or the
+# class's fields, that reads the record's attributes straight into its text.
 
 
-def _roster_entry_text(entry: RosterEntry) -> str:
-    if isinstance(entry, RosterRef):
-        key, value = "ref", _json_string(entry.ref)
-    else:
-        key, value = "hypothetical", _record_text(entry, _HYPOTHETICAL_FIELDS, "      ")
-    return _json_block("{}", [f'"{key}": {value}'], "    ")
+def _fstring(parts: list) -> str:
+    """Source of an f-string whose text is ``parts`` joined: a str as it is, a
+    1-tuple holding the source of an expression (no quote, no backslash) to
+    format."""
+    text = "".join(
+        "{" + part[0] + "}" if type(part) is tuple else part.replace("{", "{{").replace("}", "}}")
+        for part in parts
+    )
+    return "f" + repr(text)
+
+
+class _Code:
+    """Source of generated writer functions, and the values it names."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.env: dict[str, object] = {}
+        self.locals = map("t{}".format, count())  # names of locals, never reused
+
+    def name(self, value) -> str:
+        """The source's name for ``value``."""
+        name = f"_v{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def function(self, params: str, body: list[str], result: str) -> str:
+        """Add a function that runs ``body`` and returns ``result``; its name."""
+        name = f"_f{len(self.lines)}"
+        self.lines += [f"def {name}({params}):", *(f"    {line}" for line in body)]
+        self.lines.append(f"    return {result}")
+        return name
+
+    def each(self, items: str, body: list[str], parts: list) -> str:
+        """Source of the list of texts that ``body`` and ``parts`` give for
+        each ``x`` in ``items``: one f-string, or a function where statements
+        are needed."""
+        text = _fstring(parts) if not body else f"{self.function('x', body, _fstring(parts))}(x)"
+        return f"[{text} for x in {items}]"
+
+    def build(self, *names: str) -> tuple:
+        """The named functions, compiled with this module's globals, so that
+        they look a global such as ``_shortest_text`` up when they run."""
+        source = "\n".join([
+            f"def _make({', '.join(self.env)}):",
+            *(f"    {line}" for line in self.lines),
+            f"    return {', '.join(names)},",
+        ])
+        namespace: dict = {}
+        exec(source, globals(), namespace)
+        return namespace["_make"](**self.env)
+
+
+def _record_parts(code: _Code, table: dict, expr: str, indent: str, body: list[str]) -> list:
+    """Parts (see :func:`_fstring`) of the JSON text of the record ``expr``,
+    whose opening brace sits at ``indent``: its fields in table order, each
+    written by its encoder, leaving out a field at its default. Statements
+    the parts need go to ``body``. A rational is printed once per object per
+    call, through the call's dict ``texts``, keyed by ``id``: the scenario
+    being written keeps every value alive."""
+    inner, parts = indent + "  ", ["{"]
+    for i, (key, (_, default, encode)) in enumerate(table.items()):
+        value, local, lines = f"{expr}.{key}", next(code.locals), []
+        if encode is _json_rational:
+            lines += [
+                f"{local} = texts.get(id({value}))",
+                f"if {local} is None:",
+                f"    {local} = texts[id({value})] = _json_rational({value})",
+            ]
+            text = [(local,)]
+        elif isinstance(encode, dict):
+            text = _record_parts(code, encode, value, inner, lines)
+        else:
+            text = [(f"{code.name(encode)}({value})",)]
+        text.insert(0, f',\n{inner}"{key}": ' if i else f'\n{inner}"{key}": ')
+        if default is _REQUIRED:
+            body += lines
+            parts += text
+        else:
+            body += [f"if {value} == {code.name(default)}:", f"    {local} = ''", "else:"]
+            body += [f"    {line}" for line in [*lines, f"{local} = {_fstring(text)}"]]
+            parts.append((local,))
+    return parts + [f"\n{indent}}}"]
+
+
+@cache
+def _scenario_writers() -> tuple:
+    """Writers of an entity, a connection and a hypothetical roster entry,
+    each ``(record, texts) -> str`` and generated from its field table."""
+    code, names = _Code(), []
+    for table, indent in (
+        (_ENTITY_FIELDS, "    "), (_CONNECTION_FIELDS, "    "), (_HYPOTHETICAL_FIELDS, "      ")
+    ):
+        body: list[str] = []
+        parts = _record_parts(code, table, "r", indent, body)
+        names.append(code.function("r, texts", body, _fstring(parts)))
+    return code.build(*names)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -528,19 +610,28 @@ def serialize_scenario(scenario: Scenario) -> str:
     pair, which JSON reads back as one character, raises ComputationError.
     """
     ensure_valid(scenario)
+    entity, connection, hypothetical = _scenario_writers()
+    texts: dict[int, str] = {}  # each rational's JSON text by object, for this call only
     lines = [
         f'"version": {FORMAT_VERSION}',
         f'"host": {_json_string(scenario.host)}',
         f'"mode": {_json_string(scenario.scoring_mode)}',
     ]
-    if scenario.desired_connectivity is not None:
-        lines.append(f'"desired_connectivity": {_json_rational(scenario.desired_connectivity)}')
-    entities = [_record_text(e, _ENTITY_FIELDS, "    ") for e in scenario.entities]
-    connections = [_record_text(c, _CONNECTION_FIELDS, "    ") for c in scenario.connections]
+    desired = scenario.desired_connectivity
+    if desired is not None:
+        texts[id(desired)] = text = _json_rational(desired)
+        lines.append(f'"desired_connectivity": {text}')
+    entities = [entity(e, texts) for e in scenario.entities]
+    connections = [connection(c, texts) for c in scenario.connections]
     lines.append(f'"entities": {_json_block("[]", entities, "  ")}')
     lines.append(f'"connections": {_json_block("[]", connections, "  ")}')
     if scenario.ideal_roster is not None:
-        roster = list(map(_roster_entry_text, scenario.ideal_roster))
+        roster = [
+            _json_block("{}", [f'"ref": {_json_string(entry.ref)}'], "    ")
+            if isinstance(entry, RosterRef)
+            else _json_block("{}", [f'"hypothetical": {hypothetical(entry, texts)}'], "    ")
+            for entry in scenario.ideal_roster
+        ]
         lines.append(f'"ideal_roster": {_json_block("[]", roster, "  ")}')
     text = _json_block("{}", lines, "") + "\n"
     # Every other string of a valid scenario names an entity or connection id.
@@ -611,19 +702,12 @@ class ValidationReport:
     diagnostics: tuple[ParseDiagnostic, ...]
 
 
-class _DocList(list):
-    """A list in a report document. JSON writes it as a list; a table template
-    joins it with the field's format spec, or prints ``none`` when it is empty."""
-
-    def __format__(self, separator: str) -> str:
-        return separator.join(self) or "none"
-
-
 class _Table(NamedTuple):
     """A report type's document ``type`` and table text, filled in from its
-    document: the ``head`` line, one ``item`` line per element of the
-    ``items`` list (or ``empty``), then ``tail``; an empty line is left out. A
-    head or tail template prints the items' count and a boolean's ``words``."""
+    fields: the ``head`` line, one ``item`` line per element of the ``items``
+    tuple (or ``empty``), then ``tail``; an empty line is left out. A head or
+    tail template prints the items' count, any template a boolean as one of
+    its ``words``, and a tuple field's format spec is its separator."""
 
     type: str
     head: str = ""
@@ -667,48 +751,94 @@ _TABLE_LINES = {
 
 
 @cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def _field_types(cls: type) -> dict[str, object]:
+    """Each field of the dataclass ``cls`` with its type, in field order."""
+    types = get_type_hints(cls)
+    return {f.name: types[f.name] for f in fields(cls)}
 
 
-_PLAIN_TYPES = frozenset((str, int, bool, type(None)))
+def _json_parts(code: _Code, hint, expr: str, indent: str, body: list[str]) -> list:
+    """Parts (see :func:`_fstring`) of the JSON text of ``expr``, a value of
+    type ``hint`` on a line at ``indent``: rationals as exact strings, enums by
+    value, tuples as lists and dataclasses as objects, laid out as
+    ``json.dumps(indent=2, ensure_ascii=True)`` lays them out. Statements the
+    parts need go to ``body``."""
+    if get_origin(hint) is tuple:
+        item_body: list[str] = []
+        item_parts = _json_parts(code, get_args(hint)[0], "x", indent + "  ", item_body)
+        local, items = next(code.locals), code.each(expr, item_body, item_parts)
+        body.append(f"{local} = _json_block('[]', {items}, {indent!r})")
+        return [(local,)]
+    if is_dataclass(hint):
+        inner, parts = indent + "  ", ["{"]
+        for i, (name, field_type) in enumerate(_field_types(hint).items()):
+            parts.append(f',\n{inner}"{name}": ' if i else f'\n{inner}"{name}": ')
+            parts += _json_parts(code, field_type, f"{expr}.{name}", inner, body)
+        return parts + [f"\n{indent}}}"]
+    if hint is Fraction:
+        return ['"', (f"_shortest_text({expr}.numerator, {expr}.denominator)",), '"']
+    if hint is bool:
+        return [(f"_json_flag({expr})",)]
+    if hint is int:
+        return [(f"{expr}!r",)]
+    return [(f"_json_string({expr})",)]  # a str, or a str enum member
 
 
-def _doc_value(value):
-    """JSON form of a report value: rationals as exact strings, enums by value."""
-    if type(value) in _PLAIN_TYPES:
-        return value
-    if isinstance(value, Fraction):
-        return _shortest_text(value.numerator, value.denominator)
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, tuple):
-        return _DocList(map(_doc_value, value))
-    if is_dataclass(value):
-        return {name: _doc_value(getattr(value, name)) for name in _field_names(type(value))}
-    return value
+def _table_parts(
+    code: _Code, cls: type, template: str, expr: str, body: list[str], words, counted: str = ""
+) -> list:
+    """Parts (see :func:`_fstring`) of ``template`` filled in from the fields
+    of ``expr``, a ``cls`` record: a rational as its exact text, an enum by
+    value, a boolean as one of ``words``, the ``counted`` tuple as its count,
+    and any other tuple joined with the field's format spec, or ``none`` when
+    it is empty. Statements the parts need go to ``body``."""
+    types, (text, *placeholders) = _field_types(cls), template.split("{")
+    parts = [text]
+    for placeholder in placeholders:  # ``name}text`` or ``name:spec}text``
+        field, text = placeholder.split("}", 1)
+        name, _, spec = field.partition(":")
+        value, hint, local = f"{expr}.{name}", types[name], next(code.locals)
+        if name == counted:
+            parts.append((f"len({value})",))
+        elif get_origin(hint) is tuple:
+            shown = f"[x.value for x in {value}]" if issubclass(get_args(hint)[0], Enum) else value
+            body.append(f"{local} = {spec!r}.join({shown}) or 'none'")
+            parts.append((local,))
+        elif hint is bool:
+            body.append(f"{local} = {words!r}[{value}]")
+            parts.append((local,))
+        elif hint is Fraction:
+            parts.append((f"_shortest_text({value}.numerator, {value}.denominator)",))
+        elif issubclass(hint, Enum):
+            parts.append((f"{value}.value",))
+        else:
+            parts.append((value,))
+        parts.append(text)
+    return parts
 
 
-def json_text(value, indent: str = "") -> str:
-    """The one JSON writer for report documents: the text that
-    ``json.dumps(value, indent=2, ensure_ascii=True)`` writes for a document
-    of string-keyed dicts, lists, strings, ints, booleans and None, with
-    strings through its C encoder. ``indent`` is that of the value's line."""
-    if isinstance(value, str):
-        return _json_string(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return _json_flag(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{_json_string(k)}: {json_text(v, inner)}" for k, v in value.items()]
-        return _json_block("{}", items, indent)
-    if isinstance(value, list):
-        return _json_block("[]", [json_text(v, inner) for v in value], indent)
-    raise TypeError(f"a report document cannot hold {type(value).__name__}")
+@cache
+def _report_writer(cls: type, fmt: str):
+    """The ``fmt`` writer, ``report -> str``, of a report class, generated
+    from the class's fields and its ``_TABLE_LINES`` entry on its first use."""
+    table, code, body = _TABLE_LINES[cls], _Code(), []
+    if fmt == "machine":
+        parts = _json_parts(code, cls, "r", "", body)
+        # The document's first key is its ``type``, before the class's fields.
+        parts[0] = f'{{\n  "type": {_json_string(table.type)},'
+        return code.build(code.function("r", body, _fstring(parts)))[0]
+    head, tail = (
+        _fstring(_table_parts(code, cls, template, "r", body, table.words, table.items))
+        for template in (table.head, table.tail)
+    )
+    items = "()"
+    if table.items:
+        element = get_args(_field_types(cls)[table.items])[0]
+        item_body: list[str] = []
+        item_parts = _table_parts(code, element, table.item, "x", item_body, table.words)
+        items = f"{code.each(f'r.{table.items}', item_body, item_parts)} or [{table.empty!r}]"
+    lines = f"[{head}, *({items}), {tail}]"
+    return code.build(code.function("r", body, f"'\\n'.join(filter(None, {lines}))"))[0]
 
 
 def emit_report(report, fmt: str = "table") -> str:
@@ -716,19 +846,11 @@ def emit_report(report, fmt: str = "table") -> str:
 
     A report is one document: a ``type`` key, then one key per field. The
     machine format is that document as JSON, every number an exact string;
-    the table form fills the type's ``_TABLE_LINES`` from the same document.
+    the table form fills the type's ``_TABLE_LINES`` from the same fields.
+    Each format of each class has its own generated writer.
     """
     if fmt not in ("table", "machine"):
         raise ValueError(f"unknown report format: {fmt!r}")
-    table = _TABLE_LINES.get(type(report))
-    if table is None:
+    if type(report) not in _TABLE_LINES:
         raise TypeError(f"cannot emit a report for {type(report).__name__}")
-    doc = {"type": table.type, **_doc_value(report)}
-    if fmt == "machine":
-        return json_text(doc)
-    items = doc.get(table.items, ())
-    values = {k: table.words[v] if isinstance(v, bool) else v for k, v in doc.items()}
-    values[table.items] = len(items)
-    body = list(map(table.item.format_map, items)) or [table.empty]
-    lines = [table.head.format_map(values), *body, table.tail.format_map(values)]
-    return "\n".join(line for line in lines if line)
+    return _report_writer(type(report), fmt)(report)

@@ -34,7 +34,9 @@ from conncalc import (
     removal_schedule,
     run_removal,
     run_replacement,
+    serialize_scenario,
 )
+from conncalc.cli import main
 
 from . import support
 from .test_model import conn, scenario_of
@@ -534,3 +536,71 @@ class TestStepInitCount:
         assert type(step) is TrajectoryStep and step == made and hash(step) == hash(made)
         with pytest.raises(FrozenInstanceError):
             step.score = Fraction(0)
+
+
+def _primes_from(low: int, count: int) -> list[int]:
+    """The first ``count`` primes at or above ``low``."""
+    primes, n = [], low
+    while len(primes) < count:
+        if all(n % d for d in range(2, int(n**0.5) + 1)):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+class TestFailFast:
+    """Removal raises at the first value it could not print, before building
+    its step, and checks each step only when a value could be past the limit."""
+
+    # Each magnitude prints, but c1 + c2 has a denominator of 3**8000 * 2**4000,
+    # 5,021 digits; the ideal, over c3 alone, is 1.
+    MAGNITUDES = (1 + Fraction(1, 3**8000), 1 + Fraction(1, 2**4000), Fraction(1))
+
+    def _scenario(self) -> Scenario:
+        connections = [
+            conn(f"c{i}", "a", "b", magnitude=m) for i, m in enumerate(self.MAGNITUDES, start=1)
+        ]
+        return scenario_of(*connections, ideal_roster=(conncalc.model.RosterRef("c3"),))
+
+    @pytest.fixture()
+    def built(self, monkeypatch) -> list:
+        """The steps ``run_removal`` builds."""
+        calls = []
+        original = conncalc.ablation._new_step
+
+        def counted(*values):
+            calls.append(values)
+            return original(*values)
+
+        monkeypatch.setattr(conncalc.ablation, "_new_step", counted)
+        return calls
+
+    def test_a_step_that_cannot_print_raises_before_it_is_built(self, built):
+        # Least-first blocks c3 first, leaving c1 + c2.
+        with pytest.raises(ComputationError, match="too long to print exactly"):
+            run_removal(self._scenario(), RemovalOrder.LEAST_FIRST)
+        assert built == []
+
+    def test_steps_that_print_are_checked_and_kept(self, built):
+        trajectory = run_removal(self._scenario(), RemovalOrder.MOST_FIRST)
+        assert [step.blocked_connection for step in trajectory.steps] == ["c2", "c1", "c3"]
+        assert [step.score for step in trajectory.steps] == [self.MAGNITUDES[0] + 1, 1, 0]
+        assert len(built) == 3
+        for fmt in ("table", "machine"):
+            assert conncalc.emit_report(trajectory, fmt)
+
+    def test_ablate_on_coprime_denominators_exits_2_early(self, built, tmp_path, capsys):
+        # 2,000 magnitudes over distinct primes: the valuation's denominator has
+        # about 7,900 digits, so neither the ideal nor any score prints.
+        rng = support.random.Random(11)
+        ids = [f"e{i:02}" for i in range(40)]
+        connections = [
+            conn(f"c{i:04}", *rng.sample(ids, 2), magnitude=Fraction(q * rng.randint(1, 9) + 1, q))
+            for i, q in enumerate(_primes_from(1009, 2000))
+        ]
+        path = tmp_path / "coprime.json"
+        path.write_text(serialize_scenario(scenario_of(*connections, host="e00")), encoding="utf-8")
+        assert main(["ablate", str(path), "--order", "least-first"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: number too long to print exactly")
+        assert len(built) <= 1

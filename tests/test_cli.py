@@ -313,6 +313,26 @@ class TestValidationCount:
         assert [len(s.connections) for s in calls] == [22]
 
 
+class TestScenarioInitCount:
+    """``score --mode`` rescores the parsed scenario without sorting and
+    coercing its fields again: ``Scenario.__post_init__`` runs for the parse
+    only."""
+
+    @pytest.mark.parametrize("mode", ["raw", "impact"])
+    def test_once_per_command(self, mode, office_path, monkeypatch, capsys):
+        calls = []
+        original = conncalc.Scenario.__post_init__
+
+        def counted(self):
+            calls.append(len(self.connections))
+            original(self)
+
+        monkeypatch.setattr(conncalc.Scenario, "__post_init__", counted)
+        assert main(["score", str(office_path), "--mode", mode]) == 0
+        assert calls == [7]
+        assert capsys.readouterr().out
+
+
 class TestRenderCount:
     """Every command that prints a report renders it through one
     ``emit_report`` call; a command that writes a file renders none."""
@@ -397,6 +417,40 @@ class TestParserCount:
         progs.clear()
         assert main(argv) == code
         assert progs == []
+
+
+class TestWriterBuildCount:
+    """A process generates each writer on its first use and reuses it: two
+    runs of one command line build the writers they use once."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ablate", "{file}", "--order", "least-first"],
+            ["--format", "json", "ablate", "{file}", "--order", "least-first"],
+            ["closure", "{file}"],
+        ],
+        ids=["ablate", "json-ablate", "closure"],
+    )
+    def test_each_writer_is_built_once(self, argv, office_path, monkeypatch, capsys):
+        builds = []
+        writers = conncalc.scenario_io
+        original = writers._Code.build
+
+        def counted(self, *names):
+            builds.append(names)
+            return original(self, *names)
+
+        monkeypatch.setattr(writers._Code, "build", counted)
+        writers._report_writer.cache_clear()
+        writers._scenario_writers.cache_clear()
+        argv = [arg.format(file=office_path) for arg in argv]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert len(builds) == 1
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert len(builds) == 1
 
 
 class TestUnprintableResult:

@@ -76,7 +76,6 @@ from conncalc.scenario_io import (
     _build,
     _fields,
     _plain_connection,
-    json_text,
 )
 
 from . import support, test_cli
@@ -500,6 +499,29 @@ class TestRationalTextCount:
         text = serialize_scenario(s)
         assert sorted(printed) == sorted(written)
         assert parse_scenario(text).scenario == s
+
+    def test_each_shared_rational_object_is_printed_once_per_call(self, monkeypatch):
+        # A parsed generated file: its magnitudes share one object per literal,
+        # and its attribute values one per literal too.
+        doc = gen.scenario_doc(
+            random.Random(3), 200, 2000, silent_share=0.3, blocked_share=0.1, desired=True
+        )
+        s = parse_scenario(json.dumps(doc)).scenario
+        written = [c.magnitude for c in s.connections] + [s.desired_connectivity] + [
+            value
+            for e in s.entities
+            if e.attributes != AttributeVector()
+            for value in e.attributes.as_tuple()
+        ]
+        distinct = list({id(value): value for value in written}.values())
+        assert len(s.connections) == 2000 and len(distinct) < len(written) // 10
+        printed = _count_prints(monkeypatch)
+        text = serialize_scenario(s)
+        assert sorted(printed) == sorted(distinct)
+        # No text outlives the call: a second call prints every one again.
+        printed.clear()
+        assert serialize_scenario(s) == text
+        assert sorted(printed) == sorted(distinct)
 
     def test_parsing_prints_no_rational(self, monkeypatch):
         s = _large_scenario()
@@ -1177,14 +1199,6 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a report went through json.dumps")
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | report_strings,
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(report_strings, children, max_size=3),
-    max_leaves=12,
-)
-
-
 class TestReportJson:
     """Report JSON is ``json.dumps(doc, indent=2, ensure_ascii=True)``'s text,
     written without json's encoder."""
@@ -1200,13 +1214,76 @@ class TestReportJson:
             patch.setattr(json, "dumps", _refuse)
             assert emit_report(report, "machine") == expected
 
-    @given(json_values)
-    def test_writer_equals_json_dumps(self, value):
-        assert json_text(value) == json.dumps(value, indent=2, ensure_ascii=True)
 
-    def test_a_value_json_cannot_hold_is_refused(self):
-        with pytest.raises(TypeError):
-            json_text({"x": [1.5]})
+def reference_report_table(report) -> str:
+    """A report's table text, spelled out for each class from its fields:
+    rationals as :func:`support.reference_number` text, enums by value, a
+    tuple joined or ``none`` when empty, one line per trajectory step, path
+    or diagnostic."""
+    number = support.reference_number
+
+    def joined(items, separator: str) -> str:
+        return separator.join(items) or "none"
+
+    if isinstance(report, ConnectivityReport):
+        lines = [
+            f"score={number(report.score)} ideal={number(report.ideal)}"
+            f" efficiency={number(report.efficiency_percent)}% band={report.band.value}"
+            f" mode={report.mode.value}"
+        ]
+    elif isinstance(report, ConfusionReport):
+        lines = [
+            f"z={number(report.z)} quality={number(report.quality_percent)}%"
+            f" confused={'true' if report.confused else 'false'}"
+            f" causes={joined([cause.value for cause in report.causes], ',')}"
+        ]
+    elif isinstance(report, QualityReport):
+        lines = [
+            f"score={number(report.score)} desired={number(report.desired)}"
+            f" quality={number(report.quality_percent)}% band={report.band.value}"
+        ]
+    elif isinstance(report, QualityTrajectory):
+        lines = [
+            f"order={report.order.value} ideal={number(report.ideal)} steps={len(report.steps)}",
+            *(
+                f"step={step.step} blocked={step.blocked_connection} score={number(step.score)}"
+                f" efficiency={number(step.efficiency_percent)}%"
+                for step in report.steps
+            ),
+        ]
+    elif isinstance(report, ReplacementReport):
+        lines = [
+            f"blocked={report.blocked_id} replacement={report.replacement_id}"
+            f" quality_before={number(report.quality_before)}%"
+            f" quality_blocked={number(report.quality_blocked)}%"
+            f" quality_after={number(report.quality_after)}%"
+        ]
+    elif isinstance(report, PathsReport):
+        lines = [
+            f"{joined(path.entities, ' -> ')} via {joined(path.hops, ',')}" for path in report.paths
+        ] or ["(no paths)"]
+    else:
+        lines = [
+            *(f"{d.severity.value} {d.location}: {d.message}" for d in report.diagnostics),
+            "ok" if report.valid else "invalid",
+        ]
+    return "\n".join(lines)
+
+
+class TestReportTable:
+    """Each report class's table text, against one spelled out from its fields."""
+
+    @given(st.one_of(*REPORTS.values()))
+    @example(ConfusionReport(Fraction(-1), Fraction(1, 3), True, ()))
+    @example(ConfusionReport(Fraction(7), Fraction(80), False, tuple(ConfusionCause)))
+    @example(QualityTrajectory(RemovalOrder.MOST_FIRST, Fraction(5, 2), ()))
+    @example(PathsReport("a", "b", 3, ()))
+    @example(PathsReport("", "\n", 1, (ConnectionPath(("",), ("",)),)))
+    @example(ValidationReport(True, ()))
+    @example(ValidationReport(False, ()))
+    def test_equals_the_reference_table(self, report):
+        assert emit_report(report, "table") == reference_report_table(report)
+        assert emit_report(report) == emit_report(report, "table")
 
 
 class TestReportTexts:
