@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ComputationError
+from .errors import ComputationError, IntegrityError
 from .metrics import connectivity_score, ideal_connectivity, quality
 from .model import (
     Connection,
@@ -33,7 +33,6 @@ from .model import (
     _check_printable,
     connection_value,
     ensure_valid,
-    with_connection,
 )
 
 
@@ -170,12 +169,14 @@ def run_replacement(
     """
     before = connectivity_score(scenario)
     blocked = before - connection_value(scenario.connection(blocked_id), scenario)
-    patched = with_connection(scenario, replacement)
+    if scenario.has_connection(replacement.id):
+        raise IntegrityError(f"connection id already in use: {replacement.id!r}")
     ideal = ideal_connectivity(scenario)
     if ideal == 0:
         raise ComputationError("ideal connectivity is zero; replacement quality is undefined")
-    ensure_valid(patched)
-    # Same entities and mode as ``patched``: the intact scenario's index values it.
+    # Scoring validated the intact scenario, so the replacement beside its entities breaks
+    # what the patched scenario would, and the intact scenario's index values it.
+    ensure_valid(Scenario(scenario.entities, (replacement,), scenario.host))
     after = blocked + connection_value(replacement, scenario)
 
     return ReplacementReport(

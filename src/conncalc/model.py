@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 from operator import attrgetter
 
@@ -62,22 +62,6 @@ def check_literal(text: str) -> None:
     longer = len(exponent) > len(str(LITERAL_MAX_EXPONENT))
     if exponent.isdecimal() and (longer or int(exponent) > LITERAL_MAX_EXPONENT):
         raise _LiteralTooLarge(f"numeric literal has an exponent past {LITERAL_MAX_EXPONENT}")
-
-
-def _literal(value: str | decimal.Decimal) -> Fraction:
-    check_literal(str(value))
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"not a rational literal: {value!r}") from exc
-
-
-# Scenario numbers come from small fixed scales, so literals repeat. The
-# _MEMO_SIZE most recent short strings with no exponent (so a small value) keep
-# their Fraction; any other (" " * 10**5 + "2", "1e9999") is decoded every call.
-_MEMO_SIZE = 4096
-_MEMO_LITERAL_LENGTH = 32
-_memo_literal = lru_cache(maxsize=_MEMO_SIZE)(_literal)
 
 
 def _shortest_text(numerator: int, denominator: int) -> str:
@@ -128,12 +112,7 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     rounding error that would leak into canonical serialization. A string or
     Decimal past the literal limits (:func:`check_literal`), or that names no
     rational (``"1/0"``, ``Decimal("Infinity")``), is a ``ValueError``.
-
-    A repeated short string decodes once, to the same ``Fraction``. Errors
-    are never cached: a bad literal is checked and raises on every call.
     """
-    if type(value) is str and len(value) <= _MEMO_LITERAL_LENGTH:
-        return _literal(value) if "e" in value or "E" in value else _memo_literal(value)
     if type(value) is Fraction:
         return value
     if isinstance(value, bool):
@@ -141,7 +120,11 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     if isinstance(value, (Fraction, int)):
         return Fraction(value)
     if isinstance(value, (str, decimal.Decimal)):
-        return _literal(value)
+        check_literal(str(value))
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"not a rational literal: {value!r}") from exc
     if isinstance(value, float):
         raise TypeError(
             f"floats are inexact; pass a decimal string or Fraction instead of {value!r}"

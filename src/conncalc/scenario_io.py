@@ -14,8 +14,10 @@ record's on-disk fields: their keys, order, decoders, defaults and encoders.
 ``_fields`` reads any record by its table and is the one path that writes a
 diagnostic. A well-formed connection record takes the plain step first
 (``_plain_connection``), which builds the record that ``_fields`` would have
-built, through ``model._new_connection``, with one magnitude decode per
-distinct literal in the file; every other record goes through ``_fields``.
+built, through ``model._new_connection``; every other record goes through
+``_fields``. Each parse has one literal table (``_decode``), shared by the plain
+step, ``_number`` and the JSON float hook: a distinct literal decodes once per
+parse, and no decoded value outlives the parse.
 Writing is generated code, as ``dataclasses`` generates ``__init__``: the
 first ``serialize_scenario`` call in a process builds one writer per field
 table (``_scenario_writers``), and the first render of a report class in a
@@ -44,7 +46,7 @@ import re
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import count
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
@@ -154,12 +156,20 @@ def _warn_unknown(item: dict, known, location: str, diags: list[ParseDiagnostic]
         diags.append(_warn(_at(location, key), "unknown key ignored"))
 
 
-# Decoders: each takes (value, location, key, diags), where ``value`` sits at
-# ``key`` under ``location``; it appends a diagnostic at ``_at(location, key)``
+def _decode(literals: dict, text: str) -> Fraction:
+    """``to_rational(text)``, once per parse: ``literals`` keeps each literal that decodes."""
+    value = literals.get(text)
+    if value is None:
+        value = literals[text] = to_rational(text)
+    return value
+
+
+# Decoders: each takes (value, location, key, diags, literals), ``value`` sitting
+# at ``key`` under ``location``; it appends a diagnostic at ``_at(location, key)``
 # when the value is bad, and returns the decoded value or None.
 
 
-def _string(value, location, key: str, diags: list[ParseDiagnostic]) -> str | None:
+def _string(value, location, key: str, diags: list, literals: dict) -> str | None:
     if isinstance(value, str):
         return value
     if value is None:
@@ -174,23 +184,23 @@ def _choice(enum: type[Enum], what: str, *, strings_only: bool):
     that is not a string is reported as :func:`_string` reports it."""
     members = {member.value: member for member in enum}
 
-    def decode(value, location, key: str, diags: list[ParseDiagnostic]):
+    def decode(value, location, key: str, diags: list, literals: dict):
         if isinstance(value, str):
             member = members.get(value)
             if member is not None:
                 return member
         elif strings_only:
-            return _string(value, location, key, diags)
+            return _string(value, location, key, diags, literals)
         diags.append(_err(_at(location, key), f"unknown {what}: {_number_text(value, repr)}"))
         return None
 
     return decode
 
 
-def _number(value, location, key: str, diags: list[ParseDiagnostic]) -> Fraction | None:
+def _number(value, location, key: str, diags: list, literals: dict) -> Fraction | None:
     """Decode a number written as a decimal string, integer, or fraction."""
     try:
-        return to_rational(value)
+        return _decode(literals, value) if type(value) is str else to_rational(value)
     except _LiteralTooLarge as exc:
         message = str(exc)
     except ValueError:
@@ -202,7 +212,7 @@ def _number(value, location, key: str, diags: list[ParseDiagnostic]) -> Fraction
     return None
 
 
-def _polarity(value, location, key: str, diags: list[ParseDiagnostic]) -> int | None:
+def _polarity(value, location, key: str, diags: list, literals: dict) -> int | None:
     if value is None:
         diags.append(_err(_at(location, key), "missing required key"))
     elif isinstance(value, bool) or not isinstance(value, int) or value not in (1, -1):
@@ -213,23 +223,23 @@ def _polarity(value, location, key: str, diags: list[ParseDiagnostic]) -> int | 
     return None
 
 
-def _time_index(value, location, key: str, diags: list[ParseDiagnostic]) -> int | None:
+def _time_index(value, location, key: str, diags: list, literals: dict) -> int | None:
     if isinstance(value, bool) or not isinstance(value, int):
         diags.append(_err(_at(location, key), "time_index must be an integer"))
         return None
     return value
 
 
-def _flag(value, location, key: str, diags: list[ParseDiagnostic]) -> bool | None:
+def _flag(value, location, key: str, diags: list, literals: dict) -> bool | None:
     if not isinstance(value, bool):
         diags.append(_err(_at(location, key), f"{key} must be true or false"))
         return None
     return value
 
 
-def _attributes(value, location, key: str, diags: list[ParseDiagnostic]) -> AttributeVector:
+def _attributes(value, location, key: str, diags: list, literals: dict) -> AttributeVector:
     location = _at(location, key)
-    decoded = _fields(value, _ATTRIBUTE_FIELDS, "attributes", location, diags)
+    decoded = _fields(value, _ATTRIBUTE_FIELDS, "attributes", location, diags, literals)
     if decoded is None:
         return AttributeVector()
     try:
@@ -286,9 +296,11 @@ _HYPOTHETICAL_FIELDS = {
 _scoring_mode = _choice(ScoringMode, "scoring mode", strings_only=False)
 
 
-def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagnostic]):
-    """Decode ``item``'s fields by ``table``: a dict of key to decoded value
-    (None where decoding failed), or None if ``item`` is not an object."""
+def _fields(item, table: dict, what: str, location: str, diags: list, literals: dict | None = None):
+    """Decode ``item``'s fields by ``table``, through the parse's ``literals``
+    (a new table when None): a dict of key to decoded value (None where
+    decoding failed), or None if ``item`` is not an object."""
+    literals = {} if literals is None else literals
     if not isinstance(item, dict):
         diags.append(_err(location, f"{what} must be an object, got {type(item).__name__}"))
         return None
@@ -296,7 +308,7 @@ def _fields(item, table: dict, what: str, location: str, diags: list[ParseDiagno
     values = {}
     for key, (decode, default, _) in table.items():
         if key in item:
-            values[key] = decode(item[key], location, key, diags)
+            values[key] = decode(item[key], location, key, diags, literals)
         elif default is _REQUIRED:
             diags.append(_err(_at(location, key), "missing required key"))
             values[key] = None
@@ -315,12 +327,13 @@ def _build(cls, values: dict | None):
     return cls(**values)
 
 
-def _parse_entity(item, location: str, diags: list[ParseDiagnostic]) -> Entity | None:
-    return _build(Entity, _fields(item, _ENTITY_FIELDS, "entity", location, diags))
+def _parse_entity(item, location: str, diags: list, literals: dict) -> Entity | None:
+    return _build(Entity, _fields(item, _ENTITY_FIELDS, "entity", location, diags, literals))
 
 
-def _parse_connection(item, location: str, diags: list[ParseDiagnostic]) -> Connection | None:
-    return _build(Connection, _fields(item, _CONNECTION_FIELDS, "connection", location, diags))
+def _parse_connection(item, location: str, diags: list, literals: dict) -> Connection | None:
+    values = _fields(item, _CONNECTION_FIELDS, "connection", location, diags, literals)
+    return _build(Connection, values)
 
 
 # The plain step: a connection record that holds only table keys, each of
@@ -334,8 +347,8 @@ _required_connection_keys = itemgetter("id", "src", "dst", "kind", "polarity", "
 
 
 def _plain_connection(item, literals: dict) -> Connection | None:
-    """The connection of a well-formed record, or None. ``literals`` maps each
-    magnitude literal already decoded in this file to its ``Fraction``."""
+    """The connection of a well-formed record, or None. ``literals`` is the
+    parse's literal table (see :func:`_decode`)."""
     if type(item) is not dict:
         return None
     try:
@@ -354,18 +367,16 @@ def _plain_connection(item, literals: dict) -> Connection | None:
         and type(blocked) is bool and type(confirmed) is bool
     ):
         return None
-    value = literals.get(magnitude)
-    if value is None:
-        try:
-            value = literals[magnitude] = to_rational(magnitude)
-        except ValueError:  # _LiteralTooLarge too: the table path reports it
-            return None
+    try:
+        value = _decode(literals, magnitude)
+    except ValueError:  # _LiteralTooLarge too: the table path reports it
+        return None
     return _new_connection(
         conn_id, src, dst, _CONNECTION_KINDS[kind], polarity, value, time_index, blocked, confirmed
     )
 
 
-def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> RosterEntry | None:
+def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> RosterEntry | None:
     if not isinstance(item, dict):
         diags.append(_err(location, f"roster entry must be an object, got {type(item).__name__}"))
         return None
@@ -379,24 +390,25 @@ def _parse_roster_entry(item, location: str, diags: list[ParseDiagnostic]) -> Ro
         diags.append(_err(_at(location, "ref"), "ref must be a connection id string"))
         return None
     location = _at(location, "hypothetical")
-    if not isinstance(item["hypothetical"], dict):
+    hypothetical = item["hypothetical"]
+    if not isinstance(hypothetical, dict):
         diags.append(_err(location, "hypothetical must be an object"))
         return None
-    values = _fields(item["hypothetical"], _HYPOTHETICAL_FIELDS, "hypothetical", location, diags)
+    values = _fields(hypothetical, _HYPOTHETICAL_FIELDS, "hypothetical", location, diags, literals)
     return _build(RosterHypothetical, values)
 
 
-def _item_list(raw, key: str, parse, diags: list[ParseDiagnostic], plain=None) -> list | None:
+def _item_list(raw, key: str, parse, diags: list, literals: dict, plain=None) -> list | None:
     """The items of the array ``raw`` that ``plain`` (when given) builds or,
     failing that, ``parse`` decodes, or None if it is not an array."""
     if not isinstance(raw, list):
         diags.append(_err(key, f"expected an array, got {type(raw).__name__}"))
         return None
-    items, literals = [], {}  # the plain step's literal table, for this array only
+    items = []
     for i, item in enumerate(raw):
         record = None if plain is None else plain(item, literals)
         if record is None:
-            record = parse(item, f"{key}[{i}]", diags)
+            record = parse(item, f"{key}[{i}]", diags, literals)
             if record is None:
                 continue
         items.append(record)
@@ -408,7 +420,7 @@ def parse_connection_doc(
 ) -> tuple[Connection | None, tuple[ParseDiagnostic, ...]]:
     """Decode one connection object; None plus diagnostics on failure."""
     diags: list[ParseDiagnostic] = []
-    connection = _parse_connection(doc, location, diags)
+    connection = _parse_connection(doc, location, diags, {})
     return connection, tuple(diags)
 
 
@@ -419,8 +431,9 @@ def parse_scenario(text: str) -> ParseResult:
     Warnings (unknown keys) never prevent parsing. All numeric fields are
     decoded exactly; JSON floats become rationals without a float detour.
     """
+    literals: dict[str, Fraction] = {}  # the parse's literal table, see ``_decode``
     try:
-        doc = json.loads(text, parse_float=to_rational)
+        doc = json.loads(text, parse_float=partial(_decode, literals))
     except json.JSONDecodeError as exc:
         message = f"invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         return ParseResult(None, (_err("document", message),))
@@ -440,11 +453,12 @@ def parse_scenario(text: str) -> ParseResult:
         shown = _number_text(version, repr)
         diags.append(_err("version", f"unsupported format version {shown}; expected 1"))
 
-    host = _string(doc.get("host"), None, "host", diags)
-    mode = _scoring_mode(doc.get("mode", ScoringMode.RAW.value), None, "mode", diags)
+    host = _string(doc.get("host"), None, "host", diags, literals)
+    mode = _scoring_mode(doc.get("mode", ScoringMode.RAW.value), None, "mode", diags, literals)
     desired = None
     if "desired_connectivity" in doc:
-        desired = _number(doc["desired_connectivity"], None, "desired_connectivity", diags)
+        desired = doc["desired_connectivity"]
+        desired = _number(desired, None, "desired_connectivity", diags, literals)
 
     # A null entities or connections array is missing; a null roster is not an array.
     arrays = {}
@@ -455,10 +469,11 @@ def parse_scenario(text: str) -> ParseResult:
         if doc.get(key) is None:
             diags.append(_err(key, "missing required key"))
         else:
-            arrays[key] = _item_list(doc[key], key, parse, diags, plain)
+            arrays[key] = _item_list(doc[key], key, parse, diags, literals, plain)
     roster = None
     if "ideal_roster" in doc:
-        roster = _item_list(doc["ideal_roster"], "ideal_roster", _parse_roster_entry, diags)
+        roster = doc["ideal_roster"]
+        roster = _item_list(roster, "ideal_roster", _parse_roster_entry, diags, literals)
 
     if any(d.severity is Severity.ERROR for d in diags):
         return ParseResult(None, tuple(diags))

@@ -301,7 +301,7 @@ class TestRunReplacement:
             id="fresh", src="Ea", dst="ghost", kind=ConnectionKind.REAL,
             polarity=1, magnitude=Fraction(7),
         )
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match=r"fresh\.dst: endpoint 'ghost' is not an entity"):
             run_replacement(office, "ea-eb", replacement)
 
     def test_out_of_range_substitute_is_a_validation_error(self, office):

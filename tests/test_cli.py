@@ -294,7 +294,7 @@ class TestValidationCount:
         "argv, sizes",
         [
             (["closure", "{file}"], [7, 22]),
-            (["ablate", "{file}", "--order", "least-first", "--replace", "{spec}"], [7, 8]),
+            (["ablate", "{file}", "--order", "least-first", "--replace", "{spec}"], [7, 1]),
         ],
         ids=["closure", "ablate-replace"],
     )
@@ -782,6 +782,24 @@ class TestAblate:
         code = main(["ablate", str(office_path), "--order", "least-first", "--replace", spec])
         assert code == 2
         assert "already in use" in capsys.readouterr().err
+
+    def test_replacement_violations_are_reported(self, office_path, capsys):
+        spec = json.dumps(
+            {
+                "blocked": "ea-eb",
+                "connection": {
+                    "id": "fresh", "src": "Ea", "dst": "ghost", "kind": "real",
+                    "polarity": 1, "magnitude": "11",
+                },
+            }
+        )
+        code = main(["ablate", str(office_path), "--order", "least-first", "--replace", spec])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "",
+            "error: invalid scenario: fresh.dst: endpoint 'ghost' is not an entity;"
+            " fresh.magnitude: magnitude 11 outside [1, 10]\n",
+        )
 
     def test_order_is_required(self, office_path, capsys):
         assert main(["ablate", str(office_path)]) == 64

@@ -405,11 +405,55 @@ class TestLiteralCheckCount:
             return original(literal)
 
         monkeypatch.setattr(conncalc.model, "check_literal", counted)
-        conncalc.model._memo_literal.cache_clear()
         result = parse_scenario(text)
         assert result.ok and result.scenario == s
         assert [literal for literal, count in Counter(calls).items() if count > 1] == []
         assert set(calls) <= set(literals)
+
+    @staticmethod
+    def _count_checks(monkeypatch) -> list:
+        calls = []
+        original = conncalc.model.check_literal
+
+        def counted(literal):
+            calls.append(literal)
+            return original(literal)
+
+        monkeypatch.setattr(conncalc.model, "check_literal", counted)
+        return calls
+
+    def test_each_parse_checks_each_distinct_literal_once(self, monkeypatch):
+        # A decoded literal lives only as long as its parse: parsing the same
+        # text again checks every distinct literal once more.
+        s = _large_scenario()
+        text = serialize_scenario(s)
+        doc = json.loads(text)
+        literals = {c["magnitude"] for c in doc["connections"]}
+        literals.update(v for e in doc["entities"] for v in e.get("attributes", {}).values())
+        literals.update(
+            r["hypothetical"]["magnitude"] for r in doc.get("ideal_roster") or () if "hypothetical" in r
+        )
+        literals.update([doc["desired_connectivity"]] if "desired_connectivity" in doc else [])
+        calls = self._count_checks(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            assert parse_scenario(text).scenario == s
+            assert sorted(calls) == sorted(literals)
+
+    def test_a_literal_that_fails_to_decode_is_checked_at_each_use(self, monkeypatch):
+        attributes = {
+            "existence": "1/0", "inner_state": "1/2", "external_state": "1/2",
+            "communication_state": "1/2",
+        }
+        calls = self._count_checks(monkeypatch)
+        result = parse_doc(
+            entities=[{"id": name, "kind": "known", "attributes": attributes} for name in "ab"]
+        )
+        assert [str(d) for d in result.diagnostics] == [
+            f"error entities[{i}].attributes.existence: not a numeric string: '1/0'" for i in (0, 1)
+        ]
+        # "1/0" was never stored, so the second entity checked it again.
+        assert Counter(calls) == {"1/0": 2, "1/2": 1, "2": 1}
 
 
 class TestMagnitudeDecodeCount:
