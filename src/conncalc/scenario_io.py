@@ -10,7 +10,7 @@ to rationals before any float arithmetic can occur).
 
 The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
 ``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
-record's on-disk fields: their keys, order, decoders, defaults and encoders.
+record's on-disk fields: their keys, order, decoders and defaults.
 ``_fields`` reads any record by its table and is the one path that writes a
 diagnostic. A well-formed connection record takes the plain step first
 (``_plain_connection``), which builds the record that ``_fields`` would have
@@ -18,20 +18,19 @@ built, through ``model._new_connection``; every other record goes through
 ``_fields``. Each parse has one literal table (``_decode``), shared by the plain
 step, ``_number`` and the JSON float hook: a distinct literal decodes once per
 parse, and no decoded value outlives the parse.
-Writing is generated code, as ``dataclasses`` generates ``__init__``: the
-first ``serialize_scenario`` call in a process builds one writer per field
-table (``_scenario_writers``), and the first render of a report class in a
-format builds its writer for that format (``_report_writer``) from the
-class's fields and its ``_TABLE_LINES`` entry, which holds its ``type`` and
-table text. Each
-writer lays its record out in one f-string read straight from the record's
-attributes, as ``json.dumps(indent=2, ensure_ascii=True)`` would (the layout
-of ``_json_block``), with strings through the C ``encode_basestring_ascii``
-that ``json.dumps`` uses. Every report is one document, a ``type`` key and one
-key per field, written as JSON or as table text. Every rational is printed by
-``model._shortest_text``: once per distinct object per ``serialize_scenario``
-call, once per signed magnitude object per DOT export, and once per field in
-a report. No text outlives the call that wrote it.
+JSON is written by generated code, as ``dataclasses`` generates ``__init__``:
+``_json_parts`` lays a class out from its dataclass fields in one f-string
+read straight from the record's attributes, as ``json.dumps(indent=2,
+ensure_ascii=True)`` would (the layout of ``_json_block``), with strings
+through the C ``encode_basestring_ascii`` that ``json.dumps`` uses. A record
+class leaves out a field at its field table's default (``_RECORD_TABLES``).
+Each writer is built on its first use (``_scenario_writers``,
+``_report_writer``). Every report is one document, a ``type`` key and one
+key per field, written as JSON or as the table text of its plain function in
+``_TABLE_LINES``. Every rational is printed by ``model._shortest_text``: once
+per distinct object per ``serialize_scenario`` call, once per signed
+magnitude object per DOT export, and once per field in a report. No text
+outlives the call that wrote it.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ __all__ = [
     "parse_connection_doc", "parse_scenario", "serialize_scenario",
 ]
 
+import inspect
 import json
 import re
 from dataclasses import dataclass, fields, is_dataclass
@@ -50,7 +50,7 @@ from functools import cache, partial
 from itertools import count
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 from .ablation import QualityTrajectory, ReplacementReport
 from .errors import ComputationError, ValidationError
@@ -252,61 +252,57 @@ def _attributes(value, location, key: str, diags: list, literals: dict) -> Attri
 _REQUIRED = object()  # default of a field whose absence is an error
 
 
-def _json_rational(value: Fraction) -> str:
-    return f'"{format_rational(value)}"'
-
-
-def _json_flag(value: bool) -> str:
-    return "true" if value else "false"
-
-
-# Field tables: record field -> (decoder, default when absent, encoder), in
-# the order fields are decoded, reported and written, required fields first.
-# An encoder returns the field's JSON text (a str enum member is a string,
-# written as its value), or is the field table of a nested record. A decoder
-# that treats null as absent (``_string``, ``_polarity``) says "missing
-# required key" for it.
+# Field tables: record field -> (decoder, default when absent), in the order
+# fields are decoded, reported and written (the record class's field order),
+# required fields first. A decoder that treats null as absent (``_string``,
+# ``_polarity``) says "missing required key" for it.
 _ATTRIBUTE_FIELDS = {
-    "existence": (_number, _REQUIRED, _json_rational),
-    "inner_state": (_number, _REQUIRED, _json_rational),
-    "external_state": (_number, _REQUIRED, _json_rational),
-    "communication_state": (_number, _REQUIRED, _json_rational),
+    "existence": (_number, _REQUIRED),
+    "inner_state": (_number, _REQUIRED),
+    "external_state": (_number, _REQUIRED),
+    "communication_state": (_number, _REQUIRED),
 }
 _ENTITY_FIELDS = {
-    "id": (_string, _REQUIRED, _json_string),
-    "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED, _json_string),
-    "attributes": (_attributes, AttributeVector(), _ATTRIBUTE_FIELDS),
+    "id": (_string, _REQUIRED),
+    "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED),
+    "attributes": (_attributes, AttributeVector()),
 }
 _CONNECTION_FIELDS = {
-    "id": (_string, _REQUIRED, _json_string),
-    "src": (_string, _REQUIRED, _json_string),
-    "dst": (_string, _REQUIRED, _json_string),
-    "kind": (_choice(ConnectionKind, "connection kind", strings_only=True), _REQUIRED, _json_string),
-    "polarity": (_polarity, _REQUIRED, int.__repr__),
-    "magnitude": (_number, _REQUIRED, _json_rational),
-    "time_index": (_time_index, 0, int.__repr__),
-    "blocked": (_flag, False, _json_flag),
-    "confirmed": (_flag, False, _json_flag),
+    "id": (_string, _REQUIRED),
+    "src": (_string, _REQUIRED),
+    "dst": (_string, _REQUIRED),
+    "kind": (_choice(ConnectionKind, "connection kind", strings_only=True), _REQUIRED),
+    "polarity": (_polarity, _REQUIRED),
+    "magnitude": (_number, _REQUIRED),
+    "time_index": (_time_index, 0),
+    "blocked": (_flag, False),
+    "confirmed": (_flag, False),
 }
 _HYPOTHETICAL_FIELDS = {
-    "src": (_string, _REQUIRED, _json_string),
-    "dst": (_string, _REQUIRED, _json_string),
-    "magnitude": (_number, _REQUIRED, _json_rational),
+    "src": (_string, _REQUIRED),
+    "dst": (_string, _REQUIRED),
+    "magnitude": (_number, _REQUIRED),
+}
+# Each record class with its field table.
+_RECORD_TABLES = {
+    Entity: _ENTITY_FIELDS,
+    AttributeVector: _ATTRIBUTE_FIELDS,
+    Connection: _CONNECTION_FIELDS,
+    RosterHypothetical: _HYPOTHETICAL_FIELDS,
 }
 _scoring_mode = _choice(ScoringMode, "scoring mode", strings_only=False)
 
 
-def _fields(item, table: dict, what: str, location: str, diags: list, literals: dict | None = None):
-    """Decode ``item``'s fields by ``table``, through the parse's ``literals``
-    (a new table when None): a dict of key to decoded value (None where
-    decoding failed), or None if ``item`` is not an object."""
-    literals = {} if literals is None else literals
+def _fields(item, table: dict, what: str, location: str, diags: list, literals: dict):
+    """Decode ``item``'s fields by ``table``, through the parse's ``literals``:
+    a dict of key to decoded value (None where decoding failed), or None if
+    ``item`` is not an object."""
     if not isinstance(item, dict):
         diags.append(_err(location, f"{what} must be an object, got {type(item).__name__}"))
         return None
     _warn_unknown(item, table.keys(), location, diags)
     values = {}
-    for key, (decode, default, _) in table.items():
+    for key, (decode, default) in table.items():
         if key in item:
             values[key] = decode(item[key], location, key, diags, literals)
         elif default is _REQUIRED:
@@ -499,6 +495,14 @@ def parse_scenario(text: str) -> ParseResult:
 _SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 
+def _json_rational(value: Fraction) -> str:
+    return f'"{format_rational(value)}"'
+
+
+def _json_flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
 def _json_block(ends: str, items: list[str], indent: str) -> str:
     """JSON text of an object or array (``ends`` is ``{}`` or ``[]``) whose
     opening bracket sits at ``indent``, laid out as ``json.dumps(indent=2)``
@@ -509,10 +513,10 @@ def _json_block(ends: str, items: list[str], indent: str) -> str:
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
-# The writers. Each scenario field table and each report class is written by
-# functions generated once per process, as ``dataclasses`` generates
-# ``__init__``: one f-string per record, laid out from the table or the
-# class's fields, that reads the record's attributes straight into its text.
+# The writers. Each record class and each report class is written as JSON by
+# a function generated once per process, as ``dataclasses`` generates
+# ``__init__``: one f-string, laid out from the class's fields, that reads the
+# record's attributes straight into its text.
 
 
 def _fstring(parts: list) -> str:
@@ -567,48 +571,73 @@ class _Code:
         return namespace["_make"](**self.env)
 
 
-def _record_parts(code: _Code, table: dict, expr: str, indent: str, body: list[str]) -> list:
-    """Parts (see :func:`_fstring`) of the JSON text of the record ``expr``,
-    whose opening brace sits at ``indent``: its fields in table order, each
-    written by its encoder, leaving out a field at its default. Statements
-    the parts need go to ``body``. A rational is printed once per object per
-    call, through the call's dict ``texts``, keyed by ``id``: the scenario
-    being written keeps every value alive."""
-    inner, parts = indent + "  ", ["{"]
-    for i, (key, (_, default, encode)) in enumerate(table.items()):
-        value, local, lines = f"{expr}.{key}", next(code.locals), []
-        if encode is _json_rational:
-            lines += [
-                f"{local} = texts.get(id({value}))",
-                f"if {local} is None:",
-                f"    {local} = texts[id({value})] = _json_rational({value})",
-            ]
-            text = [(local,)]
-        elif isinstance(encode, dict):
-            text = _record_parts(code, encode, value, inner, lines)
-        else:
-            text = [(f"{code.name(encode)}({value})",)]
-        text.insert(0, f',\n{inner}"{key}": ' if i else f'\n{inner}"{key}": ')
-        if default is _REQUIRED:
-            body += lines
-            parts += text
-        else:
-            body += [f"if {value} == {code.name(default)}:", f"    {local} = ''", "else:"]
-            body += [f"    {line}" for line in [*lines, f"{local} = {_fstring(text)}"]]
-            parts.append((local,))
-    return parts + [f"\n{indent}}}"]
+@cache
+def _field_types(cls: type) -> dict[str, object]:
+    """Each field of the dataclass ``cls`` with its type, in field order. A
+    class's own annotations are evaluated with ``eval``, in about half the
+    time ``typing.get_type_hints`` takes."""
+    types = inspect.get_annotations(cls, eval_str=True)
+    return {f.name: types[f.name] for f in fields(cls)}
+
+
+def _json_parts(code: _Code, hint, expr: str, indent: str, body: list[str]) -> list:
+    """Parts (see :func:`_fstring`) of the JSON text of ``expr``, a value of
+    type ``hint`` on a line at ``indent``: rationals as exact strings, ints
+    as ``int.__repr__`` writes them (a bool polarity as 1), enums by value,
+    tuples as lists and dataclasses as objects, laid out as
+    ``json.dumps(indent=2, ensure_ascii=True)`` lays them out. Statements the
+    parts need go to ``body``. A record (a class of ``_RECORD_TABLES``)
+    leaves out a field at its table's default and prints each rational once
+    per object per call, through the call's dict ``texts`` keyed by ``id``
+    (the scenario being written keeps every value alive); a report prints
+    each rational inline, which is faster for values that seldom repeat."""
+    if get_origin(hint) is tuple:
+        item_body: list[str] = []
+        item_parts = _json_parts(code, get_args(hint)[0], "x", indent + "  ", item_body)
+        local, items = next(code.locals), code.each(expr, item_body, item_parts)
+        body.append(f"{local} = _json_block('[]', {items}, {indent!r})")
+        return [(local,)]
+    if is_dataclass(hint):
+        table = _RECORD_TABLES.get(hint)
+        inner, parts = indent + "  ", ["{"]
+        for i, (name, field_type) in enumerate(_field_types(hint).items()):
+            value, local, lines = f"{expr}.{name}", next(code.locals), []
+            if table is not None and field_type is Fraction:
+                lines += [
+                    f"{local} = texts.get(id({value}))",
+                    f"if {local} is None:",
+                    f"    {local} = texts[id({value})] = _json_rational({value})",
+                ]
+                text = [(local,)]
+            else:
+                text = _json_parts(code, field_type, value, inner, lines)
+            text.insert(0, f',\n{inner}"{name}": ' if i else f'\n{inner}"{name}": ')
+            default = _REQUIRED if table is None else table[name][1]
+            if default is _REQUIRED:
+                body += lines
+                parts += text
+            else:
+                body += [f"if {value} == {code.name(default)}:", f"    {local} = ''", "else:"]
+                body += [f"    {line}" for line in [*lines, f"{local} = {_fstring(text)}"]]
+                parts.append((local,))
+        return parts + [f"\n{indent}}}"]
+    if hint is Fraction:
+        return ['"', (f"_shortest_text({expr}.numerator, {expr}.denominator)",), '"']
+    if hint is bool:
+        return [(f"{code.name(_json_flag)}({expr})",)]
+    if hint is int:
+        return [(f"int.__repr__({expr})",)]
+    return [(f"_json_string({expr})",)]  # a str, or a str enum member
 
 
 @cache
 def _scenario_writers() -> tuple:
     """Writers of an entity, a connection and a hypothetical roster entry,
-    each ``(record, texts) -> str`` and generated from its field table."""
+    each ``(record, texts) -> str`` and generated from its class's fields."""
     code, names = _Code(), []
-    for table, indent in (
-        (_ENTITY_FIELDS, "    "), (_CONNECTION_FIELDS, "    "), (_HYPOTHETICAL_FIELDS, "      ")
-    ):
+    for cls, indent in ((Entity, "    "), (Connection, "    "), (RosterHypothetical, "      ")):
         body: list[str] = []
-        parts = _record_parts(code, table, "r", indent, body)
+        parts = _json_parts(code, cls, "r", indent, body)
         names.append(code.function("r, texts", body, _fstring(parts)))
     return code.build(*names)
 
@@ -717,155 +746,101 @@ class ValidationReport:
     diagnostics: tuple[ParseDiagnostic, ...]
 
 
-class _Table(NamedTuple):
-    """A report type's document ``type`` and table text, filled in from its
-    fields: the ``head`` line, one ``item`` line per element of the ``items``
-    tuple (or ``empty``), then ``tail``; an empty line is left out. A head or
-    tail template prints the items' count, any template a boolean as one of
-    its ``words``, and a tuple field's format spec is its separator."""
-
-    type: str
-    head: str = ""
-    items: str = ""
-    item: str = ""
-    empty: str = ""
-    tail: str = ""
-    words: tuple[str, str] = ("false", "true")
+# Table text: one function per report class, ``report -> str``.
 
 
-# Report classes, each with its document ``type`` and table text; each field
-# of a report becomes a key of its document.
+def _connectivity_table(r: ConnectivityReport) -> str:
+    return (
+        f"score={format_rational(r.score)} ideal={format_rational(r.ideal)}"
+        f" efficiency={format_rational(r.efficiency_percent)}% band={r.band.value}"
+        f" mode={r.mode.value}"
+    )
+
+
+def _confusion_table(r: ConfusionReport) -> str:
+    causes = ",".join([cause.value for cause in r.causes]) or "none"
+    return (
+        f"z={format_rational(r.z)} quality={format_rational(r.quality_percent)}%"
+        f" confused={'true' if r.confused else 'false'} causes={causes}"
+    )
+
+
+def _quality_table(r: QualityReport) -> str:
+    return (
+        f"score={format_rational(r.score)} desired={format_rational(r.desired)}"
+        f" quality={format_rational(r.quality_percent)}% band={r.band.value}"
+    )
+
+
+def _trajectory_table(r: QualityTrajectory) -> str:
+    # A step's rationals print inline: a call of format_rational per value
+    # made a 400-step table about 16% slower.
+    return "\n".join([
+        f"order={r.order.value} ideal={format_rational(r.ideal)} steps={len(r.steps)}",
+        *[
+            f"step={s.step} blocked={s.blocked_connection}"
+            f" score={_shortest_text(s.score.numerator, s.score.denominator)} efficiency="
+            f"{_shortest_text(s.efficiency_percent.numerator, s.efficiency_percent.denominator)}%"
+            for s in r.steps
+        ],
+    ])
+
+
+def _replacement_table(r: ReplacementReport) -> str:
+    return (
+        f"blocked={r.blocked_id} replacement={r.replacement_id}"
+        f" quality_before={format_rational(r.quality_before)}%"
+        f" quality_blocked={format_rational(r.quality_blocked)}%"
+        f" quality_after={format_rational(r.quality_after)}%"
+    )
+
+
+def _paths_table(r: PathsReport) -> str:
+    lines = [
+        f"{' -> '.join(p.entities) or 'none'} via {','.join(p.hops) or 'none'}" for p in r.paths
+    ]
+    return "\n".join(lines or ["(no paths)"])
+
+
+def _validation_table(r: ValidationReport) -> str:
+    return "\n".join([*map(str, r.diagnostics), "ok" if r.valid else "invalid"])
+
+
+# Report classes, each with its document ``type`` and its table text; each
+# field of a report becomes a key of its document.
 _TABLE_LINES = {
-    ConnectivityReport: _Table(
-        "connectivity_report",
-        "score={score} ideal={ideal} efficiency={efficiency_percent}% band={band} mode={mode}",
-    ),
-    ConfusionReport: _Table(
-        "confusion_report", "z={z} quality={quality_percent}% confused={confused} causes={causes:,}"
-    ),
-    QualityReport: _Table(
-        "quality_report", "score={score} desired={desired} quality={quality_percent}% band={band}"
-    ),
-    QualityTrajectory: _Table(
-        "quality_trajectory",
-        "order={order} ideal={ideal} steps={steps}",
-        "steps",
-        "step={step} blocked={blocked_connection} score={score} efficiency={efficiency_percent}%",
-    ),
-    ReplacementReport: _Table(
-        "replacement_report",
-        "blocked={blocked_id} replacement={replacement_id} quality_before={quality_before}%"
-        " quality_blocked={quality_blocked}% quality_after={quality_after}%",
-    ),
-    PathsReport: _Table("paths", "", "paths", "{entities: -> } via {hops:,}", empty="(no paths)"),
-    ValidationReport: _Table(
-        "validation_report", "", "diagnostics", "{severity} {location}: {message}",
-        tail="{valid}", words=("invalid", "ok"),
-    ),
+    ConnectivityReport: ("connectivity_report", _connectivity_table),
+    ConfusionReport: ("confusion_report", _confusion_table),
+    QualityReport: ("quality_report", _quality_table),
+    QualityTrajectory: ("quality_trajectory", _trajectory_table),
+    ReplacementReport: ("replacement_report", _replacement_table),
+    PathsReport: ("paths", _paths_table),
+    ValidationReport: ("validation_report", _validation_table),
 }
 
 
 @cache
-def _field_types(cls: type) -> dict[str, object]:
-    """Each field of the dataclass ``cls`` with its type, in field order."""
-    types = get_type_hints(cls)
-    return {f.name: types[f.name] for f in fields(cls)}
-
-
-def _json_parts(code: _Code, hint, expr: str, indent: str, body: list[str]) -> list:
-    """Parts (see :func:`_fstring`) of the JSON text of ``expr``, a value of
-    type ``hint`` on a line at ``indent``: rationals as exact strings, enums by
-    value, tuples as lists and dataclasses as objects, laid out as
-    ``json.dumps(indent=2, ensure_ascii=True)`` lays them out. Statements the
-    parts need go to ``body``."""
-    if get_origin(hint) is tuple:
-        item_body: list[str] = []
-        item_parts = _json_parts(code, get_args(hint)[0], "x", indent + "  ", item_body)
-        local, items = next(code.locals), code.each(expr, item_body, item_parts)
-        body.append(f"{local} = _json_block('[]', {items}, {indent!r})")
-        return [(local,)]
-    if is_dataclass(hint):
-        inner, parts = indent + "  ", ["{"]
-        for i, (name, field_type) in enumerate(_field_types(hint).items()):
-            parts.append(f',\n{inner}"{name}": ' if i else f'\n{inner}"{name}": ')
-            parts += _json_parts(code, field_type, f"{expr}.{name}", inner, body)
-        return parts + [f"\n{indent}}}"]
-    if hint is Fraction:
-        return ['"', (f"_shortest_text({expr}.numerator, {expr}.denominator)",), '"']
-    if hint is bool:
-        return [(f"_json_flag({expr})",)]
-    if hint is int:
-        return [(f"{expr}!r",)]
-    return [(f"_json_string({expr})",)]  # a str, or a str enum member
-
-
-def _table_parts(
-    code: _Code, cls: type, template: str, expr: str, body: list[str], words, counted: str = ""
-) -> list:
-    """Parts (see :func:`_fstring`) of ``template`` filled in from the fields
-    of ``expr``, a ``cls`` record: a rational as its exact text, an enum by
-    value, a boolean as one of ``words``, the ``counted`` tuple as its count,
-    and any other tuple joined with the field's format spec, or ``none`` when
-    it is empty. Statements the parts need go to ``body``."""
-    types, (text, *placeholders) = _field_types(cls), template.split("{")
-    parts = [text]
-    for placeholder in placeholders:  # ``name}text`` or ``name:spec}text``
-        field, text = placeholder.split("}", 1)
-        name, _, spec = field.partition(":")
-        value, hint, local = f"{expr}.{name}", types[name], next(code.locals)
-        if name == counted:
-            parts.append((f"len({value})",))
-        elif get_origin(hint) is tuple:
-            shown = f"[x.value for x in {value}]" if issubclass(get_args(hint)[0], Enum) else value
-            body.append(f"{local} = {spec!r}.join({shown}) or 'none'")
-            parts.append((local,))
-        elif hint is bool:
-            body.append(f"{local} = {words!r}[{value}]")
-            parts.append((local,))
-        elif hint is Fraction:
-            parts.append((f"_shortest_text({value}.numerator, {value}.denominator)",))
-        elif issubclass(hint, Enum):
-            parts.append((f"{value}.value",))
-        else:
-            parts.append((value,))
-        parts.append(text)
-    return parts
-
-
-@cache
-def _report_writer(cls: type, fmt: str):
-    """The ``fmt`` writer, ``report -> str``, of a report class, generated
-    from the class's fields and its ``_TABLE_LINES`` entry on its first use."""
-    table, code, body = _TABLE_LINES[cls], _Code(), []
-    if fmt == "machine":
-        parts = _json_parts(code, cls, "r", "", body)
-        # The document's first key is its ``type``, before the class's fields.
-        parts[0] = f'{{\n  "type": {_json_string(table.type)},'
-        return code.build(code.function("r", body, _fstring(parts)))[0]
-    head, tail = (
-        _fstring(_table_parts(code, cls, template, "r", body, table.words, table.items))
-        for template in (table.head, table.tail)
-    )
-    items = "()"
-    if table.items:
-        element = get_args(_field_types(cls)[table.items])[0]
-        item_body: list[str] = []
-        item_parts = _table_parts(code, element, table.item, "x", item_body, table.words)
-        items = f"{code.each(f'r.{table.items}', item_body, item_parts)} or [{table.empty!r}]"
-    lines = f"[{head}, *({items}), {tail}]"
-    return code.build(code.function("r", body, f"'\\n'.join(filter(None, {lines}))"))[0]
+def _report_writer(cls: type):
+    """The JSON writer, ``report -> str``, of a report class, generated from
+    the class's fields on its first use."""
+    code, body = _Code(), []
+    parts = _json_parts(code, cls, "r", "", body)
+    # The document's first key is its ``type``, before the class's fields.
+    parts[0] = f'{{\n  "type": {_json_string(_TABLE_LINES[cls][0])},'
+    return code.build(code.function("r", body, _fstring(parts)))[0]
 
 
 def emit_report(report, fmt: str = "table") -> str:
     """Render a report for people (``table``) or machines (``machine``).
 
     A report is one document: a ``type`` key, then one key per field. The
-    machine format is that document as JSON, every number an exact string;
-    the table form fills the type's ``_TABLE_LINES`` from the same fields.
-    Each format of each class has its own generated writer.
+    machine format is that document as JSON, every number an exact string,
+    written by a writer generated once per class; the table form is the
+    class's table function in ``_TABLE_LINES``.
     """
     if fmt not in ("table", "machine"):
         raise ValueError(f"unknown report format: {fmt!r}")
-    if type(report) not in _TABLE_LINES:
+    entry = _TABLE_LINES.get(type(report))
+    if entry is None:
         raise TypeError(f"cannot emit a report for {type(report).__name__}")
-    return _report_writer(type(report), fmt)(report)
+    return entry[1](report) if fmt == "table" else _report_writer(type(report))(report)

@@ -420,19 +420,20 @@ class TestParserCount:
 
 
 class TestWriterBuildCount:
-    """A process generates each writer on its first use and reuses it: two
-    runs of one command line build the writers they use once."""
+    """A process generates each JSON writer on its first use and reuses it:
+    two runs of one command line build the writers they use once. Table text
+    is written by plain functions and builds no code."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, built",
         [
-            ["ablate", "{file}", "--order", "least-first"],
-            ["--format", "json", "ablate", "{file}", "--order", "least-first"],
-            ["closure", "{file}"],
+            (["ablate", "{file}", "--order", "least-first"], 0),
+            (["--format", "json", "ablate", "{file}", "--order", "least-first"], 1),
+            (["closure", "{file}"], 1),
         ],
         ids=["ablate", "json-ablate", "closure"],
     )
-    def test_each_writer_is_built_once(self, argv, office_path, monkeypatch, capsys):
+    def test_each_writer_is_built_once(self, argv, built, office_path, monkeypatch, capsys):
         builds = []
         writers = conncalc.scenario_io
         original = writers._Code.build
@@ -447,10 +448,10 @@ class TestWriterBuildCount:
         argv = [arg.format(file=office_path) for arg in argv]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert len(builds) == 1
+        assert len(builds) == built
         assert main(argv) == 0
         assert capsys.readouterr().out == first
-        assert len(builds) == 1
+        assert len(builds) == built
 
 
 class TestUnprintableResult:

@@ -7,7 +7,8 @@ A command whose work is linear in the connections reads about ``SCALE``
 between the two; a step that is quadratic reads near ``SCALE ** 2``. The
 counts are exact for the seeded files, so the test times nothing and cannot
 flake. Work done inside C without a call, such as big-integer arithmetic or
-a list scan, makes no event and is not seen.
+a list scan, makes no event and is not seen. ``closure`` is counted per
+connection written, since its output grows with the entity pairs.
 
 No command leaves reference cycles: with the cyclic collector paused,
 ``gc.collect()`` finds no object after one warm ``cli.main`` run, at either
@@ -40,24 +41,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
 
 SIZE, SCALE = 300, 4
-# ``paths`` also takes ``--from``/``--to`` from the job's own ``paths`` command.
-# ``closure`` is left out: by the connection law its output grows with the
-# entity pairs, not with the connections.
+# Each command line, ``{file}`` standing for the job's file; ``paths`` also
+# takes ``--from``/``--to`` from the job's own ``paths`` command.
 COMMANDS = {
-    "validate": ["validate"],
-    "score": ["score"],
-    "score-impact": ["score", "--mode", "impact"],
-    "quality": ["quality"],
-    "confusion": ["confusion"],
-    "ablate-most-first": ["ablate", "--order", "most-first"],
-    "export-dot": ["export-dot"],
-    "paths": ["paths", "--max-hops", "2"],
+    "validate": ["validate", "{file}"],
+    "score": ["score", "{file}"],
+    "score-impact": ["score", "{file}", "--mode", "impact"],
+    "quality": ["quality", "{file}"],
+    "confusion": ["confusion", "{file}"],
+    "ablate-most-first": ["ablate", "{file}", "--order", "most-first"],
+    "json-ablate-most-first": ["--format", "json", "ablate", "{file}", "--order", "most-first"],
+    "export-dot": ["export-dot", "{file}"],
+    "paths": ["paths", "{file}", "--max-hops", "2"],
 }
-# Closure's output grows with the entity pairs, but it leaves no cycle either.
-CYCLE_COMMANDS = {**COMMANDS, "closure": ["closure"]}
+# By the connection law, closure's output grows with the entity pairs, not
+# with the connections read, so its events are counted per connection written.
+CYCLE_COMMANDS = {**COMMANDS, "closure": ["closure", "{file}"]}
 # The ratios read 2.8-3.8; 5 leaves room for changes that stay linear, and a
 # quadratic step reads near 16.
 MAX_RATIO = 5
+# Closure's events per connection written read 30.1 and 17.6, a ratio of
+# 0.59: its fixed work spreads over more connections, so linear work reads at
+# most about 1. A generator scan of the entities per connection written reads
+# 2.2, and one of the connections 12.6.
+MAX_CLOSURE_RATIO = 1.5
 
 
 @pytest.fixture(scope="module")
@@ -89,26 +96,37 @@ def counted_events(call):
     return result, count
 
 
-def profile_events(argv: list[str]) -> int:
+def profile_events(argv: list[str]) -> tuple[int, str]:
     """The profile events of a ``main(argv)`` run after a first, uncounted
-    run of the same command."""
+    run of the same command, and what the counted run printed."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code, count = counted_events(lambda: main(argv))
     assert code == 0
-    return count
+    return count, out.getvalue()
 
 
 def command_argv(command: str, job: dict) -> list[str]:
-    name, *options = CYCLE_COMMANDS[command]
-    return [name, job["file"], *options, *(path_ends(job) if name == "paths" else ())]
+    argv = [job["file"] if arg == "{file}" else arg for arg in CYCLE_COMMANDS[command]]
+    return argv + path_ends(job) if argv[0] == "paths" else argv
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_profile_events_grow_linearly(jobs, command):
-    small, large = (profile_events(command_argv(command, job)) for job in jobs)
+    (small, _), (large, _) = (profile_events(command_argv(command, job)) for job in jobs)
     assert small > 0
     assert large / small <= MAX_RATIO, (command, small, large)
+
+
+def closure_events_per_connection(job: dict) -> float:
+    count, out = profile_events(command_argv("closure", job))
+    return count / len(json.loads(out)["connections"])
+
+
+def test_closure_events_grow_with_the_connections_written(jobs):
+    small, large = (closure_events_per_connection(job) for job in jobs)
+    assert large / small <= MAX_CLOSURE_RATIO, (small, large)
 
 
 def cycle_objects(argv: list[str]) -> int:

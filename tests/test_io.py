@@ -69,7 +69,7 @@ from conncalc.scenario_io import (
     _ATTRIBUTE_FIELDS,
     _CONNECTION_FIELDS,
     _ENTITY_FIELDS,
-    _HYPOTHETICAL_FIELDS,
+    _RECORD_TABLES,
     _REQUIRED,
     _TABLE_LINES,
     ValidationReport,
@@ -733,7 +733,7 @@ def took_plain_step(plain, table: dict, cls, item) -> bool:
     if record is None:
         return False
     diags = []
-    built = _build(cls, _fields(item, table, "record", "record", diags))
+    built = _build(cls, _fields(item, table, "record", "record", diags, {}))
     assert diags == [] and built == record and type(record) is cls, item
     assert hash(record) == hash(built), item
     assert [type(getattr(built, key)) for key in table] == [
@@ -810,7 +810,7 @@ class TestPlainStep:
         item = {**base, **extra}
         assert not took_plain_step(plain, table, cls, item)
         diags = []
-        built = _build(cls, _fields(item, table, "connection", "c", diags))
+        built = _build(cls, _fields(item, table, "connection", "c", diags, {}))
         assert [str(d) for d in diags] == diagnostics
         assert (built is None) == any(d.startswith("error") for d in diagnostics)
         result = parse_doc(connections=[item])
@@ -819,11 +819,11 @@ class TestPlainStep:
     def test_every_table_field_has_a_plain_sample(self):
         for name, plain, table, cls, _ in PLAIN_STEPS:
             samples = PLAIN_SAMPLES[name]
-            for key, (_, default, _) in table.items():
+            for key, (_, default) in table.items():
                 item = {k: samples[k] for k, field in table.items() if field[1] is _REQUIRED}
                 item[key] = samples[key]
                 diags = []
-                built = _build(cls, _fields(item, table, name, name, diags))
+                built = _build(cls, _fields(item, table, name, name, diags, {}))
                 assert diags == [] and getattr(built, key) != default, key
                 assert took_plain_step(plain, table, cls, item), key
 
@@ -893,6 +893,14 @@ class TestSerializeScenario:
         assert "desired_connectivity" not in doc
         assert "ideal_roster" not in doc
 
+    def test_int_fields_print_as_ints(self):
+        # Validation takes a bool polarity (True == 1) and any int subclass as
+        # a time index; each prints as the int it equals.
+        time_index = Enum("TimeIndex", {"LATE": 3}, type=int).LATE
+        connection = conn("ab", "a", "b", polarity=True, time_index=time_index)
+        doc = serialize_scenario(scenario_of(connection))
+        assert '"polarity": 1,' in doc and '"time_index": 3\n' in doc
+
     def test_construction_order_does_not_leak(self):
         a = scenario_of(conn("x", "a", "b", magnitude=2), conn("w", "a", "b", magnitude=3))
         b = scenario_of(conn("w", "a", "b", magnitude=3), conn("x", "a", "b", magnitude=2))
@@ -941,14 +949,10 @@ class TestSerializeScenario:
         assert serialize_scenario(closed) == expected
 
     def test_field_tables_name_every_record_field_in_order(self):
-        # A field missing from its table would silently drop out of the file.
-        tables = [
-            (Entity, _ENTITY_FIELDS),
-            (AttributeVector, _ATTRIBUTE_FIELDS),
-            (Connection, _CONNECTION_FIELDS),
-            (RosterHypothetical, _HYPOTHETICAL_FIELDS),
-        ]
-        for record, table in tables:
+        # The writer writes each field of the class; a field missing from its
+        # table would be written, then read back as an unknown key.
+        assert set(_RECORD_TABLES) == {Entity, AttributeVector, Connection, RosterHypothetical}
+        for record, table in _RECORD_TABLES.items():
             assert list(table) == [f.name for f in dataclasses.fields(record)], record
 
 
@@ -1159,7 +1163,7 @@ class TestEmitReport:
         start = readme.index("`--format json` emits one JSON document per report")
         paragraph = readme[start : readme.index("\n\n", start)]
         listed = re.findall(r"`(\w+)`", re.search(r"\(([^)]*)\)", paragraph).group(1))
-        assert sorted(listed) == sorted(table.type for table in _TABLE_LINES.values())
+        assert sorted(listed) == sorted(doc_type for doc_type, _ in _TABLE_LINES.values())
 
     def test_unknown_format_or_report_type(self, office):
         with pytest.raises(ValueError):
@@ -1236,7 +1240,7 @@ def reference_report_doc(report) -> dict:
             return {f.name: value(getattr(item, f.name)) for f in dataclasses.fields(item)}
         return item
 
-    return {"type": _TABLE_LINES[type(report)].type, **value(report)}
+    return {"type": _TABLE_LINES[type(report)][0], **value(report)}
 
 
 def _refuse(*args, **kwargs):
