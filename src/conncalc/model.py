@@ -11,10 +11,11 @@ factors, each entity pair's best unblocked connection (over all kinds and over
 real ones only), and a ``Valuation`` holding each connection's value as an
 integer over one denominator, so sums are exact.
 
-Records whose values are already typed (parsed and closed connections,
-removal steps) are built by a ``_builder`` function, which skips the frozen
-``__init__``'s setattr calls. Validation and ``impact_factors`` work once per
-distinct magnitude or attribute vector object, which records share.
+Records whose values are already typed (parsed entities and connections,
+closed connections, removal steps) are built in one frame by a function that
+``_builder`` generates, which skips the frozen ``__init__``'s setattr calls.
+Validation, ``impact_factors`` and the valuation's magnitude units work once
+per distinct magnitude or attribute vector object, which records share.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ __all__ = [
 
 import decimal
 import sys
-from dataclasses import dataclass, field, fields, make_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -236,24 +237,23 @@ class Connection:
 
 
 def _builder(cls):
-    """A function making ``cls(*values)``, every field given with its type, without
-    ``__post_init__`` or the frozen ``__init__``'s setattr calls: an unfrozen twin
-    sets the slots and takes ``cls`` as its class, which CPython allows only
+    """A function making ``cls(*values)`` in one frame, every field given with its
+    type, without ``__post_init__`` or the frozen ``__init__``'s setattr calls:
+    generated as ``dataclasses`` generates ``__init__``, it sets an unfrozen twin's
+    slots and gives the twin ``cls`` as its class, which CPython allows only
     between identical slot layouts."""
-    twin = make_dataclass(
-        f"_{cls.__name__}Twin", [(f.name, f.type) for f in fields(cls)], slots=True
-    )
-
-    def build(*values):
-        record = twin(*values)
-        record.__class__ = cls
-        return record
-
+    names = cls.__slots__  # the fields, in order
+    twin = type(f"_{cls.__name__}Twin", (), {"__slots__": names})
+    source = f"def build({', '.join(names)}):\n    _record = _new(_twin)\n"
+    source += "".join(f"    _record.{name} = {name}\n" for name in names)
+    namespace = {"_new": object.__new__, "_twin": twin, "_cls": cls}
+    exec(source + "    _record.__class__ = _cls\n    return _record\n", namespace)
+    build = namespace["build"]
     build.twin = twin
     return build
 
 
-_new_connection = _builder(Connection)
+_new_entity, _new_connection = _builder(Entity), _builder(Connection)
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,12 +413,19 @@ class Valuation:
         rated = scenario.connections + tuple(
             e for e in scenario.ideal_roster or () if isinstance(e, RosterHypothetical)
         )
-        self._magnitude_lcm = lcm(*{item.magnitude.denominator for item in rated})
-        self.denominator = 2 * self._magnitude_lcm * weight_lcm
-        # Each connection's value ignoring any block, in connection order.
-        self.values = {
-            c.id: c.polarity * self.weigh(c.src, c.dst, c.magnitude) for c in scenario.connections
-        }
+        # Each distinct magnitude object's units once; the scenario keeps each alive.
+        magnitudes = {id(item.magnitude): item.magnitude for item in rated}
+        self._magnitude_lcm = scale = lcm(*{m.denominator for m in magnitudes.values()})
+        self.denominator = 2 * scale * weight_lcm
+        units = {key: m.numerator * (scale // m.denominator) for key, m in magnitudes.items()}
+        w = self._weights
+        try:  # each connection's value ignoring any block, in connection order
+            self.values = {
+                c.id: c.polarity * units[id(c.magnitude)] * (w[c.src] + w[c.dst])
+                for c in scenario.connections
+            }
+        except KeyError as exc:
+            raise IntegrityError(f"unknown entity id: {exc.args[0]!r}") from None
 
     def weigh(self, src: str, dst: str, magnitude: Fraction) -> int:
         """One of the scenario's magnitudes times the pair weight, over ``denominator``."""
@@ -560,7 +567,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(
                 Violation(subject, "kind", "kind self requires src = dst")
             )
-        if conn.polarity not in (1, -1):
+        if conn.polarity not in (1, -1) or conn.polarity is True:
             violations.append(
                 Violation(subject, "polarity", f"polarity must be +1 or -1, got {conn.polarity}")
             )

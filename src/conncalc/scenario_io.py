@@ -12,11 +12,12 @@ The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
 ``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
 record's on-disk fields: their keys, order, decoders and defaults.
 ``_fields`` reads any record by its table and is the one path that writes a
-diagnostic. A well-formed connection record takes the plain step first
-(``_plain_connection``), which builds the record that ``_fields`` would have
-built, through ``model._new_connection``; every other record goes through
-``_fields``. Each parse has one literal table (``_decode``), shared by the plain
-step, ``_number`` and the JSON float hook: a distinct literal decodes once per
+diagnostic. A well-formed entity or connection takes its plain step first, a
+function generated from its table on the first parse (``_plain_steps``) that
+builds in one frame, through ``model._new_entity`` or ``_new_connection``, the
+record ``_fields`` would build; every other record goes through ``_fields``.
+Each parse has one literal table (``_decode``), shared by the plain steps,
+``_number`` and the JSON float hook: a distinct literal decodes once per
 parse, and no decoded value outlives the parse.
 JSON is written by generated code, as ``dataclasses`` generates ``__init__``:
 ``_json_parts`` lays a class out from its dataclass fields in one f-string
@@ -67,7 +68,8 @@ from .model import (
     Scenario,
     ScoringMode,
     _LiteralTooLarge,
-    _new_connection,
+    _new_connection,  # noqa: F401 - the generated plain steps read it
+    _new_entity,  # noqa: F401 - the generated plain steps read it
     _number_text,
     _shortest_text,
     ensure_valid,
@@ -194,6 +196,7 @@ def _choice(enum: type[Enum], what: str, *, strings_only: bool):
         diags.append(_err(_at(location, key), f"unknown {what}: {_number_text(value, repr)}"))
         return None
 
+    decode.members = members  # the plain steps read it
     return decode
 
 
@@ -332,44 +335,73 @@ def _parse_connection(item, location: str, diags: list, literals: dict) -> Conne
     return _build(Connection, values)
 
 
-# The plain step: a connection record that holds only table keys, each of
-# which its decoder accepts without a diagnostic, is built in one step; for
-# any other, None comes back and the record goes through ``_fields``, which
-# writes every diagnostic. A value of a type the decoders accept but these
-# checks do not (an int magnitude, a str subclass) takes the table path too,
-# which builds the same record.
-_CONNECTION_KINDS = {kind.value: kind for kind in ConnectionKind}
-_required_connection_keys = itemgetter("id", "src", "dst", "kind", "polarity", "magnitude")
+# Each decoder's test of a raw value ``x`` that a plain step takes, and the
+# source of the value it decodes to, a literal table hit inline. A step builds
+# a record whose keys are all in its table and pass their tests, and returns
+# None for any other, which ``_fields`` then reads: one with an int magnitude
+# or a str subclass too, which the decoders take but the tests do not.
+_PLAIN_READS = {
+    _string: ("type({x}) is str", "{x}"),
+    _number: ("type({x}) is str", "literals[{x}] if {x} in literals else _decode(literals, {x})"),
+    _polarity: ("type({x}) is int and ({x} == 1 or {x} == -1)", "{x}"),
+    _time_index: ("type({x}) is int", "{x}"),
+    _flag: ("type({x}) is bool", "{x}"),
+}
 
 
-def _plain_connection(item, literals: dict) -> Connection | None:
-    """The connection of a well-formed record, or None. ``literals`` is the
-    parse's literal table (see :func:`_decode`)."""
-    if type(item) is not dict:
-        return None
-    try:
-        conn_id, src, dst, kind, polarity, magnitude = _required_connection_keys(item)
-    except KeyError:
-        return None
-    get = item.get
-    time_index = get("time_index", 0)
-    blocked, confirmed = get("blocked", False), get("confirmed", False)
-    if not (
-        len(item) == 6 + ("time_index" in item) + ("blocked" in item) + ("confirmed" in item)
-        and type(conn_id) is str and type(src) is str and type(dst) is str
-        and type(kind) is str and kind in _CONNECTION_KINDS
-        and type(polarity) is int and (polarity == 1 or polarity == -1)
-        and type(magnitude) is str and type(time_index) is int
-        and type(blocked) is bool and type(confirmed) is bool
-    ):
-        return None
-    try:
-        value = _decode(literals, magnitude)
-    except ValueError:  # _LiteralTooLarge too: the table path reports it
-        return None
-    return _new_connection(
-        conn_id, src, dst, _CONNECTION_KINDS[kind], polarity, value, time_index, blocked, confirmed
-    )
+def _plain_record(code: _Code, table: dict, item: str, body: list[str]) -> list[str]:
+    """The sources of the values of the record ``item`` read by ``table``, in
+    table order, each of which may raise ``ValueError``; the statements that
+    bind them, or return None where the step refuses ``item``, go to ``body``.
+    A record holding just its required keys, as most in a canonical file do,
+    skips the optional ones, such as an entity's attributes."""
+    required = [key for key, (_, default) in table.items() if default is _REQUIRED]
+    optional = [key for key in table if key not in required]
+    raw = {key: next(code.locals) for key in table}
+    tests, values, nested = [] if optional else [f"len({item}) == {len(required)}"], [], []
+    for key, (decode, _) in table.items():
+        x = raw[key]
+        if decode is _attributes:  # built by the public class, which checks every value
+            fields = ", ".join(_plain_record(code, _ATTRIBUTE_FIELDS, x, nested))
+            nested.append(f"try: {x} = AttributeVector({fields})")
+            nested += ["except (ValueError, ValidationError):", "    return None"]
+            values.append(x)
+        elif decode in _PLAIN_READS:
+            tests.append(_PLAIN_READS[decode][0].format(x=x))
+            values.append(_PLAIN_READS[decode][1].format(x=x))
+        else:  # an enum choice
+            members = code.name(decode.members)
+            tests.append(f"type({x}) is str and {x} in {members}")
+            values.append(f"{members}[{x}]")
+    names = "".join(f"{raw[key]}, " for key in required)
+    body += [
+        f"if type({item}) is not dict: return None",
+        f"try: {names}= {code.name(itemgetter(*required))}({item})",
+        "except KeyError: return None",
+    ]
+    if optional:  # read only when present, as is a nested record among them
+        count = " + ".join([str(len(required)), *(f"({key!r} in {item})" for key in optional)])
+        default = {key: code.name(table[key][1]) for key in optional}
+        body.append(f"if len({item}) == {len(required)}:")
+        body += [f"    {raw[key]} = {default[key]}" for key in optional]
+        body += ["else:", *(f"    {raw[k]} = {item}.get({k!r}, {default[k]})" for k in optional)]
+        body += [f"    if len({item}) != {count}: return None", *(f"    {line}" for line in nested)]
+    body.append(f"if not ({' and '.join(tests)}): return None")
+    return values
+
+
+@cache
+def _plain_steps() -> tuple:
+    """The plain steps of an entity and of a connection, each ``(item, literals)
+    -> record or None``, ``literals`` being the parse's literal table (see
+    :func:`_decode`); each names its record's builder as a module global."""
+    code, names = _Code(), []
+    for table, build in ((_ENTITY_FIELDS, "_new_entity"), (_CONNECTION_FIELDS, "_new_connection")):
+        body: list[str] = []
+        values = ", ".join(_plain_record(code, table, "item", body))
+        body += [f"try: return {build}({values})", "except ValueError: pass  # _fields reports it"]
+        names.append(code.function("item, literals", body, "None"))
+    return code.build(*names)
 
 
 def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> RosterEntry | None:
@@ -458,9 +490,10 @@ def parse_scenario(text: str) -> ParseResult:
 
     # A null entities or connections array is missing; a null roster is not an array.
     arrays = {}
+    entity_step, connection_step = _plain_steps()
     for key, parse, plain in (
-        ("entities", _parse_entity, None),
-        ("connections", _parse_connection, _plain_connection),
+        ("entities", _parse_entity, entity_step),
+        ("connections", _parse_connection, connection_step),
     ):
         if doc.get(key) is None:
             diags.append(_err(key, "missing required key"))
@@ -531,7 +564,7 @@ def _fstring(parts: list) -> str:
 
 
 class _Code:
-    """Source of generated writer functions, and the values it names."""
+    """Source of generated functions (writers and plain steps), and the values it names."""
 
     def __init__(self):
         self.lines: list[str] = []

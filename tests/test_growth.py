@@ -14,6 +14,11 @@ No command leaves reference cycles: with the cyclic collector paused,
 ``gc.collect()`` finds no object after one warm ``cli.main`` run, at either
 size, ``closure`` included.
 
+Parsing is counted per record: the Python ``call`` events of one
+``parse_scenario`` of a canonical file, divided by its entities and
+connections, stay near the two frames each record needs, its plain step and
+its builder.
+
 Path search is counted the same way, one ``find_paths`` call over two hops on
 the silent closure of generated scenarios of n and 2n entities, with the pair
 index already built. There every entity neighbours every other, so the
@@ -79,13 +84,13 @@ def path_ends(job: dict) -> list[str]:
     return argv[start : start + 4]
 
 
-def counted_events(call):
-    """``call()``'s result and the ``call`` and ``c_call`` events it made."""
+def counted_events(call, events=("call", "c_call")):
+    """``call()``'s result and the profile events of the kinds ``events`` it made."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "call" or event == "c_call":
+        if event in events:
             count += 1
 
     sys.setprofile(profile)
@@ -163,6 +168,26 @@ def test_a_cycle_per_record_fails_the_cycle_guard(jobs, monkeypatch):
     monkeypatch.setattr(conncalc.scenario_io, "_new_connection", planted)
     small, large = (cycle_objects(command_argv("validate", job)) for job in jobs)
     assert large - small == (SCALE - 1) * SIZE
+
+
+# Python calls per record in a parse of the canonical 2,000-connection file
+# read 2.59, a plain step and a builder per record plus a few calls per
+# distinct literal and attribute vector; 5.19 when a connection passed through
+# four frames and an entity through the field table. One more call per record
+# reads 3.59.
+PARSE_CONNECTIONS = 2000
+MAX_PARSE_CALLS_PER_RECORD = 3
+
+
+def test_parsing_makes_few_calls_per_record(tmp_path):
+    (job,) = gen.generate("analyze", 5, tmp_path, (PARSE_CONNECTIONS,))
+    text = Path(job["file"]).read_text(encoding="ascii")
+    doc = json.loads(text)
+    records = len(doc["entities"]) + len(doc["connections"])
+    assert parse_scenario(text).ok  # the first parse generates the plain steps
+    result, calls = counted_events(lambda: parse_scenario(text), ("call",))
+    assert result.ok and len(result.scenario.connections) == PARSE_CONNECTIONS
+    assert calls / records <= MAX_PARSE_CALLS_PER_RECORD, calls / records
 
 
 # Two-hop paths between two entities of a closed graph number about n, and

@@ -50,6 +50,7 @@ from conncalc import (
     detect_confusion,
     efficiency,
     emit_report,
+    ensure_valid,
     export_dot,
     find_paths,
     format_rational,
@@ -75,7 +76,7 @@ from conncalc.scenario_io import (
     ValidationReport,
     _build,
     _fields,
-    _plain_connection,
+    _plain_steps,
 )
 
 from . import support, test_cli
@@ -452,8 +453,9 @@ class TestLiteralCheckCount:
         assert [str(d) for d in result.diagnostics] == [
             f"error entities[{i}].attributes.existence: not a numeric string: '1/0'" for i in (0, 1)
         ]
-        # "1/0" was never stored, so the second entity checked it again.
-        assert Counter(calls) == {"1/0": 2, "1/2": 1, "2": 1}
+        # "1/0" was never stored, so each entity checked it again: in the plain
+        # step, which then refused the record, and in the field table.
+        assert Counter(calls) == {"1/0": 4, "1/2": 1, "2": 1}
 
 
 class TestMagnitudeDecodeCount:
@@ -487,10 +489,10 @@ class TestMagnitudeDecodeCount:
         base = PLAIN_STEPS[0][4]
         literals = {}
         for magnitude in ("1/0", "1e99999", "x"):
-            assert _plain_connection({**base, "magnitude": magnitude}, literals) is None
+            assert plain_connection({**base, "magnitude": magnitude}, literals) is None
         assert literals == {}
-        first = _plain_connection({**base, "magnitude": "5/2"}, literals)
-        second = _plain_connection({**base, "id": "d", "magnitude": "5/2"}, literals)
+        first = plain_connection({**base, "magnitude": "5/2"}, literals)
+        second = plain_connection({**base, "id": "d", "magnitude": "5/2"}, literals)
         assert literals == {"5/2": Fraction(5, 2)}
         assert first.magnitude is second.magnitude is literals["5/2"]
 
@@ -622,7 +624,7 @@ class TestConnectionInitCount:
 
     def test_a_record_the_plain_step_refuses_calls_it_once(self, monkeypatch):
         item = {"id": "ab", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": 2}
-        assert _plain_connection(item, {}) is None
+        assert plain_connection(item, {}) is None
         inits = _count_connection_inits(monkeypatch)
         result = parse_doc(connections=[item])
         assert result.ok and result.scenario.connection("ab").magnitude == 2
@@ -709,11 +711,13 @@ class TestPrintableCheck:
             assert printed == []
 
 
+plain_entity, plain_connection = _plain_steps()
 # Each record type with a plain step: its array's key, the step, its field
 # table and class, and a well-formed record with only the required fields.
 PLAIN_STEPS = (
-    ("connections", _plain_connection, _CONNECTION_FIELDS, Connection,
+    ("connections", plain_connection, _CONNECTION_FIELDS, Connection,
      {"id": "c", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": "2"}),
+    ("entities", plain_entity, _ENTITY_FIELDS, Entity, {"id": "e", "kind": "known"}),
 )
 # One valid value off its default for each field of those tables. A field
 # added to a table needs one here, and the plain step must decode it.
@@ -721,6 +725,12 @@ PLAIN_SAMPLES = {
     "connections": {
         "id": "c1", "src": "a", "dst": "b", "kind": "silent", "polarity": -1,
         "magnitude": "7/2", "time_index": 3, "blocked": True, "confirmed": True,
+    },
+    "entities": {
+        "id": "e1", "kind": "hidden", "attributes": {
+            "existence": "0.1", "inner_state": "1/3", "external_state": "0.95",
+            "communication_state": "2/7",
+        },
     },
 }
 
@@ -748,8 +758,8 @@ def took_plain_step(plain, table: dict, cls, item) -> bool:
 
 
 class TestPlainStep:
-    """A well-formed connection record takes the plain step, which builds what
-    the field tables would build; only a record it refuses, or an entity,
+    """A well-formed entity or connection record takes its plain step, which
+    builds what the field tables would build; only a record it refuses
     reaches ``_fields``."""
 
     def test_seeded_mutation_records_match_the_field_tables(self):
@@ -827,7 +837,7 @@ class TestPlainStep:
                 assert diags == [] and getattr(built, key) != default, key
                 assert took_plain_step(plain, table, cls, item), key
 
-    def test_fields_decodes_every_entity_and_no_connection(self, monkeypatch):
+    def test_fields_decodes_no_record_of_a_valid_file(self, monkeypatch):
         s = support.random_scenario(
             support.random.Random(2024),
             max_entities=40,
@@ -835,12 +845,8 @@ class TestPlainStep:
             max_connections=2000,
             with_roster=False,
         )
-        expected = []
-        for e in s.entities:
-            expected.append(_ENTITY_FIELDS)
-            if e.attributes != AttributeVector():
-                expected.append(_ATTRIBUTE_FIELDS)
-        assert len(s.entities) < len(expected) < 2 * len(s.entities)
+        attributes = {e.attributes for e in s.entities}
+        assert AttributeVector() in attributes and len(attributes) > 1
         tables = []
         original = conncalc.scenario_io._fields
 
@@ -849,8 +855,15 @@ class TestPlainStep:
             return original(item, table, *args)
 
         monkeypatch.setattr(conncalc.scenario_io, "_fields", counted)
-        assert parse_scenario(serialize_scenario(s)).scenario == s
-        assert tables == expected
+        text = serialize_scenario(s)
+        assert parse_scenario(text).scenario == s
+        assert tables == []
+        # A record the plain step refuses still goes through the tables.
+        doc = json.loads(text)
+        doc["entities"][0].update(attributes=ATTRIBUTES, note=1)
+        doc["connections"][0]["magnitude"] = 2
+        assert parse_scenario(json.dumps(doc)).ok
+        assert tables == [_ENTITY_FIELDS, _ATTRIBUTE_FIELDS, _CONNECTION_FIELDS]
 
 
 # An id that ``support.hostile_ids`` can draw: its high and low surrogates
@@ -894,12 +907,21 @@ class TestSerializeScenario:
         assert "ideal_roster" not in doc
 
     def test_int_fields_print_as_ints(self):
-        # Validation takes a bool polarity (True == 1) and any int subclass as
-        # a time index; each prints as the int it equals.
+        # Validation takes any int subclass as a time index; it prints as the
+        # int it equals.
         time_index = Enum("TimeIndex", {"LATE": 3}, type=int).LATE
-        connection = conn("ab", "a", "b", polarity=True, time_index=time_index)
-        doc = serialize_scenario(scenario_of(connection))
-        assert '"polarity": 1,' in doc and '"time_index": 3\n' in doc
+        doc = serialize_scenario(scenario_of(conn("ab", "a", "b", time_index=time_index)))
+        assert '"time_index": 3\n' in doc
+
+    @pytest.mark.parametrize("polarity", [True, False])
+    def test_a_bool_polarity_is_invalid(self, polarity):
+        # True == 1, but a file's polarity is never a bool, so none validates.
+        s = scenario_of(conn("ab", "a", "b", polarity=polarity))
+        message = f"ab.polarity: polarity must be \\+1 or -1, got {polarity}"
+        with pytest.raises(ValidationError, match=message):
+            ensure_valid(s)
+        with pytest.raises(ValidationError, match=message):
+            serialize_scenario(s)
 
     def test_construction_order_does_not_leak(self):
         a = scenario_of(conn("x", "a", "b", magnitude=2), conn("w", "a", "b", magnitude=3))
