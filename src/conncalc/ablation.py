@@ -6,10 +6,7 @@ importance order and record the quality after each step, always measured
 against the intact scenario's ideal connectivity so that steps are
 comparable. Replacement experiments block one connection, add a substitute,
 and report quality before, during, and after, again over the intact ideal.
-
-One valuation pass per experiment: a block lowers the score by exactly the
-blocked connection's value, so the cost is linear in the connections plus
-the schedule sort. Ranking and scoring read ``Scenario.valuation``.
+Ranking and scoring read ``Scenario.valuation``.
 """
 
 from __future__ import annotations
@@ -22,18 +19,11 @@ __all__ = [
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 
 from .errors import ComputationError, IntegrityError
 from .metrics import connectivity_score, ideal_connectivity, quality
-from .model import (
-    Connection,
-    Scenario,
-    _PRINTABLE_BITS,
-    _builder,
-    _check_printable,
-    connection_value,
-    ensure_valid,
-)
+from .model import Connection, Scenario, _builder, connection_value, ensure_valid
 
 
 class RemovalOrder(str, Enum):
@@ -99,14 +89,7 @@ def removal_schedule(scenario: Scenario, order: RemovalOrder) -> list[str]:
     scenario without connections yields an empty schedule.
     """
     ensure_valid(scenario)
-    order = RemovalOrder(order)
-    # Integer values over one positive denominator rank as the values do.
-    ranked = [(abs(value), conn_id) for conn_id, value in scenario.valuation.values.items()]
-    if order is RemovalOrder.LEAST_FIRST:
-        ranked.sort()
-    else:
-        ranked.sort(key=lambda pair: (-pair[0], pair[1]))
-    return [connection_id for _, connection_id in ranked]
+    return scenario.valuation.ranked(RemovalOrder(order) is RemovalOrder.MOST_FIRST)
 
 
 def run_removal(
@@ -119,7 +102,7 @@ def run_removal(
     Every step's efficiency divides by the intact scenario's ideal
     connectivity, so the trajectory reflects only the removals. max_steps
     truncates the schedule; None runs it to the end. A value with no exact
-    text form raises :class:`ComputationError` before its step is built.
+    text form raises :class:`ComputationError` before any step is built.
     """
     order = RemovalOrder(order)
     schedule = removal_schedule(scenario, order)
@@ -131,28 +114,9 @@ def run_removal(
             raise ValueError(f"max_steps must be a non-negative integer, got {max_steps!r}")
         schedule = schedule[:max_steps]
 
-    valuation = scenario.valuation
-    values = {c.id: 0 if c.blocked else valuation.values[c.id] for c in scenario.connections}
-    total = sum(values.values())
-    # quality(score, ideal) in integers: score is total / valuation.denominator,
-    # and the ideal is positive, so ideal_units is too.
-    scale, ideal_units = 100 * ideal.denominator, valuation.denominator * ideal.numerator
-    # Reduced, a step's score and efficiency have numerators at most ``most``
-    # and ``scale * most`` in size, over divisors of the two denominators. Below
-    # _PRINTABLE_BITS every one prints; past it, each step is checked.
-    _check_printable(ideal.numerator, ideal.denominator)
-    most = sum(map(abs, values.values()))
-    check = max(scale * most, valuation.denominator, ideal_units).bit_length() > _PRINTABLE_BITS
-    steps: list[TrajectoryStep] = []
-    for number, connection_id in enumerate(schedule, start=1):
-        total -= values[connection_id]
-        score = Fraction(total, valuation.denominator)
-        efficiency = Fraction(scale * total, ideal_units)
-        if check:
-            _check_printable(score.numerator, score.denominator)
-            _check_printable(efficiency.numerator, efficiency.denominator)
-        steps.append(_new_step(number, connection_id, score, efficiency))
-    return QualityTrajectory(order=order, ideal=ideal, steps=tuple(steps))
+    scores, efficiencies = scenario.valuation.removal(schedule)
+    steps = tuple(map(_new_step, count(1), schedule, scores, efficiencies))
+    return QualityTrajectory(order=order, ideal=ideal, steps=steps)
 
 
 def run_replacement(

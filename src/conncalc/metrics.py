@@ -6,7 +6,7 @@ desired (or ideal) score and scaling by 100 yields a quality percentage,
 which is banded: below 50% failing, 50-75% satisfactory, above 75% high.
 All arithmetic is exact rational arithmetic; nothing is rounded.
 Metrics read the scenario's index (:mod:`conncalc.model`): score and ideal
-are integer sums over one denominator, and hops are pair lookups.
+are read from its valuation, and hops are pair lookups.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import ComputationError, ConfigurationError, StateError
 from .model import (
     ConnectionKind,
     EntityKind,
-    RosterRef,
     Scenario,
     ScoringMode,
     connection_value,
@@ -88,13 +87,7 @@ class ConfusionReport:
 def connectivity_score(scenario: Scenario) -> Fraction:
     """Signed sum of all connection values; blocked connections contribute 0."""
     ensure_valid(scenario)
-    valuation = scenario.valuation
-    total = sum(
-        value
-        for conn, value in zip(scenario.connections, valuation.values.values())
-        if not conn.blocked
-    )
-    return Fraction(total, valuation.denominator)
+    return scenario.valuation.score
 
 
 def ideal_connectivity(scenario: Scenario) -> Fraction:
@@ -106,16 +99,7 @@ def ideal_connectivity(scenario: Scenario) -> Fraction:
     caller's precondition; a roster entry naming a missing connection or
     entity surfaces as an integrity error.
     """
-    valuation = scenario.valuation
-    if scenario.ideal_roster is None:
-        return Fraction(sum(map(abs, valuation.values.values())), valuation.denominator)
-    total = 0
-    for entry in scenario.ideal_roster:
-        if isinstance(entry, RosterRef):
-            total += abs(valuation.values[scenario.connection(entry.ref).id])
-        else:
-            total += abs(valuation.weigh(entry.src, entry.dst, entry.magnitude))
-    return Fraction(total, valuation.denominator)
+    return scenario.valuation.ideal
 
 
 def quality(actual, desired) -> Fraction:

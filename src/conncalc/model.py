@@ -8,8 +8,8 @@ boundary so serialized values reproduce byte for byte.
 
 Each scenario keeps one lazily built index: its validation result, impact
 factors, each entity pair's best unblocked connection (over all kinds and over
-real ones only), and a ``Valuation`` holding each connection's value as an
-integer over one denominator, so sums are exact.
+real ones only), and a ``Valuation``: connection values as integers over one
+denominator, and every exact sum of them (score, ideal, removal ranking, steps).
 
 Records whose values are already typed (parsed entities and connections,
 closed connections, removal steps) are built in one frame by a function that
@@ -33,8 +33,9 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, chain
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from .errors import ComputationError, IntegrityError, ValidationError
 
@@ -396,11 +397,15 @@ def with_scoring_mode(scenario: Scenario, mode: ScoringMode) -> Scenario:
 
 class Valuation:
     """Connection values under one scoring mode, as integers over one denominator.
+    Only this class sees them: the score, the ideal, the removal ranking and
+    each removal step are exact integer sums read from it.
 
     Magnitude m between a and b is worth m (w_a + w_b) / 2, an entity weighing
     1 in raw mode and its impact factor otherwise. With M and L the LCMs of the
     magnitude and weight denominators, that is the integer m.numerator
-    (M // m.denominator) (L w_a + L w_b) over ``denominator`` = 2 M L.
+    (M // m.denominator) (L w_a + L w_b) over 2 M L. A block lowers the score by
+    exactly the blocked connection's value, so a removal experiment costs one
+    pass over the connections plus the schedule sort.
     """
 
     def __init__(self, scenario: Scenario):
@@ -410,30 +415,76 @@ class Valuation:
             weights = dict.fromkeys(scenario._entities_by_id, 1)
         weight_lcm = lcm(*{w.denominator for w in weights.values()})
         self._weights = {k: w.numerator * (weight_lcm // w.denominator) for k, w in weights.items()}
-        rated = scenario.connections + tuple(
-            e for e in scenario.ideal_roster or () if isinstance(e, RosterHypothetical)
-        )
+        self._connections, self._roster = scenario.connections, scenario.ideal_roster
         # Each distinct magnitude object's units once; the scenario keeps each alive.
-        magnitudes = {id(item.magnitude): item.magnitude for item in rated}
-        self._magnitude_lcm = scale = lcm(*{m.denominator for m in magnitudes.values()})
-        self.denominator = 2 * scale * weight_lcm
+        hypotheticals = (e for e in self._roster or () if isinstance(e, RosterHypothetical))
+        magnitudes = {id(x.magnitude): x.magnitude for x in chain(self._connections, hypotheticals)}
+        scale = lcm(*{m.denominator for m in magnitudes.values()})
+        self._denominator = 2 * scale * weight_lcm
         units = {key: m.numerator * (scale // m.denominator) for key, m in magnitudes.items()}
-        w = self._weights
+        self._units, w = units, self._weights
         try:  # each connection's value ignoring any block, in connection order
-            self.values = {
+            self._values = {
                 c.id: c.polarity * units[id(c.magnitude)] * (w[c.src] + w[c.dst])
-                for c in scenario.connections
+                for c in self._connections
             }
         except KeyError as exc:
             raise IntegrityError(f"unknown entity id: {exc.args[0]!r}") from None
 
-    def weigh(self, src: str, dst: str, magnitude: Fraction) -> int:
-        """One of the scenario's magnitudes times the pair weight, over ``denominator``."""
-        try:
-            pair = self._weights[src] + self._weights[dst]
-        except KeyError as exc:
-            raise IntegrityError(f"unknown entity id: {exc.args[0]!r}") from None
-        return magnitude.numerator * (self._magnitude_lcm // magnitude.denominator) * pair
+    @cached_property
+    def score(self) -> Fraction:
+        """Signed sum of the connection values; a blocked connection adds 0."""
+        values = zip(self._connections, self._values.values())
+        return Fraction(sum(v for c, v in values if not c.blocked), self._denominator)
+
+    @cached_property
+    def ideal(self) -> Fraction:
+        """Sum of the absolute values over the ideal roster (all connections without
+        one), blocks ignored; an :class:`IntegrityError` names the first bad entry."""
+        values, units, w = self._values, self._units, self._weights
+        if self._roster is None:
+            return Fraction(sum(map(abs, values.values())), self._denominator)
+        total = 0
+        for entry in self._roster:
+            try:
+                if isinstance(entry, RosterRef):
+                    total += abs(values[entry.ref])
+                else:
+                    total += abs(units[id(entry.magnitude)] * (w[entry.src] + w[entry.dst]))
+            except KeyError as exc:
+                kind = "connection" if isinstance(entry, RosterRef) else "entity"
+                raise IntegrityError(f"unknown {kind} id: {exc.args[0]!r}") from None
+        return Fraction(total, self._denominator)
+
+    def ranked(self, most_first: bool) -> list[str]:
+        """Connection ids by rising absolute value, or falling if
+        ``most_first``; ties by id, ascending. Blocks are ignored."""
+        sign = -1 if most_first else 1
+        ranked = sorted([(sign * abs(v), conn_id) for conn_id, v in self._values.items()])
+        return [conn_id for _, conn_id in ranked]
+
+    def removal(self, schedule: list[str]) -> tuple[list[Fraction], list[Fraction]]:
+        """The score, and the efficiency percentage over the nonzero ideal, after
+        blocking each connection of ``schedule`` in turn. A value with no exact
+        text form raises :class:`ComputationError`, the ideal's before any step's."""
+        ideal, denominator = self.ideal, self._denominator
+        _check_printable(ideal.numerator, ideal.denominator)
+        values = {
+            c.id: 0 if c.blocked else v for c, v in zip(self._connections, self._values.values())
+        }
+        intact = sum(values.values())
+        totals = list(accumulate(map(values.__getitem__, schedule), sub, initial=intact))[1:]
+        # A step's score is total / denominator and its efficiency 100 * total / ideal_units
+        # (the ideal is ideal_units / denominator). Reduced, their numerators are at most
+        # ``most`` and ``100 * most``; below _PRINTABLE_BITS all print, past it each is checked.
+        ideal_units = ideal.numerator * (denominator // ideal.denominator)
+        most = sum(map(abs, values.values()))
+        check = max(100 * most, denominator, ideal_units).bit_length() > _PRINTABLE_BITS
+        scores = [Fraction(total, denominator) for total in totals]
+        efficiencies = [Fraction(100 * total, ideal_units) for total in totals]
+        for number in chain(scores, efficiencies) if check else ():
+            _check_printable(number.numerator, number.denominator)
+        return scores, efficiencies
 
 
 @dataclass(frozen=True, slots=True)

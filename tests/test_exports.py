@@ -4,6 +4,7 @@
 wildcard import, so these checks keep the lists honest: no name is exported
 twice, each is exported by the module that defines it, the package list is
 their sorted union, and no module imports a name it neither uses nor exports.
+The private names one module imports from another are pinned in a list.
 """
 
 from __future__ import annotations
@@ -153,3 +154,50 @@ def test_the_private_name_check_sees_an_unread_name(tmp_path):
     ]
     assert unread_private_names([first, second]) == ["first.py:3 _SPARE", "first.py:8 _unused"]
 
+
+
+# The private names each conncalc module imports from another one: a new
+# cross-module private import needs a one-line edit here.
+PRIVATE_IMPORTS = {
+    "ablation": ["_builder"],
+    "paths": ["_best_links", "_new_connection"],
+    "scenario_io": [
+        "_LiteralTooLarge", "_new_connection", "_new_entity", "_number_text", "_shortest_text"
+    ],
+}
+
+
+def private_imports(paths: list[Path]) -> dict[str, list[str]]:
+    """For each of ``paths`` that has any, the sorted private names it imports
+    from a sibling module (a relative import), anywhere in its code."""
+    found = {}
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = sorted(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0
+            for alias in node.names
+            if alias.name.startswith("_")
+        )
+        if names:
+            found[path.stem] = names
+    return found
+
+
+def test_cross_module_private_imports_are_the_listed_ones():
+    assert private_imports(sorted(SOURCE.glob("*.py"))) == PRIVATE_IMPORTS
+
+
+def test_the_private_import_check_sees_a_private_import(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import os._private\n"
+        "from json import _default_decoder\n"
+        "from .model import Scenario, _builder\n"
+        "def build():\n"
+        "    from .paths import _best_links as links\n"
+        "    return links\n",
+        encoding="utf-8",
+    )
+    assert private_imports([path]) == {"sample": ["_best_links", "_builder"]}

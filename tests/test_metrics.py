@@ -20,6 +20,7 @@ from conncalc import (
     ConnectivityReport,
     EntityKind,
     IntegrityError,
+    RosterHypothetical,
     RosterRef,
     Scenario,
     ScoringMode,
@@ -102,6 +103,13 @@ class TestIdealConnectivity:
         s = scenario_of(conn("c", "a", "b"), entities=(make_entity("a", "known"),))
         with pytest.raises(IntegrityError, match="unknown entity id: 'b'"):
             ideal_connectivity(s)
+        s = scenario_of(conn("c", "a", "b"))
+        hypothetical = RosterHypothetical(src="a", dst="x", magnitude=Fraction(2))
+        with pytest.raises(IntegrityError, match="unknown entity id: 'x'"):
+            ideal_connectivity(replace(s, ideal_roster=(hypothetical,)))
+        # Roster entries are valued in order: a missing ref ahead is reported first.
+        with pytest.raises(IntegrityError, match="unknown connection id: 'nope'"):
+            ideal_connectivity(replace(s, ideal_roster=(RosterRef(ref="nope"), hypothetical)))
 
     @given(support.scenarios())
     def test_matches_oracle_and_is_non_negative(self, s):
