@@ -102,7 +102,7 @@ def run_removal(
     Every step's efficiency divides by the intact scenario's ideal
     connectivity, so the trajectory reflects only the removals. max_steps
     truncates the schedule; None runs it to the end. A value with no exact
-    text form raises :class:`ComputationError` before any step is built.
+    text form raises :class:`ComputationError` at once, before any step is built.
     """
     order = RemovalOrder(order)
     schedule = removal_schedule(scenario, order)

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from math import lcm
-from operator import attrgetter, sub
+from operator import attrgetter
 
 from .errors import ComputationError, IntegrityError, ValidationError
 
@@ -397,8 +397,7 @@ def with_scoring_mode(scenario: Scenario, mode: ScoringMode) -> Scenario:
 
 class Valuation:
     """Connection values under one scoring mode, as integers over one denominator.
-    Only this class sees them: the score, the ideal, the removal ranking and
-    each removal step are exact integer sums read from it.
+    Only this class sees them: score, ideal, removal ranking and steps are sums of them.
 
     Magnitude m between a and b is worth m (w_a + w_b) / 2, an entity weighing
     1 in raw mode and its impact factor otherwise. With M and L the LCMs of the
@@ -432,10 +431,14 @@ class Valuation:
             raise IntegrityError(f"unknown entity id: {exc.args[0]!r}") from None
 
     @cached_property
+    def _unblocked(self) -> dict[str, int]:
+        """Each connection's value, or 0 if it is blocked."""
+        return {**self._values, **dict.fromkeys([c.id for c in self._connections if c.blocked], 0)}
+
+    @cached_property
     def score(self) -> Fraction:
         """Signed sum of the connection values; a blocked connection adds 0."""
-        values = zip(self._connections, self._values.values())
-        return Fraction(sum(v for c, v in values if not c.blocked), self._denominator)
+        return Fraction(sum(self._unblocked.values()), self._denominator)
 
     @cached_property
     def ideal(self) -> Fraction:
@@ -457,33 +460,30 @@ class Valuation:
         return Fraction(total, self._denominator)
 
     def ranked(self, most_first: bool) -> list[str]:
-        """Connection ids by rising absolute value, or falling if
-        ``most_first``; ties by id, ascending. Blocks are ignored."""
+        """Ids by rising absolute value (falling if ``most_first``), ties by id; blocks ignored."""
         sign = -1 if most_first else 1
         ranked = sorted([(sign * abs(v), conn_id) for conn_id, v in self._values.items()])
         return [conn_id for _, conn_id in ranked]
 
     def removal(self, schedule: list[str]) -> tuple[list[Fraction], list[Fraction]]:
-        """The score, and the efficiency percentage over the nonzero ideal, after
-        blocking each connection of ``schedule`` in turn. A value with no exact
-        text form raises :class:`ComputationError`, the ideal's before any step's."""
-        ideal, denominator = self.ideal, self._denominator
+        """The score, and the efficiency percentage over the nonzero ideal, after blocking
+        each connection of ``schedule`` in turn. A value with no exact text form raises
+        :class:`ComputationError` when reached, the ideal's first; later ones are not built."""
+        ideal, denominator, values = self.ideal, self._denominator, self._unblocked
         _check_printable(ideal.numerator, ideal.denominator)
-        values = {
-            c.id: 0 if c.blocked else v for c, v in zip(self._connections, self._values.values())
-        }
-        intact = sum(values.values())
-        totals = list(accumulate(map(values.__getitem__, schedule), sub, initial=intact))[1:]
-        # A step's score is total / denominator and its efficiency 100 * total / ideal_units
-        # (the ideal is ideal_units / denominator). Reduced, their numerators are at most
-        # ``most`` and ``100 * most``; below _PRINTABLE_BITS all print, past it each is checked.
         ideal_units = ideal.numerator * (denominator // ideal.denominator)
         most = sum(map(abs, values.values()))
+        # Reduced, a step's two values have numerators within 100 * most over divisors of these.
         check = max(100 * most, denominator, ideal_units).bit_length() > _PRINTABLE_BITS
-        scores = [Fraction(total, denominator) for total in totals]
-        efficiencies = [Fraction(100 * total, ideal_units) for total in totals]
-        for number in chain(scores, efficiencies) if check else ():
-            _check_printable(number.numerator, number.denominator)
+        total, scores, efficiencies = sum(values.values()), [], []
+        for connection_id in schedule:
+            total -= values[connection_id]
+            score, efficiency = Fraction(total, denominator), Fraction(100 * total, ideal_units)
+            if check:
+                _check_printable(score.numerator, score.denominator)
+                _check_printable(efficiency.numerator, efficiency.denominator)
+            scores.append(score)
+            efficiencies.append(efficiency)
         return scores, efficiencies
 
 

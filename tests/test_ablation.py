@@ -581,6 +581,22 @@ class TestFailFast:
             run_removal(self._scenario(), RemovalOrder.LEAST_FIRST)
         assert built == []
 
+    def test_no_value_after_one_that_cannot_print_is_computed(self, built, monkeypatch):
+        # Twenty more steps follow the first; each would leave c1 + c2 unprintable.
+        extra = [conn(f"d{i:02}", "a", "b", magnitude=Fraction(1)) for i in range(20)]
+        s = replace(self._scenario(), connections=self._scenario().connections + tuple(extra))
+        ideal_connectivity(s)  # validation and the ideal are cached before counting
+        made = [0]
+
+        def counted(*args):
+            made[0] += 1
+            return Fraction(*args)
+
+        monkeypatch.setattr(conncalc.model, "Fraction", counted)
+        with pytest.raises(ComputationError, match="too long to print exactly"):
+            run_removal(s, RemovalOrder.LEAST_FIRST)
+        assert made == [2] and built == []  # the first step's score and efficiency
+
     def test_steps_that_print_are_checked_and_kept(self, built):
         trajectory = run_removal(self._scenario(), RemovalOrder.MOST_FIRST)
         assert [step.blocked_connection for step in trajectory.steps] == ["c2", "c1", "c3"]

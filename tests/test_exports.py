@@ -155,7 +155,6 @@ def test_the_private_name_check_sees_an_unread_name(tmp_path):
     assert unread_private_names([first, second]) == ["first.py:3 _SPARE", "first.py:8 _unused"]
 
 
-
 # The private names each conncalc module imports from another one: a new
 # cross-module private import needs a one-line edit here.
 PRIVATE_IMPORTS = {
