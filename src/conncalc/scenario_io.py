@@ -8,29 +8,27 @@ fixed order, defaults omitted. Parsing is lenient where it can be (unknown
 keys warn) and exact where it must be (floats in the JSON source are decoded
 to rationals before any float arithmetic can occur).
 
-The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``,
-``_CONNECTION_FIELDS``, ``_HYPOTHETICAL_FIELDS``) are the one list of each
-record's on-disk fields: their keys, order, decoders and defaults.
-``_fields`` reads any record by its table and is the one path that writes a
-diagnostic. A well-formed entity or connection takes its plain step first, a
-function generated from its table on the first parse (``_plain_steps``) that
-builds in one frame, through ``model._new_entity`` or ``_new_connection``, the
-record ``_fields`` would build; every other record goes through ``_fields``.
-Each parse has one literal table (``_decode``), shared by the plain steps,
-``_number`` and the JSON float hook: a distinct literal decodes once per
-parse, and no decoded value outlives the parse.
-JSON is written by generated code, as ``dataclasses`` generates ``__init__``:
-``_json_parts`` lays a class out from its dataclass fields in one f-string
-read straight from the record's attributes, as ``json.dumps(indent=2,
-ensure_ascii=True)`` would (the layout of ``_json_block``), with strings
-through the C ``encode_basestring_ascii`` that ``json.dumps`` uses. A record
-class leaves out a field at its field table's default (``_RECORD_TABLES``).
-Each writer is built on its first use (``_scenario_writers``,
-``_report_writer``). Every report is one document, a ``type`` key and one
-key per field, written as JSON or as the table text of its plain function in
-``_TABLE_LINES``. Every rational is printed by ``model._shortest_text``: once
-per distinct object per ``serialize_scenario`` call, once per signed
-magnitude object per DOT export, and once per field in a report. No text
+The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``, ``_CONNECTION_FIELDS``,
+``_HYPOTHETICAL_FIELDS``) are the one list of each record's on-disk fields: their keys,
+order, decoders and defaults. ``_fields`` reads any record by its table and is the one
+path that writes a diagnostic. An entity or connection first takes its plain step
+(``_plain_entity``, ``_plain_connection``), which builds in one frame, through
+``model._new_entity`` or ``_new_connection``, the record ``_fields`` would build, and
+refuses any other. Each parse has one literal table (``_decode``), shared by the plain
+steps, ``_number`` and the JSON float hook: a distinct literal decodes once per parse,
+and no decoded value outlives the parse.
+
+JSON is written as ``json.dumps(indent=2, ensure_ascii=True)`` writes it (the layout of
+``_json_block``), strings through its C ``encode_basestring_ascii``. A record writer
+(``_entity_json``, ``_connection_json``, ``_hypothetical_json``) lays its record out in
+one f-string read straight from its attributes, leaving out a field at its table's
+default. A step or writer runs once per record, so it keeps its reads, tests and lookups
+inline: a call would add a frame per record, and a walk of the table a call per field.
+Each restates its table's keys, and the tests fail where the two differ. A report is one
+document, a ``type`` key and one key per field, written as table text or JSON lines by
+the functions ``_TABLE_LINES`` holds for its class. Every rational is printed by
+``model._shortest_text``: once per distinct object per ``serialize_scenario`` call, once
+per signed magnitude object per DOT export, and once per field in a report. No text
 outlives the call that wrote it.
 """
 
@@ -41,17 +39,14 @@ __all__ = [
     "parse_connection_doc", "parse_scenario", "serialize_scenario",
 ]
 
-import inspect
 import json
 import re
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, partial
-from itertools import count
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
-from typing import get_args, get_origin
 
 from .ablation import QualityTrajectory, ReplacementReport
 from .errors import ComputationError, ValidationError
@@ -68,8 +63,8 @@ from .model import (
     Scenario,
     ScoringMode,
     _LiteralTooLarge,
-    _new_connection,  # noqa: F401 - the generated plain steps read it
-    _new_entity,  # noqa: F401 - the generated plain steps read it
+    _new_connection,
+    _new_entity,
     _number_text,
     _shortest_text,
     ensure_valid,
@@ -181,10 +176,9 @@ def _string(value, location, key: str, diags: list, literals: dict) -> str | Non
     return None
 
 
-def _choice(enum: type[Enum], what: str, *, strings_only: bool):
-    """Decoder for one of ``enum``'s values; with ``strings_only``, a value
-    that is not a string is reported as :func:`_string` reports it."""
-    members = {member.value: member for member in enum}
+def _choice(members: dict, what: str, *, strings_only: bool):
+    """Decoder for a key of ``members``, an enum's value-to-member map; with ``strings_only``,
+    a value that is not a string is reported as :func:`_string` reports it."""
 
     def decode(value, location, key: str, diags: list, literals: dict):
         if isinstance(value, str):
@@ -196,7 +190,6 @@ def _choice(enum: type[Enum], what: str, *, strings_only: bool):
         diags.append(_err(_at(location, key), f"unknown {what}: {_number_text(value, repr)}"))
         return None
 
-    decode.members = members  # the plain steps read it
     return decode
 
 
@@ -253,6 +246,10 @@ def _attributes(value, location, key: str, diags: list, literals: dict) -> Attri
 
 
 _REQUIRED = object()  # default of a field whose absence is an error
+_DEFAULT_ATTRIBUTES = AttributeVector()  # shared by every entity read without any
+# Each enum's value-to-member map, read by its decoder and by a plain step.
+_ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
+_CONNECTION_KINDS = {kind.value: kind for kind in ConnectionKind}
 
 
 # Field tables: record field -> (decoder, default when absent), in the order
@@ -267,14 +264,14 @@ _ATTRIBUTE_FIELDS = {
 }
 _ENTITY_FIELDS = {
     "id": (_string, _REQUIRED),
-    "kind": (_choice(EntityKind, "entity kind", strings_only=True), _REQUIRED),
-    "attributes": (_attributes, AttributeVector()),
+    "kind": (_choice(_ENTITY_KINDS, "entity kind", strings_only=True), _REQUIRED),
+    "attributes": (_attributes, _DEFAULT_ATTRIBUTES),
 }
 _CONNECTION_FIELDS = {
     "id": (_string, _REQUIRED),
     "src": (_string, _REQUIRED),
     "dst": (_string, _REQUIRED),
-    "kind": (_choice(ConnectionKind, "connection kind", strings_only=True), _REQUIRED),
+    "kind": (_choice(_CONNECTION_KINDS, "connection kind", strings_only=True), _REQUIRED),
     "polarity": (_polarity, _REQUIRED),
     "magnitude": (_number, _REQUIRED),
     "time_index": (_time_index, 0),
@@ -286,14 +283,7 @@ _HYPOTHETICAL_FIELDS = {
     "dst": (_string, _REQUIRED),
     "magnitude": (_number, _REQUIRED),
 }
-# Each record class with its field table.
-_RECORD_TABLES = {
-    Entity: _ENTITY_FIELDS,
-    AttributeVector: _ATTRIBUTE_FIELDS,
-    Connection: _CONNECTION_FIELDS,
-    RosterHypothetical: _HYPOTHETICAL_FIELDS,
-}
-_scoring_mode = _choice(ScoringMode, "scoring mode", strings_only=False)
+_scoring_mode = _choice({m.value: m for m in ScoringMode}, "scoring mode", strings_only=False)
 
 
 def _fields(item, table: dict, what: str, location: str, diags: list, literals: dict):
@@ -335,73 +325,74 @@ def _parse_connection(item, location: str, diags: list, literals: dict) -> Conne
     return _build(Connection, values)
 
 
-# Each decoder's test of a raw value ``x`` that a plain step takes, and the
-# source of the value it decodes to, a literal table hit inline. A step builds
-# a record whose keys are all in its table and pass their tests, and returns
-# None for any other, which ``_fields`` then reads: one with an int magnitude
-# or a str subclass too, which the decoders take but the tests do not.
-_PLAIN_READS = {
-    _string: ("type({x}) is str", "{x}"),
-    _number: ("type({x}) is str", "literals[{x}] if {x} in literals else _decode(literals, {x})"),
-    _polarity: ("type({x}) is int and ({x} == 1 or {x} == -1)", "{x}"),
-    _time_index: ("type({x}) is int", "{x}"),
-    _flag: ("type({x}) is bool", "{x}"),
-}
+# The plain steps, ``(item, literals) -> record or None``, leave to ``_fields`` any record
+# it would not build silently, and any str subclass or int magnitude, which it would.
+_ENTITY_KEYS = itemgetter("id", "kind")
+_ATTRIBUTE_KEYS = itemgetter("existence", "inner_state", "external_state", "communication_state")
+_CONNECTION_KEYS = itemgetter("id", "src", "dst", "kind", "polarity", "magnitude")
 
 
-def _plain_record(code: _Code, table: dict, item: str, body: list[str]) -> list[str]:
-    """The sources of the values of the record ``item`` read by ``table``, in
-    table order, each of which may raise ``ValueError``; the statements that
-    bind them, or return None where the step refuses ``item``, go to ``body``.
-    A record holding just its required keys, as most in a canonical file do,
-    skips the optional ones, such as an entity's attributes."""
-    required = [key for key, (_, default) in table.items() if default is _REQUIRED]
-    optional = [key for key in table if key not in required]
-    raw = {key: next(code.locals) for key in table}
-    tests, values, nested = [] if optional else [f"len({item}) == {len(required)}"], [], []
-    for key, (decode, _) in table.items():
-        x = raw[key]
-        if decode is _attributes:  # built by the public class, which checks every value
-            fields = ", ".join(_plain_record(code, _ATTRIBUTE_FIELDS, x, nested))
-            nested.append(f"try: {x} = AttributeVector({fields})")
-            nested += ["except (ValueError, ValidationError):", "    return None"]
-            values.append(x)
-        elif decode in _PLAIN_READS:
-            tests.append(_PLAIN_READS[decode][0].format(x=x))
-            values.append(_PLAIN_READS[decode][1].format(x=x))
-        else:  # an enum choice
-            members = code.name(decode.members)
-            tests.append(f"type({x}) is str and {x} in {members}")
-            values.append(f"{members}[{x}]")
-    names = "".join(f"{raw[key]}, " for key in required)
-    body += [
-        f"if type({item}) is not dict: return None",
-        f"try: {names}= {code.name(itemgetter(*required))}({item})",
-        "except KeyError: return None",
-    ]
-    if optional:  # read only when present, as is a nested record among them
-        count = " + ".join([str(len(required)), *(f"({key!r} in {item})" for key in optional)])
-        default = {key: code.name(table[key][1]) for key in optional}
-        body.append(f"if len({item}) == {len(required)}:")
-        body += [f"    {raw[key]} = {default[key]}" for key in optional]
-        body += ["else:", *(f"    {raw[k]} = {item}.get({k!r}, {default[k]})" for k in optional)]
-        body += [f"    if len({item}) != {count}: return None", *(f"    {line}" for line in nested)]
-    body.append(f"if not ({' and '.join(tests)}): return None")
-    return values
+def _plain_entity(item, literals: dict) -> Entity | None:
+    if type(item) is not dict:
+        return None
+    try:
+        entity_id, kind = _ENTITY_KEYS(item)
+    except KeyError:
+        return None
+    attributes = _DEFAULT_ATTRIBUTES
+    if len(item) != 2:  # read only when present
+        attributes = item.get("attributes")
+        if len(item) != 3 or type(attributes) is not dict or len(attributes) != 4:
+            return None
+        try:
+            e, i, x, c = _ATTRIBUTE_KEYS(attributes)
+        except KeyError:
+            return None
+        if not (type(e) is str and type(i) is str and type(x) is str and type(c) is str):
+            return None
+        try:  # the public class checks every value
+            attributes = AttributeVector(
+                literals[e] if e in literals else _decode(literals, e),
+                literals[i] if i in literals else _decode(literals, i),
+                literals[x] if x in literals else _decode(literals, x),
+                literals[c] if c in literals else _decode(literals, c),
+            )
+        except (ValueError, ValidationError):
+            return None
+    if not (type(entity_id) is str and type(kind) is str and kind in _ENTITY_KINDS):
+        return None
+    return _new_entity(entity_id, _ENTITY_KINDS[kind], attributes)
 
 
-@cache
-def _plain_steps() -> tuple:
-    """The plain steps of an entity and of a connection, each ``(item, literals)
-    -> record or None``, ``literals`` being the parse's literal table (see
-    :func:`_decode`); each names its record's builder as a module global."""
-    code, names = _Code(), []
-    for table, build in ((_ENTITY_FIELDS, "_new_entity"), (_CONNECTION_FIELDS, "_new_connection")):
-        body: list[str] = []
-        values = ", ".join(_plain_record(code, table, "item", body))
-        body += [f"try: return {build}({values})", "except ValueError: pass  # _fields reports it"]
-        names.append(code.function("item, literals", body, "None"))
-    return code.build(*names)
+def _plain_connection(item, literals: dict) -> Connection | None:
+    if type(item) is not dict:
+        return None
+    try:
+        conn_id, src, dst, kind, polarity, magnitude = _CONNECTION_KEYS(item)
+    except KeyError:
+        return None
+    time_index, blocked, confirmed = 0, False, False
+    if len(item) != 6:  # most records of a canonical file hold just the required keys
+        time_index = item.get("time_index", 0)
+        blocked = item.get("blocked", False)
+        confirmed = item.get("confirmed", False)
+        if len(item) != 6 + ("time_index" in item) + ("blocked" in item) + ("confirmed" in item):
+            return None
+    if not (
+        type(conn_id) is str and type(src) is str and type(dst) is str and type(kind) is str
+        and kind in _CONNECTION_KINDS and type(polarity) is int
+        and (polarity == 1 or polarity == -1) and type(magnitude) is str
+        and type(time_index) is int and type(blocked) is bool and type(confirmed) is bool
+    ):
+        return None
+    try:
+        magnitude = literals[magnitude] if magnitude in literals else _decode(literals, magnitude)
+    except ValueError:  # _fields reports it
+        return None
+    return _new_connection(
+        conn_id, src, dst, _CONNECTION_KINDS[kind], polarity, magnitude, time_index, blocked,
+        confirmed,
+    )
 
 
 def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> RosterEntry | None:
@@ -490,10 +481,9 @@ def parse_scenario(text: str) -> ParseResult:
 
     # A null entities or connections array is missing; a null roster is not an array.
     arrays = {}
-    entity_step, connection_step = _plain_steps()
     for key, parse, plain in (
-        ("entities", _parse_entity, entity_step),
-        ("connections", _parse_connection, connection_step),
+        ("entities", _parse_entity, _plain_entity),
+        ("connections", _parse_connection, _plain_connection),
     ):
         if doc.get(key) is None:
             diags.append(_err(key, "missing required key"))
@@ -532,10 +522,6 @@ def _json_rational(value: Fraction) -> str:
     return f'"{format_rational(value)}"'
 
 
-def _json_flag(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _json_block(ends: str, items: list[str], indent: str) -> str:
     """JSON text of an object or array (``ends`` is ``{}`` or ``[]``) whose
     opening bracket sits at ``indent``, laid out as ``json.dumps(indent=2)``
@@ -546,133 +532,52 @@ def _json_block(ends: str, items: list[str], indent: str) -> str:
     return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
-# The writers. Each record class and each report class is written as JSON by
-# a function generated once per process, as ``dataclasses`` generates
-# ``__init__``: one f-string, laid out from the class's fields, that reads the
-# record's attributes straight into its text.
-
-
-def _fstring(parts: list) -> str:
-    """Source of an f-string whose text is ``parts`` joined: a str as it is, a
-    1-tuple holding the source of an expression (no quote, no backslash) to
-    format."""
-    text = "".join(
-        "{" + part[0] + "}" if type(part) is tuple else part.replace("{", "{{").replace("}", "}}")
-        for part in parts
+# The record writers, ``(record, texts) -> str``; ``texts`` maps ``id(rational)`` to its text.
+def _entity_json(r: Entity, texts: dict) -> str:
+    a, attributes = r.attributes, ""
+    if a != _DEFAULT_ATTRIBUTES:
+        for value in (a.existence, a.inner_state, a.external_state, a.communication_state):
+            if id(value) not in texts:
+                texts[id(value)] = _json_rational(value)
+        attributes = (
+            f',\n      "attributes": {{\n        "existence": {texts[id(a.existence)]},'
+            f'\n        "inner_state": {texts[id(a.inner_state)]},'
+            f'\n        "external_state": {texts[id(a.external_state)]},'
+            f'\n        "communication_state": {texts[id(a.communication_state)]}\n      }}'
+        )
+    return (
+        f'{{\n      "id": {_json_string(r.id)},\n      "kind": {_json_string(r.kind)}'
+        f"{attributes}\n    }}"
     )
-    return "f" + repr(text)
 
 
-class _Code:
-    """Source of generated functions (writers and plain steps), and the values it names."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self.env: dict[str, object] = {}
-        self.locals = map("t{}".format, count())  # names of locals, never reused
-
-    def name(self, value) -> str:
-        """The source's name for ``value``."""
-        name = f"_v{len(self.env)}"
-        self.env[name] = value
-        return name
-
-    def function(self, params: str, body: list[str], result: str) -> str:
-        """Add a function that runs ``body`` and returns ``result``; its name."""
-        name = f"_f{len(self.lines)}"
-        self.lines += [f"def {name}({params}):", *(f"    {line}" for line in body)]
-        self.lines.append(f"    return {result}")
-        return name
-
-    def each(self, items: str, body: list[str], parts: list) -> str:
-        """Source of the list of texts that ``body`` and ``parts`` give for
-        each ``x`` in ``items``: one f-string, or a function where statements
-        are needed."""
-        text = _fstring(parts) if not body else f"{self.function('x', body, _fstring(parts))}(x)"
-        return f"[{text} for x in {items}]"
-
-    def build(self, *names: str) -> tuple:
-        """The named functions, compiled with this module's globals, so that
-        they look a global such as ``_shortest_text`` up when they run."""
-        source = "\n".join([
-            f"def _make({', '.join(self.env)}):",
-            *(f"    {line}" for line in self.lines),
-            f"    return {', '.join(names)},",
-        ])
-        namespace: dict = {}
-        exec(source, globals(), namespace)
-        return namespace["_make"](**self.env)
+def _connection_json(r: Connection, texts: dict) -> str:
+    magnitude = texts.get(id(r.magnitude))
+    if magnitude is None:
+        magnitude = texts[id(r.magnitude)] = _json_rational(r.magnitude)
+    time_index = blocked = confirmed = ""
+    if r.time_index != 0:
+        time_index = f',\n      "time_index": {int.__repr__(r.time_index)}'
+    if r.blocked != False:  # noqa: E712 - a value test, as ``_fields`` fills the default in
+        blocked = f',\n      "blocked": {"true" if r.blocked else "false"}'
+    if r.confirmed != False:  # noqa: E712
+        confirmed = f',\n      "confirmed": {"true" if r.confirmed else "false"}'
+    return (
+        f'{{\n      "id": {_json_string(r.id)},\n      "src": {_json_string(r.src)},'
+        f'\n      "dst": {_json_string(r.dst)},\n      "kind": {_json_string(r.kind)},'
+        f'\n      "polarity": {int.__repr__(r.polarity)},\n      "magnitude": {magnitude}'
+        f"{time_index}{blocked}{confirmed}\n    }}"
+    )
 
 
-@cache
-def _field_types(cls: type) -> dict[str, object]:
-    """Each field of the dataclass ``cls`` with its type, in field order. A
-    class's own annotations are evaluated with ``eval``, in about half the
-    time ``typing.get_type_hints`` takes."""
-    types = inspect.get_annotations(cls, eval_str=True)
-    return {f.name: types[f.name] for f in fields(cls)}
-
-
-def _json_parts(code: _Code, hint, expr: str, indent: str, body: list[str]) -> list:
-    """Parts (see :func:`_fstring`) of the JSON text of ``expr``, a value of
-    type ``hint`` on a line at ``indent``: rationals as exact strings, ints
-    as ``int.__repr__`` writes them (a bool polarity as 1), enums by value,
-    tuples as lists and dataclasses as objects, laid out as
-    ``json.dumps(indent=2, ensure_ascii=True)`` lays them out. Statements the
-    parts need go to ``body``. A record (a class of ``_RECORD_TABLES``)
-    leaves out a field at its table's default and prints each rational once
-    per object per call, through the call's dict ``texts`` keyed by ``id``
-    (the scenario being written keeps every value alive); a report prints
-    each rational inline, which is faster for values that seldom repeat."""
-    if get_origin(hint) is tuple:
-        item_body: list[str] = []
-        item_parts = _json_parts(code, get_args(hint)[0], "x", indent + "  ", item_body)
-        local, items = next(code.locals), code.each(expr, item_body, item_parts)
-        body.append(f"{local} = _json_block('[]', {items}, {indent!r})")
-        return [(local,)]
-    if is_dataclass(hint):
-        table = _RECORD_TABLES.get(hint)
-        inner, parts = indent + "  ", ["{"]
-        for i, (name, field_type) in enumerate(_field_types(hint).items()):
-            value, local, lines = f"{expr}.{name}", next(code.locals), []
-            if table is not None and field_type is Fraction:
-                lines += [
-                    f"{local} = texts.get(id({value}))",
-                    f"if {local} is None:",
-                    f"    {local} = texts[id({value})] = _json_rational({value})",
-                ]
-                text = [(local,)]
-            else:
-                text = _json_parts(code, field_type, value, inner, lines)
-            text.insert(0, f',\n{inner}"{name}": ' if i else f'\n{inner}"{name}": ')
-            default = _REQUIRED if table is None else table[name][1]
-            if default is _REQUIRED:
-                body += lines
-                parts += text
-            else:
-                body += [f"if {value} == {code.name(default)}:", f"    {local} = ''", "else:"]
-                body += [f"    {line}" for line in [*lines, f"{local} = {_fstring(text)}"]]
-                parts.append((local,))
-        return parts + [f"\n{indent}}}"]
-    if hint is Fraction:
-        return ['"', (f"_shortest_text({expr}.numerator, {expr}.denominator)",), '"']
-    if hint is bool:
-        return [(f"{code.name(_json_flag)}({expr})",)]
-    if hint is int:
-        return [(f"int.__repr__({expr})",)]
-    return [(f"_json_string({expr})",)]  # a str, or a str enum member
-
-
-@cache
-def _scenario_writers() -> tuple:
-    """Writers of an entity, a connection and a hypothetical roster entry,
-    each ``(record, texts) -> str`` and generated from its class's fields."""
-    code, names = _Code(), []
-    for cls, indent in ((Entity, "    "), (Connection, "    "), (RosterHypothetical, "      ")):
-        body: list[str] = []
-        parts = _json_parts(code, cls, "r", indent, body)
-        names.append(code.function("r, texts", body, _fstring(parts)))
-    return code.build(*names)
+def _hypothetical_json(r: RosterHypothetical, texts: dict) -> str:
+    magnitude = texts.get(id(r.magnitude))
+    if magnitude is None:
+        magnitude = texts[id(r.magnitude)] = _json_rational(r.magnitude)
+    return (
+        f'{{\n        "src": {_json_string(r.src)},\n        "dst": {_json_string(r.dst)},'
+        f'\n        "magnitude": {magnitude}\n      }}'
+    )
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -687,7 +592,6 @@ def serialize_scenario(scenario: Scenario) -> str:
     pair, which JSON reads back as one character, raises ComputationError.
     """
     ensure_valid(scenario)
-    entity, connection, hypothetical = _scenario_writers()
     texts: dict[int, str] = {}  # each rational's JSON text by object, for this call only
     lines = [
         f'"version": {FORMAT_VERSION}',
@@ -698,15 +602,15 @@ def serialize_scenario(scenario: Scenario) -> str:
     if desired is not None:
         texts[id(desired)] = text = _json_rational(desired)
         lines.append(f'"desired_connectivity": {text}')
-    entities = [entity(e, texts) for e in scenario.entities]
-    connections = [connection(c, texts) for c in scenario.connections]
+    entities = [_entity_json(e, texts) for e in scenario.entities]
+    connections = [_connection_json(c, texts) for c in scenario.connections]
     lines.append(f'"entities": {_json_block("[]", entities, "  ")}')
     lines.append(f'"connections": {_json_block("[]", connections, "  ")}')
     if scenario.ideal_roster is not None:
         roster = [
             _json_block("{}", [f'"ref": {_json_string(entry.ref)}'], "    ")
             if isinstance(entry, RosterRef)
-            else _json_block("{}", [f'"hypothetical": {hypothetical(entry, texts)}'], "    ")
+            else _json_block("{}", [f'"hypothetical": {_hypothetical_json(entry, texts)}'], "    ")
             for entry in scenario.ideal_roster
         ]
         lines.append(f'"ideal_roster": {_json_block("[]", roster, "  ")}')
@@ -779,15 +683,25 @@ class ValidationReport:
     diagnostics: tuple[ParseDiagnostic, ...]
 
 
-# Table text: one function per report class, ``report -> str``.
-
-
+# Each report class has a table function, ``report -> str``, and a JSON one, ``report ->
+# list[str]``, a line per field. Both print rationals inline: a call of format_rational
+# per value made a 400-step table 16% slower, and the writers' memo made its JSON 78%.
 def _connectivity_table(r: ConnectivityReport) -> str:
     return (
         f"score={format_rational(r.score)} ideal={format_rational(r.ideal)}"
         f" efficiency={format_rational(r.efficiency_percent)}% band={r.band.value}"
         f" mode={r.mode.value}"
     )
+
+
+def _connectivity_json(r: ConnectivityReport) -> list[str]:
+    return [
+        f'"score": "{_shortest_text(r.score.numerator, r.score.denominator)}"',
+        f'"ideal": "{_shortest_text(r.ideal.numerator, r.ideal.denominator)}"',
+        '"efficiency_percent": '
+        f'"{_shortest_text(r.efficiency_percent.numerator, r.efficiency_percent.denominator)}"',
+        f'"band": {_json_string(r.band)}', f'"mode": {_json_string(r.mode)}',
+    ]
 
 
 def _confusion_table(r: ConfusionReport) -> str:
@@ -798,6 +712,16 @@ def _confusion_table(r: ConfusionReport) -> str:
     )
 
 
+def _confusion_json(r: ConfusionReport) -> list[str]:
+    return [
+        f'"z": "{_shortest_text(r.z.numerator, r.z.denominator)}"',
+        '"quality_percent": '
+        f'"{_shortest_text(r.quality_percent.numerator, r.quality_percent.denominator)}"',
+        f'"confused": {"true" if r.confused else "false"}',
+        f'"causes": {_json_block("[]", [*map(_json_string, r.causes)], "  ")}',
+    ]
+
+
 def _quality_table(r: QualityReport) -> str:
     return (
         f"score={format_rational(r.score)} desired={format_rational(r.desired)}"
@@ -805,9 +729,17 @@ def _quality_table(r: QualityReport) -> str:
     )
 
 
+def _quality_json(r: QualityReport) -> list[str]:
+    return [
+        f'"score": "{_shortest_text(r.score.numerator, r.score.denominator)}"',
+        f'"desired": "{_shortest_text(r.desired.numerator, r.desired.denominator)}"',
+        '"quality_percent": '
+        f'"{_shortest_text(r.quality_percent.numerator, r.quality_percent.denominator)}"',
+        f'"band": {_json_string(r.band)}',
+    ]
+
+
 def _trajectory_table(r: QualityTrajectory) -> str:
-    # A step's rationals print inline: a call of format_rational per value
-    # made a 400-step table about 16% slower.
     return "\n".join([
         f"order={r.order.value} ideal={format_rational(r.ideal)} steps={len(r.steps)}",
         *[
@@ -819,6 +751,23 @@ def _trajectory_table(r: QualityTrajectory) -> str:
     ])
 
 
+def _trajectory_json(r: QualityTrajectory) -> list[str]:
+    steps = [
+        f'{{\n      "step": {int.__repr__(s.step)},'
+        f'\n      "blocked_connection": {_json_string(s.blocked_connection)},'
+        f'\n      "score": "{_shortest_text(s.score.numerator, s.score.denominator)}",'
+        '\n      "efficiency_percent": '
+        f'"{_shortest_text(s.efficiency_percent.numerator, s.efficiency_percent.denominator)}"'
+        "\n    }"
+        for s in r.steps
+    ]
+    return [
+        f'"order": {_json_string(r.order)}',
+        f'"ideal": "{_shortest_text(r.ideal.numerator, r.ideal.denominator)}"',
+        f'"steps": {_json_block("[]", steps, "  ")}',
+    ]
+
+
 def _replacement_table(r: ReplacementReport) -> str:
     return (
         f"blocked={r.blocked_id} replacement={r.replacement_id}"
@@ -828,6 +777,20 @@ def _replacement_table(r: ReplacementReport) -> str:
     )
 
 
+def _replacement_json(r: ReplacementReport) -> list[str]:
+    return [
+        f'"blocked_id": {_json_string(r.blocked_id)}',
+        f'"replacement_id": {_json_string(r.replacement_id)}',
+        f'"ideal": "{_shortest_text(r.ideal.numerator, r.ideal.denominator)}"',
+        '"quality_before": '
+        f'"{_shortest_text(r.quality_before.numerator, r.quality_before.denominator)}"',
+        '"quality_blocked": '
+        f'"{_shortest_text(r.quality_blocked.numerator, r.quality_blocked.denominator)}"',
+        '"quality_after": '
+        f'"{_shortest_text(r.quality_after.numerator, r.quality_after.denominator)}"',
+    ]
+
+
 def _paths_table(r: PathsReport) -> str:
     lines = [
         f"{' -> '.join(p.entities) or 'none'} via {','.join(p.hops) or 'none'}" for p in r.paths
@@ -835,45 +798,61 @@ def _paths_table(r: PathsReport) -> str:
     return "\n".join(lines or ["(no paths)"])
 
 
+def _paths_json(r: PathsReport) -> list[str]:
+    paths = [
+        f'{{\n      "entities": {_json_block("[]", [*map(_json_string, p.entities)], "      ")},'
+        f'\n      "hops": {_json_block("[]", [*map(_json_string, p.hops)], "      ")}\n    }}'
+        for p in r.paths
+    ]
+    return [
+        f'"src": {_json_string(r.src)}', f'"dst": {_json_string(r.dst)}',
+        f'"max_hops": {int.__repr__(r.max_hops)}',
+        f'"paths": {_json_block("[]", paths, "  ")}',
+    ]
+
+
 def _validation_table(r: ValidationReport) -> str:
     return "\n".join([*map(str, r.diagnostics), "ok" if r.valid else "invalid"])
 
 
-# Report classes, each with its document ``type`` and its table text; each
-# field of a report becomes a key of its document.
+def _validation_json(r: ValidationReport) -> list[str]:
+    diagnostics = [
+        f'{{\n      "severity": {_json_string(d.severity)},'
+        f'\n      "location": {_json_string(d.location)},'
+        f'\n      "message": {_json_string(d.message)}\n    }}'
+        for d in r.diagnostics
+    ]
+    return [
+        f'"valid": {"true" if r.valid else "false"}',
+        f'"diagnostics": {_json_block("[]", diagnostics, "  ")}',
+    ]
+
+
+# Each report class with its document ``type``, its table function and its JSON function.
 _TABLE_LINES = {
-    ConnectivityReport: ("connectivity_report", _connectivity_table),
-    ConfusionReport: ("confusion_report", _confusion_table),
-    QualityReport: ("quality_report", _quality_table),
-    QualityTrajectory: ("quality_trajectory", _trajectory_table),
-    ReplacementReport: ("replacement_report", _replacement_table),
-    PathsReport: ("paths", _paths_table),
-    ValidationReport: ("validation_report", _validation_table),
+    ConnectivityReport: ("connectivity_report", _connectivity_table, _connectivity_json),
+    ConfusionReport: ("confusion_report", _confusion_table, _confusion_json),
+    QualityReport: ("quality_report", _quality_table, _quality_json),
+    QualityTrajectory: ("quality_trajectory", _trajectory_table, _trajectory_json),
+    ReplacementReport: ("replacement_report", _replacement_table, _replacement_json),
+    PathsReport: ("paths", _paths_table, _paths_json),
+    ValidationReport: ("validation_report", _validation_table, _validation_json),
 }
-
-
-@cache
-def _report_writer(cls: type):
-    """The JSON writer, ``report -> str``, of a report class, generated from
-    the class's fields on its first use."""
-    code, body = _Code(), []
-    parts = _json_parts(code, cls, "r", "", body)
-    # The document's first key is its ``type``, before the class's fields.
-    parts[0] = f'{{\n  "type": {_json_string(_TABLE_LINES[cls][0])},'
-    return code.build(code.function("r", body, _fstring(parts)))[0]
 
 
 def emit_report(report, fmt: str = "table") -> str:
     """Render a report for people (``table``) or machines (``machine``).
 
     A report is one document: a ``type`` key, then one key per field. The
-    machine format is that document as JSON, every number an exact string,
-    written by a writer generated once per class; the table form is the
-    class's table function in ``_TABLE_LINES``.
+    machine format is that document as JSON, every number an exact string:
+    the ``type`` line, then the class's JSON lines. The table form is the
+    class's table function. Both are in ``_TABLE_LINES``.
     """
     if fmt not in ("table", "machine"):
         raise ValueError(f"unknown report format: {fmt!r}")
     entry = _TABLE_LINES.get(type(report))
     if entry is None:
         raise TypeError(f"cannot emit a report for {type(report).__name__}")
-    return entry[1](report) if fmt == "table" else _report_writer(type(report))(report)
+    if fmt == "table":
+        return entry[1](report)
+    return _json_block("{}", [f'"type": {_json_string(entry[0])}', *entry[2](report)], "")

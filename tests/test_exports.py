@@ -4,7 +4,8 @@
 wildcard import, so these checks keep the lists honest: no name is exported
 twice, each is exported by the module that defines it, the package list is
 their sorted union, and no module imports a name it neither uses nor exports.
-The private names one module imports from another are pinned in a list.
+The private names one module imports from another are pinned in a list, and
+``model._builder`` is the one function that compiles code at run time.
 """
 
 from __future__ import annotations
@@ -200,3 +201,64 @@ def test_the_private_import_check_sees_a_private_import(tmp_path):
         encoding="utf-8",
     )
     assert private_imports([path]) == {"sample": ["_best_links", "_builder"]}
+
+
+# Calls that compile source at run time, by the name they are called by.
+DYNAMIC_CODE = {"exec", "eval", "compile"}
+
+
+def dynamic_code_calls(path: Path) -> list[str]:
+    """Each call in ``path`` that compiles source at run time, as ``file:function
+    name``: ``exec``, ``eval`` or ``compile`` called by that name (not, say,
+    ``re.compile``), or ``get_annotations`` given an ``eval_str`` that is not a
+    literal false. ``function`` is the innermost enclosing ``def``, or
+    ``<module>`` outside any."""
+    found = []
+
+    def visit(node, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in DYNAMIC_CODE:
+                found.append(f"{path.name}:{function} {func.id}")
+            elif getattr(func, "attr", getattr(func, "id", None)) == "get_annotations" and any(
+                keyword.arg == "eval_str"
+                and not (isinstance(keyword.value, ast.Constant) and not keyword.value.value)
+                for keyword in node.keywords
+            ):
+                found.append(f"{path.name}:{function} get_annotations")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_the_record_builder_compiles_code():
+    found = [call for path in sorted(SOURCE.glob("*.py")) for call in dynamic_code_calls(path)]
+    assert found == ["model.py:_builder exec"]
+
+
+def test_the_compile_check_sees_each_dynamic_call(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import inspect, re\n"
+        "from inspect import get_annotations\n"
+        "exec('x = 1')\n"
+        "PATTERN = re.compile('a')\n"
+        "def outer(cls):\n"
+        "    def inner(text):\n"
+        "        return eval(text)\n"
+        "    inspect.get_annotations(cls, eval_str=False)\n"
+        "    get_annotations(cls, eval_str=True)\n"
+        "    return inspect.get_annotations(cls, eval_str=1), compile('1', '<s>', 'eval')\n",
+        encoding="utf-8",
+    )
+    assert dynamic_code_calls(path) == [
+        "sample.py:<module> exec",
+        "sample.py:inner eval",
+        "sample.py:outer get_annotations",
+        "sample.py:outer get_annotations",
+        "sample.py:outer compile",
+    ]

@@ -184,7 +184,7 @@ def test_parsing_makes_few_calls_per_record(tmp_path):
     text = Path(job["file"]).read_text(encoding="ascii")
     doc = json.loads(text)
     records = len(doc["entities"]) + len(doc["connections"])
-    assert parse_scenario(text).ok  # the first parse generates the plain steps
+    assert parse_scenario(text).ok  # the count below is of a second parse
     result, calls = counted_events(lambda: parse_scenario(text), ("call",))
     assert result.ok and len(result.scenario.connections) == PARSE_CONNECTIONS
     assert calls / records <= MAX_PARSE_CALLS_PER_RECORD, calls / records

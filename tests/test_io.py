@@ -70,13 +70,14 @@ from conncalc.scenario_io import (
     _ATTRIBUTE_FIELDS,
     _CONNECTION_FIELDS,
     _ENTITY_FIELDS,
-    _RECORD_TABLES,
+    _HYPOTHETICAL_FIELDS,
     _REQUIRED,
     _TABLE_LINES,
     ValidationReport,
     _build,
     _fields,
-    _plain_steps,
+    _plain_connection,
+    _plain_entity,
 )
 
 from . import support, test_cli
@@ -489,10 +490,10 @@ class TestMagnitudeDecodeCount:
         base = PLAIN_STEPS[0][4]
         literals = {}
         for magnitude in ("1/0", "1e99999", "x"):
-            assert plain_connection({**base, "magnitude": magnitude}, literals) is None
+            assert _plain_connection({**base, "magnitude": magnitude}, literals) is None
         assert literals == {}
-        first = plain_connection({**base, "magnitude": "5/2"}, literals)
-        second = plain_connection({**base, "id": "d", "magnitude": "5/2"}, literals)
+        first = _plain_connection({**base, "magnitude": "5/2"}, literals)
+        second = _plain_connection({**base, "id": "d", "magnitude": "5/2"}, literals)
         assert literals == {"5/2": Fraction(5, 2)}
         assert first.magnitude is second.magnitude is literals["5/2"]
 
@@ -624,7 +625,7 @@ class TestConnectionInitCount:
 
     def test_a_record_the_plain_step_refuses_calls_it_once(self, monkeypatch):
         item = {"id": "ab", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": 2}
-        assert plain_connection(item, {}) is None
+        assert _plain_connection(item, {}) is None
         inits = _count_connection_inits(monkeypatch)
         result = parse_doc(connections=[item])
         assert result.ok and result.scenario.connection("ab").magnitude == 2
@@ -711,13 +712,12 @@ class TestPrintableCheck:
             assert printed == []
 
 
-plain_entity, plain_connection = _plain_steps()
 # Each record type with a plain step: its array's key, the step, its field
 # table and class, and a well-formed record with only the required fields.
 PLAIN_STEPS = (
-    ("connections", plain_connection, _CONNECTION_FIELDS, Connection,
+    ("connections", _plain_connection, _CONNECTION_FIELDS, Connection,
      {"id": "c", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": "2"}),
-    ("entities", plain_entity, _ENTITY_FIELDS, Entity, {"id": "e", "kind": "known"}),
+    ("entities", _plain_entity, _ENTITY_FIELDS, Entity, {"id": "e", "kind": "known"}),
 )
 # One valid value off its default for each field of those tables. A field
 # added to a table needs one here, and the plain step must decode it.
@@ -973,8 +973,12 @@ class TestSerializeScenario:
     def test_field_tables_name_every_record_field_in_order(self):
         # The writer writes each field of the class; a field missing from its
         # table would be written, then read back as an unknown key.
-        assert set(_RECORD_TABLES) == {Entity, AttributeVector, Connection, RosterHypothetical}
-        for record, table in _RECORD_TABLES.items():
+        for record, table in (
+            (Entity, _ENTITY_FIELDS),
+            (AttributeVector, _ATTRIBUTE_FIELDS),
+            (Connection, _CONNECTION_FIELDS),
+            (RosterHypothetical, _HYPOTHETICAL_FIELDS),
+        ):
             assert list(table) == [f.name for f in dataclasses.fields(record)], record
 
 
@@ -1185,7 +1189,7 @@ class TestEmitReport:
         start = readme.index("`--format json` emits one JSON document per report")
         paragraph = readme[start : readme.index("\n\n", start)]
         listed = re.findall(r"`(\w+)`", re.search(r"\(([^)]*)\)", paragraph).group(1))
-        assert sorted(listed) == sorted(doc_type for doc_type, _ in _TABLE_LINES.values())
+        assert sorted(listed) == sorted(doc_type for doc_type, _, _ in _TABLE_LINES.values())
 
     def test_unknown_format_or_report_type(self, office):
         with pytest.raises(ValueError):
