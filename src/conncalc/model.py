@@ -10,6 +10,8 @@ Each scenario keeps one lazily built index: its validation result, impact
 factors, each entity pair's best unblocked connection (over all kinds and over
 real ones only), and a ``Valuation``: connection values as integers over one
 denominator, and every exact sum of them (score, ideal, removal ranking, steps).
+A scenario that its file's read proved valid is built with its validation
+result, ``()`` (``_proven_scenario``).
 
 Records whose values are already typed (parsed entities and connections,
 closed connections, removal steps) are built in one frame by a function that
@@ -395,6 +397,19 @@ def with_scoring_mode(scenario: Scenario, mode: ScoringMode) -> Scenario:
     return rescored
 
 
+def _proven_scenario(entities, connections, host, scoring_mode, desired_connectivity) -> Scenario:
+    """The roster-free scenario of fields that are already sorted by id and typed,
+    which the walk that read them proved valid (see ``scenario_io``): built without
+    ``__post_init__``, as :func:`with_scoring_mode` builds one, with its
+    ``violations`` set to ``()``, so it is never validated."""
+    scenario = object.__new__(Scenario)
+    scenario.__dict__.update(
+        entities=entities, connections=connections, host=host, ideal_roster=None,
+        scoring_mode=scoring_mode, desired_connectivity=desired_connectivity, violations=(),
+    )
+    return scenario
+
+
 class Valuation:
     """Connection values under one scoring mode, as integers over one denominator.
     Only this class sees them: score, ideal, removal ranking and steps are sums of them.
@@ -634,6 +649,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(
                 Violation(subject, "time_index", "time_index must be a non-negative integer")
             )
+        if type(conn.blocked) is not bool:
+            violations.append(Violation(subject, "blocked", "blocked must be true or false"))
+        if type(conn.confirmed) is not bool:
+            violations.append(Violation(subject, "confirmed", "confirmed must be true or false"))
 
     if scenario.ideal_roster is not None:
         for i, entry in enumerate(scenario.ideal_roster):

@@ -11,25 +11,33 @@ to rationals before any float arithmetic can occur).
 The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``, ``_CONNECTION_FIELDS``,
 ``_HYPOTHETICAL_FIELDS``) are the one list of each record's on-disk fields: their keys,
 order, decoders and defaults. ``_fields`` reads any record by its table and is the one
-path that writes a diagnostic. An entity or connection first takes its plain step
-(``_plain_entity``, ``_plain_connection``), which builds in one frame, through
+path that writes a diagnostic. An entity first takes its plain step (``_plain_entity``),
+and the connections one walk (``_connection_list``); each builds in one frame, through
 ``model._new_entity`` or ``_new_connection``, the record ``_fields`` would build, and
 refuses any other. Each parse has one literal table (``_decode``), shared by the plain
-steps, ``_number`` and the JSON float hook: a distinct literal decodes once per parse,
-and no decoded value outlives the parse.
+step, the walk, ``_number`` and the JSON float hook: a distinct literal decodes once per
+parse, and no decoded value outlives the parse.
+
+A file without an ideal roster is proven valid as it is read, by the rules of
+``model.validate_scenario``: the walk checks each connection while its values are in
+locals, and ``_proof_ids`` the rest. A proven scenario is built once, already sorted,
+with no violations (``model._proven_scenario``), which saves validation's second walk
+over the connections and their sort. Any other goes to ``Scenario(...)`` and
+validation, which writes every diagnostic. The proof calls ``model._check_magnitude``
+and ``model._check_printable`` through the module, where the count guards see them.
 
 JSON is written as ``json.dumps(indent=2, ensure_ascii=True)`` writes it (the layout of
 ``_json_block``), strings through its C ``encode_basestring_ascii``. A record writer
 (``_entity_json``, ``_connection_json``, ``_hypothetical_json``) lays its record out in
 one f-string read straight from its attributes, leaving out a field at its table's
-default. A step or writer runs once per record, so it keeps its reads, tests and lookups
-inline: a call would add a frame per record, and a walk of the table a call per field.
-Each restates its table's keys, and the tests fail where the two differ. A report is one
-document, a ``type`` key and one key per field, written as table text or JSON lines by
-the functions ``_TABLE_LINES`` holds for its class. Every rational is printed by
-``model._shortest_text``: once per distinct object per ``serialize_scenario`` call, once
-per signed magnitude object per DOT export, and once per field in a report. No text
-outlives the call that wrote it.
+default. A step, the walk or a writer runs once per record, so it keeps its reads, tests
+and lookups inline: a call would add a frame per record, and a walk of the table a call
+per field. Each restates its table's keys, and the tests fail where the two differ. A
+report is one document, a ``type`` key and one key per field, written as table text or
+JSON lines by the functions ``_TABLE_LINES`` holds for its class. Every rational is
+printed by ``model._shortest_text``: once per distinct object per ``serialize_scenario``
+call, once per signed magnitude object per DOT export, and once per field in a report.
+No text outlives the call that wrote it.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 
+from . import model
 from .ablation import QualityTrajectory, ReplacementReport
 from .errors import ComputationError, ValidationError
 from .metrics import ConfusionReport, ConnectivityReport, QualityReport
@@ -66,6 +75,7 @@ from .model import (
     _new_connection,
     _new_entity,
     _number_text,
+    _proven_scenario,
     _shortest_text,
     ensure_valid,
     to_rational,
@@ -325,8 +335,9 @@ def _parse_connection(item, location: str, diags: list, literals: dict) -> Conne
     return _build(Connection, values)
 
 
-# The plain steps, ``(item, literals) -> record or None``, leave to ``_fields`` any record
-# it would not build silently, and any str subclass or int magnitude, which it would.
+# The plain entity step, ``(item, literals) -> record or None``, and the connection walk
+# leave to ``_fields`` any record it would not build silently, and any str subclass or int
+# magnitude, which it would.
 _ENTITY_KEYS = itemgetter("id", "kind")
 _ATTRIBUTE_KEYS = itemgetter("existence", "inner_state", "external_state", "communication_state")
 _CONNECTION_KEYS = itemgetter("id", "src", "dst", "kind", "polarity", "magnitude")
@@ -362,37 +373,6 @@ def _plain_entity(item, literals: dict) -> Entity | None:
     if not (type(entity_id) is str and type(kind) is str and kind in _ENTITY_KINDS):
         return None
     return _new_entity(entity_id, _ENTITY_KINDS[kind], attributes)
-
-
-def _plain_connection(item, literals: dict) -> Connection | None:
-    if type(item) is not dict:
-        return None
-    try:
-        conn_id, src, dst, kind, polarity, magnitude = _CONNECTION_KEYS(item)
-    except KeyError:
-        return None
-    time_index, blocked, confirmed = 0, False, False
-    if len(item) != 6:  # most records of a canonical file hold just the required keys
-        time_index = item.get("time_index", 0)
-        blocked = item.get("blocked", False)
-        confirmed = item.get("confirmed", False)
-        if len(item) != 6 + ("time_index" in item) + ("blocked" in item) + ("confirmed" in item):
-            return None
-    if not (
-        type(conn_id) is str and type(src) is str and type(dst) is str and type(kind) is str
-        and kind in _CONNECTION_KINDS and type(polarity) is int
-        and (polarity == 1 or polarity == -1) and type(magnitude) is str
-        and type(time_index) is int and type(blocked) is bool and type(confirmed) is bool
-    ):
-        return None
-    try:
-        magnitude = literals[magnitude] if magnitude in literals else _decode(literals, magnitude)
-    except ValueError:  # _fields reports it
-        return None
-    return _new_connection(
-        conn_id, src, dst, _CONNECTION_KINDS[kind], polarity, magnitude, time_index, blocked,
-        confirmed,
-    )
 
 
 def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> RosterEntry | None:
@@ -432,6 +412,91 @@ def _item_list(raw, key: str, parse, diags: list, literals: dict, plain=None) ->
                 continue
         items.append(record)
     return items
+
+
+class _Refused(Exception):
+    """A connection record that the walk leaves to ``_parse_connection``."""
+
+
+def _proof_ids(entities: list | None, host, desired) -> set | None:
+    """The entity ids, when they are nonempty and strictly increasing, ``host`` is one
+    of them and ``desired`` is printable: what ``validate_scenario`` asks of a roster-free
+    scenario beyond its connections, which the connection walk checks. None otherwise."""
+    if entities is None:
+        return None
+    ids = [entity.id for entity in entities]
+    entity_ids = set(ids)
+    if "" in entity_ids or host not in entity_ids or ids != sorted(entity_ids):
+        return None
+    if desired is not None:
+        try:
+            model._check_printable(desired.numerator, desired.denominator)
+        except ComputationError:
+            return None
+    return entity_ids
+
+
+def _connection_list(raw, diags: list, literals: dict, entity_ids: set | None):
+    """The connections of the array ``raw``, read as :func:`_item_list` reads an array
+    (None if it is not one), and whether this walk proved them valid against
+    ``entity_ids`` (from :func:`_proof_ids`; None proves nothing).
+
+    A well-formed record is built through ``_new_connection``; any other goes to
+    ``_parse_connection``, and the proof fails. The proof holds while each id is
+    greater than the last (so nonempty, unique and sorted), both endpoints are entity
+    ids, ``src == dst`` exactly when the kind is ``self``, ``time_index >= 0`` and each
+    distinct magnitude literal passes ``model._check_magnitude``, checked once."""
+    if not isinstance(raw, list):
+        diags.append(_err("connections", f"expected an array, got {type(raw).__name__}"))
+        return None, False
+    items, proven, previous = [], entity_ids is not None, ""
+    magnitudes = {}  # each magnitude literal read -> its value, checked while the proof held
+    for i, item in enumerate(raw):
+        try:
+            if type(item) is not dict:
+                raise _Refused
+            conn_id, src, dst, kind, polarity, magnitude = _CONNECTION_KEYS(item)
+            time_index, blocked, confirmed = 0, False, False
+            if len(item) != 6:  # most records of a canonical file hold just the required keys
+                time_index = item.get("time_index", 0)
+                blocked = item.get("blocked", False)
+                confirmed = item.get("confirmed", False)
+                if len(item) != 6 + ("time_index" in item) + ("blocked" in item) + (
+                    "confirmed" in item
+                ):
+                    raise _Refused
+            if not (
+                type(conn_id) is str and type(src) is str and type(dst) is str
+                and type(kind) is str and kind in _CONNECTION_KINDS and type(polarity) is int
+                and (polarity == 1 or polarity == -1) and type(magnitude) is str
+                and type(time_index) is int and type(blocked) is bool and type(confirmed) is bool
+            ):
+                raise _Refused
+            if magnitude in magnitudes:
+                magnitude = magnitudes[magnitude]
+            else:
+                text = magnitude
+                magnitude = literals[text] if text in literals else _decode(literals, text)
+                if proven and model._check_magnitude(magnitude) is not None:
+                    proven = False
+                magnitudes[text] = magnitude
+        except (_Refused, KeyError, ValueError):  # _fields reports it
+            proven = False
+            record = _parse_connection(item, f"connections[{i}]", diags, literals)
+            if record is not None:
+                items.append(record)
+            continue
+        if proven and not (
+            previous < conn_id and src in entity_ids and dst in entity_ids
+            and (src == dst) == (kind == "self") and time_index >= 0
+        ):
+            proven = False
+        previous = conn_id
+        items.append(_new_connection(
+            conn_id, src, dst, _CONNECTION_KINDS[kind], polarity, magnitude, time_index, blocked,
+            confirmed,
+        ))
+    return items, proven
 
 
 def parse_connection_doc(
@@ -480,15 +545,19 @@ def parse_scenario(text: str) -> ParseResult:
         desired = _number(desired, None, "desired_connectivity", diags, literals)
 
     # A null entities or connections array is missing; a null roster is not an array.
-    arrays = {}
-    for key, parse, plain in (
-        ("entities", _parse_entity, _plain_entity),
-        ("connections", _parse_connection, _plain_connection),
-    ):
-        if doc.get(key) is None:
-            diags.append(_err(key, "missing required key"))
-        else:
-            arrays[key] = _item_list(doc[key], key, parse, diags, literals, plain)
+    entities = connections = None
+    if doc.get("entities") is None:
+        diags.append(_err("entities", "missing required key"))
+    else:
+        raw = doc["entities"]
+        entities = _item_list(raw, "entities", _parse_entity, diags, literals, _plain_entity)
+    # Without a roster the connection walk can prove the scenario valid, so it is not validated.
+    entity_ids = None if "ideal_roster" in doc else _proof_ids(entities, host, desired)
+    proven = False
+    if doc.get("connections") is None:
+        diags.append(_err("connections", "missing required key"))
+    else:
+        connections, proven = _connection_list(doc["connections"], diags, literals, entity_ids)
     roster = None
     if "ideal_roster" in doc:
         roster = doc["ideal_roster"]
@@ -496,10 +565,13 @@ def parse_scenario(text: str) -> ParseResult:
 
     if any(d.severity is Severity.ERROR for d in diags):
         return ParseResult(None, tuple(diags))
+    if proven:
+        scenario = _proven_scenario(tuple(entities), tuple(connections), host, mode, desired)
+        return ParseResult(scenario, tuple(diags))
 
     scenario = Scenario(
-        entities=tuple(arrays["entities"]),
-        connections=tuple(arrays["connections"]),
+        entities=tuple(entities),
+        connections=tuple(connections),
         host=host,
         ideal_roster=tuple(roster) if roster is not None else None,
         scoring_mode=mode,

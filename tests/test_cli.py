@@ -23,6 +23,9 @@ from conncalc.cli import ReplaceSpec, build_parser, main
 
 from .conftest import GOLDEN
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402 - the benchmark's input generator
+
 
 @pytest.fixture()
 def bad_file(tmp_path):
@@ -263,32 +266,87 @@ class TestValidationCount:
         monkeypatch.setattr(conncalc.scenario_io, "validate_scenario", counted)
         return calls
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["score", "{file}"],
-            ["score", "{file}", "--mode", "impact"],
-            ["quality", "{file}"],
-            ["confusion", "{file}"],
-            ["--format", "json", "score", "{file}"],
-            ["validate", "{file}"],
-            ["--format", "json", "validate", "{file}"],
-            ["paths", "{file}", "--from", "Ea", "--to", "Ec"],
-            ["--format", "json", "paths", "{file}", "--from", "Ea", "--to", "Ec"],
-            ["--format", "json", "quality", "{file}"],
-            ["ablate", "{file}", "--order", "least-first"],
-            ["export-dot", "{file}"],
-        ],
-        ids=[
-            "score", "score-impact", "quality", "confusion", "json-score", "validate",
-            "json-validate", "paths", "json-paths", "json-quality", "ablate-least-first",
-            "export-dot",
-        ],
-    )
+    # Each command that only reads its file; ``paths`` runs from ``{src}`` to ``{dst}``.
+    READ_COMMANDS = [
+        ["score", "{file}"],
+        ["score", "{file}", "--mode", "impact"],
+        ["quality", "{file}"],
+        ["confusion", "{file}"],
+        ["--format", "json", "score", "{file}"],
+        ["validate", "{file}"],
+        ["--format", "json", "validate", "{file}"],
+        ["paths", "{file}", "--from", "{src}", "--to", "{dst}"],
+        ["--format", "json", "paths", "{file}", "--from", "{src}", "--to", "{dst}"],
+        ["--format", "json", "quality", "{file}"],
+        ["ablate", "{file}", "--order", "least-first"],
+        ["export-dot", "{file}"],
+    ]
+    READ_IDS = [
+        "score", "score-impact", "quality", "confusion", "json-score", "validate",
+        "json-validate", "paths", "json-paths", "json-quality", "ablate-least-first",
+        "export-dot",
+    ]
+
+    @pytest.mark.parametrize("argv", READ_COMMANDS, ids=READ_IDS)
     def test_one_validation_per_command(self, argv, office_path, monkeypatch):
         calls = self._count(monkeypatch)
-        assert main([arg.format(file=office_path) for arg in argv]) == 0
+        assert main([arg.format(file=office_path, src="Ea", dst="Ec") for arg in argv]) == 0
         assert len(calls) == 1
+
+    @staticmethod
+    def _roster_free(which: str, office_path, tmp_path) -> tuple[str, str, str]:
+        """A file without an ideal roster, the office fixture's or a generated
+        ``analyze`` one, and two of its entities."""
+        if which == "office":
+            doc = json.loads(office_path.read_text(encoding="utf-8"))
+            del doc["ideal_roster"]
+            path = tmp_path / "office.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            return str(path), "Ea", "Ec"
+        (job,) = gen.generate("analyze", 3, tmp_path, gen.TINY_SIZES["analyze"][:1])
+        doc = json.loads(Path(job["file"]).read_text(encoding="ascii"))
+        return job["file"], doc["host"], doc["entities"][-1]["id"]
+
+    @staticmethod
+    def _count_proofs(monkeypatch) -> list:
+        """The scenarios the parse built as proven valid, with their violations set."""
+        built = []
+        original = conncalc.scenario_io._proven_scenario
+
+        def counted(*fields):
+            built.append(original(*fields))
+            return built[-1]
+
+        monkeypatch.setattr(conncalc.scenario_io, "_proven_scenario", counted)
+        return built
+
+    @pytest.mark.parametrize("which", ["office", "generated"])
+    @pytest.mark.parametrize("argv", READ_COMMANDS, ids=READ_IDS)
+    def test_a_roster_free_file_is_not_validated(
+        self, argv, which, office_path, tmp_path, monkeypatch
+    ):
+        # The read proves the file valid, and the command reads the violations it set.
+        path, src, dst = self._roster_free(which, office_path, tmp_path)
+        calls, built = self._count(monkeypatch), self._count_proofs(monkeypatch)
+        assert main([arg.format(file=path, src=src, dst=dst) for arg in argv]) == 0
+        assert calls == [] and len(built) == 1
+        assert built[0].__dict__["violations"] == ()
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["closure", "{file}"], [22]),
+            (["ablate", "{file}", "--order", "least-first", "--replace", "{spec}"], [1]),
+        ],
+        ids=["closure", "ablate-replace"],
+    )
+    def test_a_roster_free_file_validates_only_what_is_built(
+        self, argv, sizes, office_path, tmp_path, monkeypatch
+    ):
+        path, _, _ = self._roster_free("office", office_path, tmp_path)
+        calls = self._count(monkeypatch)
+        assert main([arg.format(file=path, spec=_REPLACE_SPEC) for arg in argv]) == 0
+        assert [len(s.connections) for s in calls] == sizes
 
     @pytest.mark.parametrize(
         "argv, sizes",

@@ -162,7 +162,8 @@ PRIVATE_IMPORTS = {
     "ablation": ["_builder"],
     "paths": ["_best_links", "_new_connection"],
     "scenario_io": [
-        "_LiteralTooLarge", "_new_connection", "_new_entity", "_number_text", "_shortest_text"
+        "_LiteralTooLarge", "_new_connection", "_new_entity", "_number_text", "_proven_scenario",
+        "_shortest_text",
     ],
 }
 

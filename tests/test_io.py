@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import conncalc.model
@@ -75,8 +75,8 @@ from conncalc.scenario_io import (
     _TABLE_LINES,
     ValidationReport,
     _build,
+    _connection_list,
     _fields,
-    _plain_connection,
     _plain_entity,
 )
 
@@ -460,8 +460,8 @@ class TestLiteralCheckCount:
 
 
 class TestMagnitudeDecodeCount:
-    """The plain step decodes each distinct connection magnitude literal once
-    per file, from the parse's literal table, however often the file repeats it."""
+    """The connection walk decodes each distinct magnitude literal once per
+    file, from the parse's literal table, however often the file repeats it."""
 
     def test_each_distinct_magnitude_literal_is_decoded_once(self, monkeypatch):
         s = support.random_scenario(
@@ -490,10 +490,10 @@ class TestMagnitudeDecodeCount:
         base = PLAIN_STEPS[0][4]
         literals = {}
         for magnitude in ("1/0", "1e99999", "x"):
-            assert _plain_connection({**base, "magnitude": magnitude}, literals) is None
+            assert walked_connection({**base, "magnitude": magnitude}, literals) is None
         assert literals == {}
-        first = _plain_connection({**base, "magnitude": "5/2"}, literals)
-        second = _plain_connection({**base, "id": "d", "magnitude": "5/2"}, literals)
+        first = walked_connection({**base, "magnitude": "5/2"}, literals)
+        second = walked_connection({**base, "id": "d", "magnitude": "5/2"}, literals)
         assert literals == {"5/2": Fraction(5, 2)}
         assert first.magnitude is second.magnitude is literals["5/2"]
 
@@ -625,7 +625,7 @@ class TestConnectionInitCount:
 
     def test_a_record_the_plain_step_refuses_calls_it_once(self, monkeypatch):
         item = {"id": "ab", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": 2}
-        assert _plain_connection(item, {}) is None
+        assert walked_connection(item, {}) is None
         inits = _count_connection_inits(monkeypatch)
         result = parse_doc(connections=[item])
         assert result.ok and result.scenario.connection("ab").magnitude == 2
@@ -712,10 +712,24 @@ class TestPrintableCheck:
             assert printed == []
 
 
-# Each record type with a plain step: its array's key, the step, its field
-# table and class, and a well-formed record with only the required fields.
+def walked_connection(item, literals: dict) -> Connection | None:
+    """What the connection walk builds of ``item``, the one record of an array,
+    or None when it leaves ``item`` to ``_parse_connection`` (a stand-in here)."""
+    refused = []
+    original = conncalc.scenario_io._parse_connection
+    conncalc.scenario_io._parse_connection = lambda item, *args: refused.append(item)
+    try:
+        records, _ = _connection_list([item], [], literals, None)
+    finally:
+        conncalc.scenario_io._parse_connection = original
+    return None if refused else records[0]
+
+
+# Each record type with a plain step (for connections, the walk over one
+# record): its array's key, the step, its field table and class, and a
+# well-formed record with only the required fields.
 PLAIN_STEPS = (
-    ("connections", _plain_connection, _CONNECTION_FIELDS, Connection,
+    ("connections", walked_connection, _CONNECTION_FIELDS, Connection,
      {"id": "c", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": "2"}),
     ("entities", _plain_entity, _ENTITY_FIELDS, Entity, {"id": "e", "kind": "known"}),
 )
@@ -864,6 +878,157 @@ class TestPlainStep:
         doc["connections"][0]["magnitude"] = 2
         assert parse_scenario(json.dumps(doc)).ok
         assert tables == [_ENTITY_FIELDS, _ATTRIBUTE_FIELDS, _CONNECTION_FIELDS]
+
+
+def read_with_proof(text: str) -> tuple[ParseResult, bool]:
+    """``parse_scenario(text)``, and whether the read proved the scenario valid:
+    it parsed, and ``validate_scenario`` never ran."""
+    calls = []
+    original = conncalc.model.validate_scenario
+
+    def counted(scenario):
+        calls.append(scenario)
+        return original(scenario)
+
+    conncalc.model.validate_scenario = counted
+    try:
+        result = parse_scenario(text)
+    finally:
+        conncalc.model.validate_scenario = original
+    return result, result.ok and not calls
+
+
+def assert_proof_holds(scenario: Scenario) -> None:
+    """A scenario whose read proved it valid is valid, and is what the public
+    constructor builds of its records given in reverse order, with the same
+    field types and the same written bytes."""
+    assert conncalc.model.validate_scenario(scenario) == []
+    built = Scenario(
+        entities=scenario.entities[::-1],
+        connections=scenario.connections[::-1],
+        host=scenario.host,
+        ideal_roster=scenario.ideal_roster,
+        scoring_mode=scenario.scoring_mode,
+        desired_connectivity=scenario.desired_connectivity,
+    )
+    assert built == scenario
+    names = [f.name for f in dataclasses.fields(Scenario)]
+    assert [type(getattr(built, n)) for n in names] == [type(getattr(scenario, n)) for n in names]
+    assert serialize_scenario(built) == serialize_scenario(scenario)
+
+
+_AB = PLAIN_STEPS[0][4] | {"id": "ab"}
+_A, _B = {"id": "a", "kind": "known"}, {"id": "b", "kind": "known"}
+
+
+class TestReadProof:
+    """A roster-free file whose connection walk proves it valid is built with
+    no validation. The proof is a second path beside ``validate_scenario``:
+    whatever it proves, validation accepts, and whatever it cannot prove goes
+    to validation, which writes every diagnostic."""
+
+    def test_a_proven_mutation_is_valid(self):
+        docs = mutation_sources()
+        proven = 0
+        for seed in range(4000):
+            text = json.dumps(seeded_mutation(random.Random(seed), docs))
+            result, holds = read_with_proof(text)
+            if holds:
+                proven += 1
+                assert_proof_holds(result.scenario)
+        assert proven > 250, proven
+
+    @given(support.scenarios(ids=support.hostile_ids))
+    def test_a_written_scenario_is_proven_without_a_roster(self, s):
+        assume(not support.holds_surrogate_pair(s))
+        result, holds = read_with_proof(serialize_scenario(s))
+        assert result.scenario == s and holds == (s.ideal_roster is None)
+        if holds:
+            assert_proof_holds(result.scenario)
+
+    def test_the_minimal_file_is_proven(self):
+        result, holds = read_with_proof(json.dumps(minimal_doc()))
+        assert holds and result.diagnostics == ()
+        assert result.scenario.__dict__["violations"] == ()
+
+    # One file per check of the proof, each breaking only that check: the read
+    # falls back to validation, which reports what it always has.
+    @pytest.mark.parametrize(
+        "overrides, diagnostics",
+        [
+            ({"connections": [_AB, {**_AB, "id": "aa"}]}, []),
+            ({"connections": [_AB, _AB]}, ["error ab.id: duplicate connection id"]),
+            (
+                {"connections": [{**_AB, "id": ""}]},
+                ["error <connection>.id: connection id must be nonempty"],
+            ),
+            ({"entities": [_B, _A]}, []),
+            ({"entities": [_A, _B, _B]}, ["error b.id: duplicate entity id"]),
+            (
+                {"entities": [{"id": "", "kind": "known"}, _A, _B]},
+                ["error <entity>.id: entity id must be nonempty"],
+            ),
+            ({"host": "z"}, ["error z.host: host id does not name an entity"]),
+            (
+                {"connections": [{**_AB, "dst": "z"}]},
+                ["error ab.dst: endpoint 'z' is not an entity"],
+            ),
+            (
+                {"connections": [{**_AB, "dst": "a"}]},
+                ["error ab.kind: connection with src = dst must have kind self"],
+            ),
+            (
+                {"connections": [{**_AB, "kind": "self"}]},
+                ["error ab.kind: kind self requires src = dst"],
+            ),
+            (
+                {"connections": [{**_AB, "time_index": -1}]},
+                ["error ab.time_index: time_index must be a non-negative integer"],
+            ),
+            (
+                {"connections": [{**_AB, "magnitude": "11"}]},
+                ["error ab.magnitude: magnitude 11 outside [1, 10]"],
+            ),
+            (
+                {"desired_connectivity": "1e5000"},
+                [
+                    "error <scenario>.desired_connectivity: "
+                    "number too long to print exactly (over 4300 digits)"
+                ],
+            ),
+            ({"ideal_roster": [{"ref": "ab"}]}, []),
+        ],
+        ids=[
+            "unsorted-connection-ids", "duplicate-connection-id", "empty-connection-id",
+            "unsorted-entity-ids", "duplicate-entity-id", "empty-entity-id", "host-not-an-entity",
+            "dangling-dst", "loop-kind-real", "self-between-two", "negative-time-index",
+            "magnitude-11", "unprintable-desired", "roster",
+        ],
+    )
+    def test_each_check_falls_back_to_validation(self, overrides, diagnostics):
+        result, holds = read_with_proof(json.dumps(minimal_doc(**overrides)))
+        assert not holds
+        assert [str(d) for d in result.diagnostics] == diagnostics
+        assert result.ok == (diagnostics == [])
+
+    def test_a_record_the_walk_refuses_falls_back_to_validation(self):
+        # An int magnitude is read by the field table, not the walk.
+        connections = [{**_AB, "magnitude": 2}]
+        result, holds = read_with_proof(json.dumps(minimal_doc(connections=connections)))
+        assert result.ok and not holds
+
+    @pytest.mark.parametrize("workload", sorted(gen.TINY_SIZES))
+    def test_every_generated_file_is_proven(self, workload, tmp_path):
+        jobs = gen.generate(workload, 3, tmp_path, gen.TINY_SIZES[workload])
+        for job in jobs:
+            result, holds = read_with_proof(Path(job["file"]).read_text(encoding="ascii"))
+            assert holds, job["file"]
+            if workload == "transform":
+                closed = serialize_scenario(silent_closure(result.scenario))
+                assert read_with_proof(closed)[1], job["file"]
+            if "defect" in job:
+                bad = Path(job["defect"]["file"]).read_text(encoding="ascii")
+                assert not read_with_proof(bad)[0].ok, job["defect"]
 
 
 # An id that ``support.hostile_ids`` can draw: its high and low surrogates

@@ -424,6 +424,22 @@ class TestValidation:
             s = scenario_of(conn("c", "a", "b", time_index=value))
             assert any(v.field == "time_index" for v in validate_scenario(s)) is flagged, value
 
+    # A flag that is not a bool once passed validation and was written as a
+    # default the canonical form omits, or as ``true``: neither read back equal.
+    @pytest.mark.parametrize(
+        "flag, value", [("blocked", ""), ("blocked", None), ("blocked", "no"), ("confirmed", 1)]
+    )
+    def test_a_flag_must_be_a_bool(self, flag, value):
+        bad = scenario_of(conn("c", "a", "b", **{flag: value}))
+        message = f"{flag} must be true or false"
+        assert [str(v) for v in validate_scenario(bad)] == [f"c.{flag}: {message}"]
+        with pytest.raises(ValidationError, match=f"c.{flag}: {message}"):
+            ensure_valid(bad)
+        with pytest.raises(ValidationError):
+            serialize_scenario(bad)
+        for good in (False, True):
+            assert validate_scenario(scenario_of(conn("c", "a", "b", **{flag: good}))) == []
+
     def test_roster_ref_must_exist(self):
         s = scenario_of(conn("c", "a", "b"), ideal_roster=(RosterRef(ref="nope"),))
         assert any(v.field == "ref" for v in validate_scenario(s))
