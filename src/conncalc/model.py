@@ -587,14 +587,14 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
     entity_ids: set[str] = set()
     for entity in scenario.entities:
-        if not entity.id:
+        if type(entity.id) is not str and not isinstance(entity.id, str):
+            violations.append(Violation("<entity>", "id", "entity id must be a string"))
+        elif not entity.id:
             violations.append(Violation("<entity>", "id", "entity id must be nonempty"))
-            continue
-        if entity.id in entity_ids:
-            violations.append(
-                Violation(entity.id, "id", "duplicate entity id")
-            )
-        entity_ids.add(entity.id)
+        elif entity.id in entity_ids:
+            violations.append(Violation(entity.id, "id", "duplicate entity id"))
+        else:
+            entity_ids.add(entity.id)
 
     desired = scenario.desired_connectivity
     if desired is not None:
@@ -614,7 +614,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     self_kind = ConnectionKind.SELF  # read once, as in ``real_links``
     for conn in scenario.connections:
         subject = conn.id or "<connection>"
-        if not conn.id:
+        if type(conn.id) is not str and not isinstance(conn.id, str):
+            subject = "<connection>"
+            violations.append(Violation(subject, "id", "connection id must be a string"))
+        elif not conn.id:
             violations.append(Violation(subject, "id", "connection id must be nonempty"))
         elif conn.id in conn_ids:
             violations.append(Violation(conn.id, "id", "duplicate connection id"))
@@ -633,10 +636,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(
                 Violation(subject, "kind", "kind self requires src = dst")
             )
-        if conn.polarity not in (1, -1) or conn.polarity is True:
-            violations.append(
-                Violation(subject, "polarity", f"polarity must be +1 or -1, got {conn.polarity}")
-            )
+        p = conn.polarity
+        if type(p) is not int and (type(p) is bool or not isinstance(p, int)) or p not in (1, -1):
+            violations.append(Violation(subject, "polarity", f"polarity must be +1 or -1, got {p}"))
         key = id(conn.magnitude)
         if key not in checked:
             checked[key] = _check_magnitude(conn.magnitude)

@@ -197,7 +197,9 @@ def confirm_silent(scenario: Scenario, connection_id: str, observed_polarity: in
         raise StateError(f"connection {connection_id!r} is not silent")
     if conn.confirmed:
         raise StateError(f"silent connection {connection_id!r} is already confirmed")
-    if observed_polarity not in (1, -1) or isinstance(observed_polarity, bool):
+    if isinstance(observed_polarity, bool) or not isinstance(observed_polarity, int) or (
+        observed_polarity not in (1, -1)
+    ):
         raise ValidationError(f"observed polarity must be 1 or -1, got {observed_polarity!r}")
     real_id = f"rc:{connection_id}"
     if scenario.has_connection(real_id):

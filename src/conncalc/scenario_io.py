@@ -11,27 +11,28 @@ to rationals before any float arithmetic can occur).
 The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``, ``_CONNECTION_FIELDS``,
 ``_HYPOTHETICAL_FIELDS``) are the one list of each record's on-disk fields: their keys,
 order, decoders and defaults. ``_fields`` reads any record by its table and is the one
-path that writes a diagnostic. An entity first takes its plain step (``_plain_entity``),
-and the connections one walk (``_connection_list``); each builds in one frame, through
-``model._new_entity`` or ``_new_connection``, the record ``_fields`` would build, and
-refuses any other. Each parse has one literal table (``_decode``), shared by the plain
-step, the walk, ``_number`` and the JSON float hook: a distinct literal decodes once per
-parse, and no decoded value outlives the parse.
+path that writes a diagnostic. The entities and the connections are each read by one walk
+over their array (``_entity_list``, ``_connection_list``), which builds each well-formed
+record in one frame, through ``model._new_entity`` or ``_new_connection``, as ``_fields``
+would build it, and leaves any other record to ``_fields``. Each parse has one literal
+table (``_decode``), shared by the walks, ``_number`` and the JSON float hook: a distinct
+literal decodes once per parse, and no decoded value outlives the parse.
 
 A file without an ideal roster is proven valid as it is read, by the rules of
-``model.validate_scenario``: the walk checks each connection while its values are in
-locals, and ``_proof_ids`` the rest. A proven scenario is built once, already sorted,
-with no violations (``model._proven_scenario``), which saves validation's second walk
-over the connections and their sort. Any other goes to ``Scenario(...)`` and
-validation, which writes every diagnostic. The proof calls ``model._check_magnitude``
-and ``model._check_printable`` through the module, where the count guards see them.
+``model.validate_scenario``: each walk checks its records while their values are in
+locals, and ``parse_scenario`` the host and the desired connectivity. A proven scenario
+is built once, already sorted, with no violations (``model._proven_scenario``), which
+saves validation's second walk over the connections and their sort. Any other goes to
+``Scenario(...)`` and validation, which writes every diagnostic. The proof calls
+``model._check_magnitude`` and ``model._check_printable`` through the module, where the
+count guards see them.
 
 JSON is written as ``json.dumps(indent=2, ensure_ascii=True)`` writes it (the layout of
 ``_json_block``), strings through its C ``encode_basestring_ascii``. A record writer
 (``_entity_json``, ``_connection_json``, ``_hypothetical_json``) lays its record out in
 one f-string read straight from its attributes, leaving out a field at its table's
-default. A step, the walk or a writer runs once per record, so it keeps its reads, tests
-and lookups inline: a call would add a frame per record, and a walk of the table a call
+default. A walk or a writer runs once per record, so it keeps its reads, tests and
+lookups inline: a call would add a frame per record, and a walk of the table a call
 per field. Each restates its table's keys, and the tests fail where the two differ. A
 report is one document, a ``type`` key and one key per field, written as table text or
 JSON lines by the functions ``_TABLE_LINES`` holds for its class. Every rational is
@@ -257,7 +258,7 @@ def _attributes(value, location, key: str, diags: list, literals: dict) -> Attri
 
 _REQUIRED = object()  # default of a field whose absence is an error
 _DEFAULT_ATTRIBUTES = AttributeVector()  # shared by every entity read without any
-# Each enum's value-to-member map, read by its decoder and by a plain step.
+# Each enum's value-to-member map, read by its decoder and by a walk.
 _ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
 _CONNECTION_KINDS = {kind.value: kind for kind in ConnectionKind}
 
@@ -335,44 +336,60 @@ def _parse_connection(item, location: str, diags: list, literals: dict) -> Conne
     return _build(Connection, values)
 
 
-# The plain entity step, ``(item, literals) -> record or None``, and the connection walk
-# leave to ``_fields`` any record it would not build silently, and any str subclass or int
-# magnitude, which it would.
+# The walks leave to ``_fields`` any record they would not build silently, and any str
+# subclass or int magnitude, which it would.
 _ENTITY_KEYS = itemgetter("id", "kind")
 _ATTRIBUTE_KEYS = itemgetter("existence", "inner_state", "external_state", "communication_state")
 _CONNECTION_KEYS = itemgetter("id", "src", "dst", "kind", "polarity", "magnitude")
 
 
-def _plain_entity(item, literals: dict) -> Entity | None:
-    if type(item) is not dict:
-        return None
-    try:
-        entity_id, kind = _ENTITY_KEYS(item)
-    except KeyError:
-        return None
-    attributes = _DEFAULT_ATTRIBUTES
-    if len(item) != 2:  # read only when present
-        attributes = item.get("attributes")
-        if len(item) != 3 or type(attributes) is not dict or len(attributes) != 4:
-            return None
+class _Refused(Exception):
+    """A record that a walk leaves to its field table."""
+
+
+def _entity_list(raw, diags: list, literals: dict):
+    """The entities of the array ``raw`` (None if it is not one), and their ids as a set
+    when this walk proved them nonempty and strictly increasing (so unique and sorted),
+    or None.
+
+    A well-formed record is built through ``_new_entity``; any other goes to
+    ``_parse_entity``, and the entity it builds counts toward the proof all the same."""
+    if not isinstance(raw, list):
+        diags.append(_err("entities", f"expected an array, got {type(raw).__name__}"))
+        return None, None
+    items, proven, previous = [], True, ""
+    for index, item in enumerate(raw):
         try:
-            e, i, x, c = _ATTRIBUTE_KEYS(attributes)
-        except KeyError:
-            return None
-        if not (type(e) is str and type(i) is str and type(x) is str and type(c) is str):
-            return None
-        try:  # the public class checks every value
-            attributes = AttributeVector(
-                literals[e] if e in literals else _decode(literals, e),
-                literals[i] if i in literals else _decode(literals, i),
-                literals[x] if x in literals else _decode(literals, x),
-                literals[c] if c in literals else _decode(literals, c),
-            )
-        except (ValueError, ValidationError):
-            return None
-    if not (type(entity_id) is str and type(kind) is str and kind in _ENTITY_KINDS):
-        return None
-    return _new_entity(entity_id, _ENTITY_KINDS[kind], attributes)
+            if type(item) is not dict:
+                raise _Refused
+            entity_id, kind = _ENTITY_KEYS(item)
+            attributes = _DEFAULT_ATTRIBUTES
+            if len(item) != 2:  # read only when present
+                attributes = item.get("attributes")
+                if len(item) != 3 or type(attributes) is not dict or len(attributes) != 4:
+                    raise _Refused
+                e, i, x, c = _ATTRIBUTE_KEYS(attributes)
+                if not (type(e) is str and type(i) is str and type(x) is str and type(c) is str):
+                    raise _Refused
+                attributes = AttributeVector(  # the public class checks every value
+                    literals[e] if e in literals else _decode(literals, e),
+                    literals[i] if i in literals else _decode(literals, i),
+                    literals[x] if x in literals else _decode(literals, x),
+                    literals[c] if c in literals else _decode(literals, c),
+                )
+            if not (type(entity_id) is str and type(kind) is str and kind in _ENTITY_KINDS):
+                raise _Refused
+            record = _new_entity(entity_id, _ENTITY_KINDS[kind], attributes)
+        except (_Refused, KeyError, ValueError, ValidationError):  # _fields reports it
+            record = _parse_entity(item, f"entities[{index}]", diags, literals)
+            if record is None:
+                continue
+            entity_id = record.id
+        if proven and not previous < entity_id:
+            proven = False
+        previous = entity_id
+        items.append(record)
+    return items, {entity.id for entity in items} if proven else None
 
 
 def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> RosterEntry | None:
@@ -397,49 +414,10 @@ def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> Ros
     return _build(RosterHypothetical, values)
 
 
-def _item_list(raw, key: str, parse, diags: list, literals: dict, plain=None) -> list | None:
-    """The items of the array ``raw`` that ``plain`` (when given) builds or,
-    failing that, ``parse`` decodes, or None if it is not an array."""
-    if not isinstance(raw, list):
-        diags.append(_err(key, f"expected an array, got {type(raw).__name__}"))
-        return None
-    items = []
-    for i, item in enumerate(raw):
-        record = None if plain is None else plain(item, literals)
-        if record is None:
-            record = parse(item, f"{key}[{i}]", diags, literals)
-            if record is None:
-                continue
-        items.append(record)
-    return items
-
-
-class _Refused(Exception):
-    """A connection record that the walk leaves to ``_parse_connection``."""
-
-
-def _proof_ids(entities: list | None, host, desired) -> set | None:
-    """The entity ids, when they are nonempty and strictly increasing, ``host`` is one
-    of them and ``desired`` is printable: what ``validate_scenario`` asks of a roster-free
-    scenario beyond its connections, which the connection walk checks. None otherwise."""
-    if entities is None:
-        return None
-    ids = [entity.id for entity in entities]
-    entity_ids = set(ids)
-    if "" in entity_ids or host not in entity_ids or ids != sorted(entity_ids):
-        return None
-    if desired is not None:
-        try:
-            model._check_printable(desired.numerator, desired.denominator)
-        except ComputationError:
-            return None
-    return entity_ids
-
-
 def _connection_list(raw, diags: list, literals: dict, entity_ids: set | None):
-    """The connections of the array ``raw``, read as :func:`_item_list` reads an array
-    (None if it is not one), and whether this walk proved them valid against
-    ``entity_ids`` (from :func:`_proof_ids`; None proves nothing).
+    """The connections of the array ``raw`` (None if it is not one), and whether this
+    walk proved them valid against ``entity_ids`` (from :func:`_entity_list`; None
+    proves nothing).
 
     A well-formed record is built through ``_new_connection``; any other goes to
     ``_parse_connection``, and the proof fails. The proof holds while each id is
@@ -476,7 +454,7 @@ def _connection_list(raw, diags: list, literals: dict, entity_ids: set | None):
                 magnitude = magnitudes[magnitude]
             else:
                 text = magnitude
-                magnitude = literals[text] if text in literals else _decode(literals, text)
+                magnitude = _decode(literals, text)
                 if proven and model._check_magnitude(magnitude) is not None:
                     proven = False
                 magnitudes[text] = magnitude
@@ -545,23 +523,38 @@ def parse_scenario(text: str) -> ParseResult:
         desired = _number(desired, None, "desired_connectivity", diags, literals)
 
     # A null entities or connections array is missing; a null roster is not an array.
-    entities = connections = None
+    entities = entity_ids = connections = roster = None
     if doc.get("entities") is None:
         diags.append(_err("entities", "missing required key"))
     else:
+        # ``raw`` keeps the entity dicts alive until the parse returns, so they are freed
+        # after the connection dicts. Freed first, `analyze` and `transform` read 2-3%
+        # fewer `jobs_per_s` in every benchmark pair, though the parse timed the same.
         raw = doc["entities"]
-        entities = _item_list(raw, "entities", _parse_entity, diags, literals, _plain_entity)
-    # Without a roster the connection walk can prove the scenario valid, so it is not validated.
-    entity_ids = None if "ideal_roster" in doc else _proof_ids(entities, host, desired)
+        entities, entity_ids = _entity_list(raw, diags, literals)
+    # Without a roster the connection walk can prove the scenario valid, so it is not
+    # validated: beyond the entity ids, the host must name an entity and ``desired`` print.
+    if "ideal_roster" in doc or host not in (entity_ids or ()):
+        entity_ids = None
+    elif desired is not None:
+        try:
+            model._check_printable(desired.numerator, desired.denominator)
+        except ComputationError:
+            entity_ids = None
     proven = False
     if doc.get("connections") is None:
         diags.append(_err("connections", "missing required key"))
     else:
         connections, proven = _connection_list(doc["connections"], diags, literals, entity_ids)
-    roster = None
     if "ideal_roster" in doc:
-        roster = doc["ideal_roster"]
-        roster = _item_list(roster, "ideal_roster", _parse_roster_entry, diags, literals)
+        raw = doc["ideal_roster"]
+        if isinstance(raw, list):  # an entry read as None left an error: the roster is not built
+            roster = [
+                _parse_roster_entry(item, f"ideal_roster[{i}]", diags, literals)
+                for i, item in enumerate(raw)
+            ]
+        else:
+            diags.append(_err("ideal_roster", f"expected an array, got {type(raw).__name__}"))
 
     if any(d.severity is Severity.ERROR for d in diags):
         return ParseResult(None, tuple(diags))
@@ -756,8 +749,10 @@ class ValidationReport:
 
 
 # Each report class has a table function, ``report -> str``, and a JSON one, ``report ->
-# list[str]``, a line per field. Both print rationals inline: a call of format_rational
-# per value made a 400-step table 16% slower, and the writers' memo made its JSON 78%.
+# list[str]``, a line per field. A single rational prints through format_rational (in
+# JSON, ``_json_rational``), but a trajectory's per-step rationals print inline: a call of
+# format_rational per value made a 400-step table 16% slower, and the writers' memo made
+# its JSON 78%.
 def _connectivity_table(r: ConnectivityReport) -> str:
     return (
         f"score={format_rational(r.score)} ideal={format_rational(r.ideal)}"
@@ -768,10 +763,9 @@ def _connectivity_table(r: ConnectivityReport) -> str:
 
 def _connectivity_json(r: ConnectivityReport) -> list[str]:
     return [
-        f'"score": "{_shortest_text(r.score.numerator, r.score.denominator)}"',
-        f'"ideal": "{_shortest_text(r.ideal.numerator, r.ideal.denominator)}"',
-        '"efficiency_percent": '
-        f'"{_shortest_text(r.efficiency_percent.numerator, r.efficiency_percent.denominator)}"',
+        f'"score": {_json_rational(r.score)}',
+        f'"ideal": {_json_rational(r.ideal)}',
+        f'"efficiency_percent": {_json_rational(r.efficiency_percent)}',
         f'"band": {_json_string(r.band)}', f'"mode": {_json_string(r.mode)}',
     ]
 
@@ -786,9 +780,8 @@ def _confusion_table(r: ConfusionReport) -> str:
 
 def _confusion_json(r: ConfusionReport) -> list[str]:
     return [
-        f'"z": "{_shortest_text(r.z.numerator, r.z.denominator)}"',
-        '"quality_percent": '
-        f'"{_shortest_text(r.quality_percent.numerator, r.quality_percent.denominator)}"',
+        f'"z": {_json_rational(r.z)}',
+        f'"quality_percent": {_json_rational(r.quality_percent)}',
         f'"confused": {"true" if r.confused else "false"}',
         f'"causes": {_json_block("[]", [*map(_json_string, r.causes)], "  ")}',
     ]
@@ -803,10 +796,9 @@ def _quality_table(r: QualityReport) -> str:
 
 def _quality_json(r: QualityReport) -> list[str]:
     return [
-        f'"score": "{_shortest_text(r.score.numerator, r.score.denominator)}"',
-        f'"desired": "{_shortest_text(r.desired.numerator, r.desired.denominator)}"',
-        '"quality_percent": '
-        f'"{_shortest_text(r.quality_percent.numerator, r.quality_percent.denominator)}"',
+        f'"score": {_json_rational(r.score)}',
+        f'"desired": {_json_rational(r.desired)}',
+        f'"quality_percent": {_json_rational(r.quality_percent)}',
         f'"band": {_json_string(r.band)}',
     ]
 
@@ -835,7 +827,7 @@ def _trajectory_json(r: QualityTrajectory) -> list[str]:
     ]
     return [
         f'"order": {_json_string(r.order)}',
-        f'"ideal": "{_shortest_text(r.ideal.numerator, r.ideal.denominator)}"',
+        f'"ideal": {_json_rational(r.ideal)}',
         f'"steps": {_json_block("[]", steps, "  ")}',
     ]
 
@@ -853,13 +845,10 @@ def _replacement_json(r: ReplacementReport) -> list[str]:
     return [
         f'"blocked_id": {_json_string(r.blocked_id)}',
         f'"replacement_id": {_json_string(r.replacement_id)}',
-        f'"ideal": "{_shortest_text(r.ideal.numerator, r.ideal.denominator)}"',
-        '"quality_before": '
-        f'"{_shortest_text(r.quality_before.numerator, r.quality_before.denominator)}"',
-        '"quality_blocked": '
-        f'"{_shortest_text(r.quality_blocked.numerator, r.quality_blocked.denominator)}"',
-        '"quality_after": '
-        f'"{_shortest_text(r.quality_after.numerator, r.quality_after.denominator)}"',
+        f'"ideal": {_json_rational(r.ideal)}',
+        f'"quality_before": {_json_rational(r.quality_before)}',
+        f'"quality_blocked": {_json_rational(r.quality_blocked)}',
+        f'"quality_after": {_json_rational(r.quality_after)}',
     ]
 
 

@@ -16,9 +16,8 @@ size, ``closure`` included.
 
 Parsing is counted per record: the Python ``call`` events of one
 ``parse_scenario`` of a canonical file, divided by its entities and
-connections, stay near the frames each record needs: a connection's builder,
-called from the one walk over the connections, and an entity's plain step and
-builder.
+connections, stay near the frames each record needs: its builder, called from
+the one walk over its array.
 
 Path search is counted the same way, one ``find_paths`` call over two hops on
 the silent closure of generated scenarios of n and 2n entities, with the pair
@@ -172,11 +171,11 @@ def test_a_cycle_per_record_fails_the_cycle_guard(jobs, monkeypatch):
 
 
 # Python calls per record in a parse of the canonical 2,000-connection file
-# read 1.68: a builder per connection, a plain step and a builder per entity,
-# and a few calls per distinct literal and attribute vector. They read 2.59
-# when each connection took a plain step of its own as well, and 5.19 when a
-# connection passed through four frames and an entity through the field
-# table. One more call per connection reads 2.59.
+# read 1.59: a builder per record, and a few calls per distinct literal and
+# attribute vector. They read 1.68 when each entity took a plain step of its
+# own, 2.59 when each connection did as well, and 5.19 when a connection
+# passed through four frames and an entity through the field table. One more
+# call per connection reads 2.5.
 PARSE_CONNECTIONS = 2000
 MAX_PARSE_CALLS_PER_RECORD = 2
 

@@ -76,8 +76,8 @@ from conncalc.scenario_io import (
     ValidationReport,
     _build,
     _connection_list,
+    _entity_list,
     _fields,
-    _plain_entity,
 )
 
 from . import support, test_cli
@@ -725,16 +725,29 @@ def walked_connection(item, literals: dict) -> Connection | None:
     return None if refused else records[0]
 
 
-# Each record type with a plain step (for connections, the walk over one
-# record): its array's key, the step, its field table and class, and a
-# well-formed record with only the required fields.
+def walked_entity(item, literals: dict) -> Entity | None:
+    """What the entity walk builds of ``item``, the one record of an array, or
+    None when it leaves ``item`` to ``_parse_entity`` (a stand-in here)."""
+    refused = []
+    original = conncalc.scenario_io._parse_entity
+    conncalc.scenario_io._parse_entity = lambda item, *args: refused.append(item)
+    try:
+        records, _ = _entity_list([item], [], literals)
+    finally:
+        conncalc.scenario_io._parse_entity = original
+    return None if refused else records[0]
+
+
+# Each record type with a walk over its array, the walk taken over one record:
+# its array's key, the walk, its field table and class, and a well-formed
+# record with only the required fields.
 PLAIN_STEPS = (
     ("connections", walked_connection, _CONNECTION_FIELDS, Connection,
      {"id": "c", "src": "a", "dst": "b", "kind": "real", "polarity": 1, "magnitude": "2"}),
-    ("entities", _plain_entity, _ENTITY_FIELDS, Entity, {"id": "e", "kind": "known"}),
+    ("entities", walked_entity, _ENTITY_FIELDS, Entity, {"id": "e", "kind": "known"}),
 )
 # One valid value off its default for each field of those tables. A field
-# added to a table needs one here, and the plain step must decode it.
+# added to a table needs one here, and the walk must decode it.
 PLAIN_SAMPLES = {
     "connections": {
         "id": "c1", "src": "a", "dst": "b", "kind": "silent", "polarity": -1,
@@ -772,8 +785,8 @@ def took_plain_step(plain, table: dict, cls, item) -> bool:
 
 
 class TestPlainStep:
-    """A well-formed entity or connection record takes its plain step, which
-    builds what the field tables would build; only a record it refuses
+    """A well-formed entity or connection record is built by the walk over its
+    array as the field tables would build it; only a record the walk refuses
     reaches ``_fields``."""
 
     def test_seeded_mutation_records_match_the_field_tables(self):
@@ -872,7 +885,7 @@ class TestPlainStep:
         text = serialize_scenario(s)
         assert parse_scenario(text).scenario == s
         assert tables == []
-        # A record the plain step refuses still goes through the tables.
+        # A record the walk refuses still goes through the tables.
         doc = json.loads(text)
         doc["entities"][0].update(attributes=ATTRIBUTES, note=1)
         doc["connections"][0]["magnitude"] = 2
@@ -1010,6 +1023,16 @@ class TestReadProof:
         assert not holds
         assert [str(d) for d in result.diagnostics] == diagnostics
         assert result.ok == (diagnostics == [])
+
+    def test_an_entity_with_an_unknown_key_is_still_proven(self):
+        # The field table builds it, with a warning, and its id still counts.
+        entities = [_A, {**_B, "note": 1}]
+        result, holds = read_with_proof(json.dumps(minimal_doc(entities=entities)))
+        assert holds
+        assert [str(d) for d in result.diagnostics] == [
+            "warning entities[1].note: unknown key ignored"
+        ]
+        assert_proof_holds(result.scenario)
 
     def test_a_record_the_walk_refuses_falls_back_to_validation(self):
         # An int magnitude is read by the field table, not the walk.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import decimal
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
@@ -26,7 +27,9 @@ from conncalc import (
     ScoringMode,
     ValidationError,
     connection_value,
+    connectivity_score,
     ensure_valid,
+    export_dot,
     impact_factor,
     make_entity,
     parse_scenario,
@@ -401,6 +404,44 @@ class TestValidation:
     def test_polarity_must_be_unit(self):
         bad = scenario_of(conn("c", "a", "b", polarity=2))
         assert any(v.field == "polarity" for v in validate_scenario(bad))
+
+    # A polarity equal to 1 or -1 but not an int once passed validation, and
+    # then failed the score or the writer with a bare TypeError.
+    @pytest.mark.parametrize(
+        "value, shown", [(1.0, "1.0"), (-1.0, "-1.0"), (Fraction(1), "1"), (True, "True")]
+    )
+    def test_polarity_must_be_an_int(self, value, shown):
+        bad = scenario_of(conn("c", "a", "b", polarity=value))
+        message = f"c.polarity: polarity must be +1 or -1, got {shown}"
+        assert [str(v) for v in validate_scenario(bad)] == [message]
+        for use in (connectivity_score, serialize_scenario, export_dot):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                use(bad)
+
+        class Sign(int):
+            pass
+
+        assert validate_scenario(scenario_of(conn("c", "a", "b", polarity=Sign(-1)))) == []
+
+    # An id that is not a string once passed validation, and then failed the
+    # writer with a bare TypeError and the DOT export with an AttributeError.
+    def test_a_connection_id_must_be_a_string(self):
+        bad = scenario_of(conn(7, "a", "b"))
+        message = "<connection>.id: connection id must be a string"
+        assert [str(v) for v in validate_scenario(bad)] == [message]
+        for use in (serialize_scenario, export_dot):
+            with pytest.raises(ValidationError, match=message):
+                use(bad)
+
+    def test_an_entity_id_must_be_a_string(self):
+        bad = Scenario(entities=(make_entity(7, "known"),), connections=(), host=7)
+        message = "<entity>.id: entity id must be a string"
+        assert [str(v) for v in validate_scenario(bad)] == [
+            message, "7.host: host id does not name an entity",
+        ]
+        for use in (serialize_scenario, export_dot):
+            with pytest.raises(ValidationError, match=message):
+                use(bad)
 
     @pytest.mark.parametrize("magnitude,ok", [(1, True), (10, True), ("0.5", False), (11, False)])
     def test_magnitude_bounds_are_inclusive(self, magnitude, ok):

@@ -319,6 +319,12 @@ class TestConfirmSilent:
         with pytest.raises(ValidationError):
             confirm_silent(s, "ab", 2)
 
+    @pytest.mark.parametrize("polarity", [1.0, -1.0, Fraction(1), True])
+    def test_polarity_must_be_an_int(self, polarity):
+        s = scenario_of(conn("ab", "a", "b", kind=ConnectionKind.SILENT, magnitude=2))
+        with pytest.raises(ValidationError, match="observed polarity must be 1 or -1"):
+            confirm_silent(s, "ab", polarity)
+
     def test_reserved_id_collision(self):
         s = scenario_of(
             conn("ab", "a", "b", kind=ConnectionKind.SILENT, magnitude=2),
