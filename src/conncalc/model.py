@@ -16,6 +16,9 @@ result, ``()`` (``_proven_scenario``).
 Records whose values are already typed (parsed entities and connections,
 closed connections, removal steps) are built in one frame by a function that
 ``_builder`` generates, which skips the frozen ``__init__``'s setattr calls.
+A plain decimal literal, and each removal step's score and efficiency, is reduced
+by one ``gcd`` and built by ``_coprime_fraction``, which skips ``Fraction``'s
+string parser and its constructor's checks.
 Validation, ``impact_factors`` and the valuation's magnitude units work once
 per distinct magnitude or attribute vector object, which records share.
 """
@@ -30,13 +33,14 @@ __all__ = [
 ]
 
 import decimal
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import ComputationError, IntegrityError, ValidationError
@@ -68,28 +72,68 @@ def check_literal(text: str) -> None:
         raise _LiteralTooLarge(f"numeric literal has an exponent past {LITERAL_MAX_EXPONENT}")
 
 
-def _shortest_text(numerator: int, denominator: int) -> str:
-    """Shortest exact text of the reduced fraction ``numerator/denominator``.
-    One whose digits pass Python's int-to-str limit has no exact text form:
-    it raises :class:`ComputationError`."""
+def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)`` of a coprime pair with a positive
+    denominator, built as Python 3.12's ``Fraction._from_coprime_ints`` builds
+    it: set ``Fraction``'s two slots, skipping the constructor's type tests and
+    its ``gcd``."""
+    value = object.__new__(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
+
+
+def _decimal_plan(denominator: int) -> tuple[int, int] | None:
+    """How a reduced fraction over ``denominator`` prints as a decimal: ``(scale,
+    factor)``, with ``denominator * factor == 10**scale`` and ``scale`` least, when
+    ``denominator`` has no prime factor but 2 and 5; None when it prints ``p/q``."""
+    twos = (denominator & -denominator).bit_length() - 1
+    rest, fives = denominator >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return None
+    scale = max(twos, fives)
+    return scale, 10**scale // denominator
+
+
+def _rational_texts(ratios) -> list[str]:
+    """The shortest exact text of each reduced fraction of ``ratios``, pairs
+    ``(numerator, denominator)``: an integer bare, a denominator of only 2s and 5s
+    as a decimal without trailing zeros, any other ``p/q``. Each distinct
+    denominator is planned once per call (:func:`_decimal_plan`). A value whose
+    digits pass Python's int-to-str limit has no exact text form: it raises
+    :class:`ComputationError`."""
+    texts, plans = [], {}
     try:
-        if denominator == 1:
-            return str(numerator)
-        twos = (denominator & -denominator).bit_length() - 1
-        rest, fives = denominator >> twos, 0
-        while rest % 5 == 0:
-            rest //= 5
-            fives += 1
-        if rest != 1:
-            return f"{numerator}/{denominator}"
-        scale = max(twos, fives)
-        digits = str(abs(numerator) * 10**scale // denominator).rjust(scale + 1, "0")
+        for numerator, denominator in ratios:
+            if denominator == 1:
+                texts.append(str(numerator))
+                continue
+            if denominator in plans:
+                plan = plans[denominator]
+            else:
+                plan = plans[denominator] = _decimal_plan(denominator)
+            if plan is None:
+                texts.append(f"{numerator}/{denominator}")
+                continue
+            scale, factor = plan
+            digits = str(abs(numerator) * factor).rjust(scale + 1, "0")
+            # The last digit is never 0: the factor is a power of 2 or of 5 alone, and
+            # the numerator, coprime to the denominator, lacks the other prime.
+            sign = "-" if numerator < 0 else ""
+            texts.append(f"{sign}{digits[:-scale]}.{digits[-scale:]}")
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ComputationError(f"number too long to print exactly (over {limit} digits)") from None
-    # The last digit is never 0: the numerator shares no factor with 2**twos * 5**fives.
-    sign = "-" if numerator < 0 else ""
-    return f"{sign}{digits[:-scale]}.{digits[-scale:]}"
+    return texts
+
+
+def _shortest_text(numerator: int, denominator: int) -> str:
+    """Shortest exact text of the reduced fraction ``numerator/denominator``, as
+    :func:`_rational_texts` prints it."""
+    return _rational_texts(((numerator, denominator),))[0]
 
 
 # Below 2**400 a numerator prints in at most 121 digits, and a denominator has
@@ -107,6 +151,12 @@ def _check_printable(numerator: int, denominator: int) -> None:
         _shortest_text(numerator, denominator)
 
 
+# A plain decimal literal: ASCII digits, an optional minus sign and point, at most
+# 32 digits on each side, so ``int`` reads it at once and far below the lowest
+# int-to-str limit. ``Fraction`` reads it to the same value.
+_plain_decimal = re.compile(r"-?[0-9]{1,32}(?:\.[0-9]{1,32})?").fullmatch
+
+
 def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     """Coerce a value to an exact :class:`Fraction`.
 
@@ -115,7 +165,10 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
     "3/4") and ``decimal.Decimal``. Floats are rejected: they carry binary
     rounding error that would leak into canonical serialization. A string or
     Decimal past the literal limits (:func:`check_literal`), or that names no
-    rational (``"1/0"``, ``Decimal("Infinity")``), is a ``ValueError``.
+    rational (``"1/0"``, ``Decimal("Infinity")``), is a ``ValueError``. A plain
+    decimal ``str`` (``"-12.50"``) is read as an integer over a power of ten,
+    reduced by one ``gcd``, without ``Fraction``'s slower string parser; it has
+    the same value.
     """
     if type(value) is Fraction:
         return value
@@ -125,6 +178,11 @@ def to_rational(value: Fraction | int | str | decimal.Decimal) -> Fraction:
         return Fraction(value)
     if isinstance(value, (str, decimal.Decimal)):
         check_literal(str(value))
+        if type(value) is str and _plain_decimal(value):
+            whole, _, digits = value.partition(".")
+            numerator, denominator = int(whole + digits), 10 ** len(digits)
+            common = gcd(numerator, denominator)
+            return _coprime_fraction(numerator // common, denominator // common)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -300,10 +358,8 @@ class Scenario:
     desired_connectivity: Fraction | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entities", tuple(sorted(self.entities, key=attrgetter("id"))))
-        object.__setattr__(
-            self, "connections", tuple(sorted(self.connections, key=attrgetter("id")))
-        )
+        object.__setattr__(self, "entities", _by_id(self.entities))
+        object.__setattr__(self, "connections", _by_id(self.connections))
         if self.ideal_roster is not None:
             object.__setattr__(self, "ideal_roster", tuple(self.ideal_roster))
         object.__setattr__(self, "scoring_mode", ScoringMode(self.scoring_mode))
@@ -371,6 +427,17 @@ class Scenario:
     @cached_property
     def valuation(self) -> Valuation:
         return Valuation(self)
+
+
+def _by_id(records) -> tuple:
+    """``records`` sorted by id, or in their given order when ids of different
+    types cannot be compared (``"a"`` and ``7``): validation then reports each id
+    that is not a string."""
+    records = tuple(records)
+    try:
+        return tuple(sorted(records, key=attrgetter("id")))
+    except TypeError:
+        return records
 
 
 def _best_links(connections) -> dict[str, dict[str, Connection]]:
@@ -482,7 +549,8 @@ class Valuation:
 
     def removal(self, schedule: list[str]) -> tuple[list[Fraction], list[Fraction]]:
         """The score, and the efficiency percentage over the nonzero ideal, after blocking
-        each connection of ``schedule`` in turn. A value with no exact text form raises
+        each connection of ``schedule`` in turn. Each value is reduced by one ``gcd`` and
+        built by :func:`_coprime_fraction`. A value with no exact text form raises
         :class:`ComputationError` when reached, the ideal's first; later ones are not built."""
         ideal, denominator, values = self.ideal, self._denominator, self._unblocked
         _check_printable(ideal.numerator, ideal.denominator)
@@ -493,7 +561,11 @@ class Valuation:
         total, scores, efficiencies = sum(values.values()), [], []
         for connection_id in schedule:
             total -= values[connection_id]
-            score, efficiency = Fraction(total, denominator), Fraction(100 * total, ideal_units)
+            common = gcd(total, denominator)
+            score = _coprime_fraction(total // common, denominator // common)
+            scaled = 100 * total
+            common = gcd(scaled, ideal_units)
+            efficiency = _coprime_fraction(scaled // common, ideal_units // common)
             if check:
                 _check_printable(score.numerator, score.denominator)
                 _check_printable(efficiency.numerator, efficiency.denominator)

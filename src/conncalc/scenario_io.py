@@ -36,9 +36,10 @@ lookups inline: a call would add a frame per record, and a walk of the table a c
 per field. Each restates its table's keys, and the tests fail where the two differ. A
 report is one document, a ``type`` key and one key per field, written as table text or
 JSON lines by the functions ``_TABLE_LINES`` holds for its class. Every rational is
-printed by ``model._shortest_text``: once per distinct object per ``serialize_scenario``
-call, once per signed magnitude object per DOT export, and once per field in a report.
-No text outlives the call that wrote it.
+printed by the one rule of ``model._rational_texts``, a single value through
+``_shortest_text``: once per distinct object per ``serialize_scenario`` call, once per
+signed magnitude object per DOT export, and once per field in a report, a trajectory's
+steps a column at a time (``_step_texts``). No text outlives the call that wrote it.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .model import (
     _new_entity,
     _number_text,
     _proven_scenario,
+    _rational_texts,
     _shortest_text,
     ensure_valid,
     to_rational,
@@ -750,9 +752,11 @@ class ValidationReport:
 
 # Each report class has a table function, ``report -> str``, and a JSON one, ``report ->
 # list[str]``, a line per field. A single rational prints through format_rational (in
-# JSON, ``_json_rational``), but a trajectory's per-step rationals print inline: a call of
-# format_rational per value made a 400-step table 16% slower, and the writers' memo made
-# its JSON 78%.
+# JSON, ``_json_rational``), but a trajectory's per-step rationals print through one
+# ``_rational_texts`` call per column (``_step_texts``), which reads each value once and
+# plans each distinct denominator once: a call of format_rational per value made a
+# 400-step table 16% slower, the writers' memo by object made its JSON 78% slower, and
+# ``_shortest_text`` per value, with its four property reads, made three calls a value.
 def _connectivity_table(r: ConnectivityReport) -> str:
     return (
         f"score={format_rational(r.score)} ideal={format_rational(r.ideal)}"
@@ -803,14 +807,20 @@ def _quality_json(r: QualityReport) -> list[str]:
     ]
 
 
+def _step_texts(steps) -> zip:
+    """Each step with the texts of its score and of its efficiency, each value read
+    once and each distinct denominator planned once (``model._rational_texts``)."""
+    scores = _rational_texts([s.score.as_integer_ratio() for s in steps])
+    efficiencies = _rational_texts([s.efficiency_percent.as_integer_ratio() for s in steps])
+    return zip(steps, scores, efficiencies)
+
+
 def _trajectory_table(r: QualityTrajectory) -> str:
     return "\n".join([
         f"order={r.order.value} ideal={format_rational(r.ideal)} steps={len(r.steps)}",
         *[
-            f"step={s.step} blocked={s.blocked_connection}"
-            f" score={_shortest_text(s.score.numerator, s.score.denominator)} efficiency="
-            f"{_shortest_text(s.efficiency_percent.numerator, s.efficiency_percent.denominator)}%"
-            for s in r.steps
+            f"step={s.step} blocked={s.blocked_connection} score={score} efficiency={efficiency}%"
+            for s, score, efficiency in _step_texts(r.steps)
         ],
     ])
 
@@ -819,11 +829,8 @@ def _trajectory_json(r: QualityTrajectory) -> list[str]:
     steps = [
         f'{{\n      "step": {int.__repr__(s.step)},'
         f'\n      "blocked_connection": {_json_string(s.blocked_connection)},'
-        f'\n      "score": "{_shortest_text(s.score.numerator, s.score.denominator)}",'
-        '\n      "efficiency_percent": '
-        f'"{_shortest_text(s.efficiency_percent.numerator, s.efficiency_percent.denominator)}"'
-        "\n    }"
-        for s in r.steps
+        f'\n      "score": "{score}",\n      "efficiency_percent": "{efficiency}"\n    }}'
+        for s, score, efficiency in _step_texts(r.steps)
     ]
     return [
         f'"order": {_json_string(r.order)}',

@@ -587,12 +587,13 @@ class TestFailFast:
         s = replace(self._scenario(), connections=self._scenario().connections + tuple(extra))
         ideal_connectivity(s)  # validation and the ideal are cached before counting
         made = [0]
+        original = conncalc.model._coprime_fraction
 
         def counted(*args):
             made[0] += 1
-            return Fraction(*args)
+            return original(*args)
 
-        monkeypatch.setattr(conncalc.model, "Fraction", counted)
+        monkeypatch.setattr(conncalc.model, "_coprime_fraction", counted)
         with pytest.raises(ComputationError, match="too long to print exactly"):
             run_removal(s, RemovalOrder.LEAST_FIRST)
         assert made == [2] and built == []  # the first step's score and efficiency

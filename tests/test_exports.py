@@ -163,7 +163,7 @@ PRIVATE_IMPORTS = {
     "paths": ["_best_links", "_new_connection"],
     "scenario_io": [
         "_LiteralTooLarge", "_new_connection", "_new_entity", "_number_text", "_proven_scenario",
-        "_shortest_text",
+        "_rational_texts", "_shortest_text",
     ],
 }
 

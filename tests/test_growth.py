@@ -19,6 +19,10 @@ Parsing is counted per record: the Python ``call`` events of one
 connections, stay near the frames each record needs: its builder, called from
 the one walk over its array.
 
+Ablation is counted per step: the Python ``call`` events of a warm
+``run_removal`` on a generated 400-connection ``ablate`` file, and of each
+rendering of its trajectory, divided by the steps.
+
 Path search is counted the same way, one ``find_paths`` call over two hops on
 the silent closure of generated scenarios of n and 2n entities, with the pair
 index already built. There every entity neighbours every other, so the
@@ -39,7 +43,8 @@ from pathlib import Path
 import pytest
 
 import conncalc.scenario_io
-from conncalc import find_paths, parse_scenario, silent_closure
+from conncalc import RemovalOrder, emit_report, find_paths, parse_scenario, run_removal
+from conncalc import silent_closure
 from conncalc.cli import main
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -84,13 +89,14 @@ def path_ends(job: dict) -> list[str]:
     return argv[start : start + 4]
 
 
-def counted_events(call, events=("call", "c_call")):
-    """``call()``'s result and the profile events of the kinds ``events`` it made."""
+def counted_events(call, events=("call", "c_call"), module=""):
+    """``call()``'s result and the profile events of the kinds ``events`` it made,
+    only those in functions of the file ``module`` when that is given."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event in events:
+        if event in events and frame.f_code.co_filename.endswith(module):
             count += 1
 
     sys.setprofile(profile)
@@ -189,6 +195,51 @@ def test_parsing_makes_few_calls_per_record(tmp_path):
     result, calls = counted_events(lambda: parse_scenario(text), ("call",))
     assert result.ok and len(result.scenario.connections) == PARSE_CONNECTIONS
     assert calls / records <= MAX_PARSE_CALLS_PER_RECORD, calls / records
+
+
+# Per step of a warm run_removal on the 400-connection file, Python calls read
+# 3.05: a step record and its two values, each built by a plain function. 2.01 of
+# them went into ``fractions`` when each value was ``Fraction(n, d)``; now 0.01.
+# Per step of either rendering, calls read 2.05, an ``as_integer_ratio`` a value;
+# they read 6.03 when each value printed through ``_shortest_text`` after reading
+# ``numerator`` and ``denominator``.
+ABLATE_CONNECTIONS = 400
+MAX_REMOVAL_CALLS_PER_STEP = 3.5
+MAX_REMOVAL_FRACTION_CALLS_PER_STEP = 0.5
+MAX_RENDER_CALLS_PER_STEP = 3
+
+
+@pytest.fixture(scope="module")
+def ablated(tmp_path_factory):
+    """A warm scenario of the generated 400-connection file, and its trajectories."""
+    (job,) = gen.generate(
+        "ablate", 3, tmp_path_factory.mktemp("ablate"), (ABLATE_CONNECTIONS,)
+    )
+    scenario = parse_scenario(Path(job["file"]).read_text(encoding="ascii")).scenario
+    trajectories = [run_removal(scenario, order) for order in RemovalOrder]
+    assert all(len(t.steps) == ABLATE_CONNECTIONS for t in trajectories)
+    return scenario, trajectories
+
+
+@pytest.mark.parametrize("order", list(RemovalOrder), ids=lambda order: order.value)
+def test_removal_makes_few_calls_per_step(ablated, order):
+    scenario, _ = ablated
+    trajectory, calls = counted_events(lambda: run_removal(scenario, order), ("call",))
+    _, fraction_calls = counted_events(
+        lambda: run_removal(scenario, order), ("call",), "fractions.py"
+    )
+    steps = len(trajectory.steps)
+    assert calls / steps <= MAX_REMOVAL_CALLS_PER_STEP, calls / steps
+    assert fraction_calls / steps <= MAX_REMOVAL_FRACTION_CALLS_PER_STEP, fraction_calls / steps
+
+
+@pytest.mark.parametrize("fmt", ["table", "machine"])
+def test_rendering_makes_few_calls_per_step(ablated, fmt):
+    _, trajectories = ablated
+    for trajectory in trajectories:
+        text, calls = counted_events(lambda: emit_report(trajectory, fmt), ("call",))
+        assert text.count("efficiency") >= len(trajectory.steps)
+        assert calls / len(trajectory.steps) <= MAX_RENDER_CALLS_PER_STEP, calls
 
 
 # Two-hop paths between two entities of a closed graph number about n, and

@@ -10,7 +10,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import conncalc.model
@@ -174,6 +174,95 @@ class TestToRational:
                 build(literal)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+
+
+def literal_outcome(decode, text: str):
+    """What ``decode(text)`` gives: the value with its type, hash and two integers,
+    or the class of the ``ValueError`` it raises."""
+    try:
+        value = decode(text)
+    except ValueError as exc:
+        return type(exc)
+    return value, type(value), hash(value), value.numerator, value.denominator
+
+
+def reference_rational(text: str) -> Fraction:
+    """``to_rational`` of a str as ``Fraction``'s string parser reads it: the literal
+    limits, then ``Fraction(text)``, its errors as ``to_rational`` raises them."""
+    conncalc.model.check_literal(text)
+    try:
+        return Fraction(text)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(text) from exc
+
+
+def _digits(low: int, high: int):
+    return st.text("0123456789", min_size=low, max_size=high)
+
+
+# Plain decimals with parts of up to 34 digits, two past the plain route's 32; then
+# each form that leaves the plain route, and text near the literal grammar.
+_plain_literals = st.builds(
+    lambda sign, whole, digits: f"{sign}{whole}{digits and '.' + digits}",
+    st.sampled_from(["", "-"]), _digits(1, 34), _digits(0, 34),
+)
+_fallback_literals = st.one_of(
+    st.tuples(
+        _plain_literals,
+        st.sampled_from(
+            ["+{}", " {}", "{}\n", "{}_0", "1_{}", "{}e5", "{}E-3", "{}/7", "{}.", ".{}"]
+        ),
+    ).map(lambda pair: pair[1].format(pair[0].lstrip("-"))),
+    st.text(alphabet="0123456789.-+_eE/ \t\u0661\uff15", max_size=12),
+)
+
+
+class TestPlainLiterals:
+    """``to_rational`` reads a plain decimal str without ``Fraction``'s parser, and
+    every literal to what the parser reads after the literal limits."""
+
+    @given(text=st.one_of(_plain_literals, _fallback_literals))
+    def test_same_value_type_hash_and_error(self, text):
+        assert literal_outcome(to_rational, text) == literal_outcome(reference_rational, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0", "-0", "-0.0", "000.000", "0012.5000", "-7", "1" * 32 + "." + "5" * 32,
+            "0." + "0" * 31 + "1", "1" * 33, "1." + "0" * 33, "+1", " 1", "1 ", "1_000",
+            "\u0661", "\uff15.5", "1e3", "1E-3", "3/4", "1/0", "2.", ".5", "-.5", "", "-",
+            "7" * 4300, "-" + "7" * 4297 + ".25", "7" * 4301, "-" + "7" * 4298 + ".25",
+        ],
+        ids=lambda text: text if len(text) < 80 else f"{len(text)}-chars",
+    )
+    def test_pinned_literals(self, text):
+        assert literal_outcome(to_rational, text) == literal_outcome(reference_rational, text)
+
+
+class TestCoprimeFraction:
+    """``model._coprime_fraction`` builds the ``Fraction`` the constructor builds of
+    a coprime pair. It sets ``Fraction``'s slots by name, and ``Fraction`` has no
+    ``__dict__``, so a renamed slot raises here."""
+
+    @given(
+        numerator=st.integers(-(2**200), 2**200),
+        denominator=st.integers(1, 2**200),
+        other=st.fractions(),
+    )
+    @example(numerator=0, denominator=1, other=Fraction(0))
+    def test_same_fraction_as_the_constructor(self, numerator, denominator, other):
+        made = Fraction(numerator, denominator)
+        built = conncalc.model._coprime_fraction(made.numerator, made.denominator)
+        assert type(built) is Fraction and not hasattr(built, "__dict__")
+        assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+        assert (built.numerator, built.denominator) == (made.numerator, made.denominator)
+        assert built.as_integer_ratio() == made.as_integer_ratio()
+        assert pickle.loads(pickle.dumps(built)) == made and copy.deepcopy(built) == made
+        assert built + other == made + other and built * other == made * other
+        assert built - other == made - other and (built < other) == (made < other)
+        if other:
+            assert built / other == made / other
+        assert str(built) == str(made) and abs(built) == abs(made) and -built == -made
 
 
 TINY = Fraction(1, 10**100)
@@ -442,6 +531,37 @@ class TestValidation:
         for use in (serialize_scenario, export_dot):
             with pytest.raises(ValidationError, match=message):
                 use(bad)
+
+    # Ids of mixed types cannot be sorted, and the sort once raised a bare TypeError
+    # before validation could report the id that is not a string.
+    ENTITY_ID_MESSAGE = "<entity>.id: entity id must be a string"
+    CONNECTION_ID_MESSAGE = "<connection>.id: connection id must be a string"
+
+    @staticmethod
+    def _reports(bad: Scenario, message: str) -> None:
+        assert message in [str(v) for v in validate_scenario(bad)]
+        with pytest.raises(ValidationError, match=message):
+            ensure_valid(bad)
+
+    def test_entity_ids_of_mixed_types_are_reported(self):
+        entities = (make_entity("a", "known"), make_entity(7, "known"))
+        bad = Scenario(entities=entities, connections=(), host="a")
+        assert [e.id for e in bad.entities] == ["a", 7]
+        self._reports(bad, self.ENTITY_ID_MESSAGE)
+
+    def test_connection_ids_of_mixed_types_are_reported(self):
+        bad = scenario_of(conn("c", "a", "b"), conn(7, "a", "b"))
+        assert [c.id for c in bad.connections] == ["c", 7]
+        self._reports(bad, self.CONNECTION_ID_MESSAGE)
+
+    def test_with_connection_of_another_id_type_is_reported(self):
+        bad = with_connection(scenario_of(conn("c", "a", "b")), conn(7, "a", "b"))
+        self._reports(bad, self.CONNECTION_ID_MESSAGE)
+
+    def test_replace_with_ids_of_mixed_types_is_reported(self):
+        s = scenario_of(conn("c", "a", "b"))
+        bad = replace(s, entities=s.entities + (make_entity(7, "known"),))
+        self._reports(bad, self.ENTITY_ID_MESSAGE)
 
     @pytest.mark.parametrize("magnitude,ok", [(1, True), (10, True), ("0.5", False), (11, False)])
     def test_magnitude_bounds_are_inclusive(self, magnitude, ok):
