@@ -13,7 +13,7 @@ from __future__ import annotations
 
 __all__ = [
     "QualityTrajectory", "RemovalOrder", "ReplacementReport", "TrajectoryStep",
-    "importance", "removal_schedule", "run_removal", "run_replacement",
+    "importance", "run_removal", "run_replacement",
 ]
 
 from dataclasses import dataclass
@@ -29,14 +29,6 @@ from .model import Connection, Scenario, _builder, connection_value, ensure_vali
 class RemovalOrder(str, Enum):
     LEAST_FIRST = "least-first"
     MOST_FIRST = "most-first"
-
-    @classmethod
-    def _missing_(cls, value):
-        # Accept the underscore spelling used in code alongside the
-        # hyphenated one used on the command line.
-        if isinstance(value, str):
-            return cls.__members__.get(value.upper().replace("-", "_"))
-        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,38 +74,21 @@ def importance(conn: Connection, scenario: Scenario) -> Fraction:
     return abs(connection_value(conn, scenario, ignore_blocked=True))
 
 
-def removal_schedule(scenario: Scenario, order: RemovalOrder) -> list[str]:
-    """Connection ids in removal order; ties broken by id, ascending.
+def run_removal(scenario: Scenario, order: RemovalOrder) -> QualityTrajectory:
+    """Block every connection in importance order, recording quality after each.
 
-    least-first sorts by rising importance, most-first by falling. A
-    scenario without connections yields an empty schedule.
-    """
-    ensure_valid(scenario)
-    return scenario.valuation.ranked(RemovalOrder(order) is RemovalOrder.MOST_FIRST)
-
-
-def run_removal(
-    scenario: Scenario,
-    order: RemovalOrder,
-    max_steps: int | None = None,
-) -> QualityTrajectory:
-    """Block connections in schedule order, recording quality after each.
-
-    Every step's efficiency divides by the intact scenario's ideal
-    connectivity, so the trajectory reflects only the removals. max_steps
-    truncates the schedule; None runs it to the end. A value with no exact
-    text form raises :class:`ComputationError` at once, before any step is built.
+    least-first blocks by rising importance, most-first by falling; ties go by
+    id, ascending. Every step's efficiency divides by the intact scenario's
+    ideal connectivity, so the trajectory reflects only the removals. A value
+    with no exact text form raises :class:`ComputationError` at once, before
+    any step is built.
     """
     order = RemovalOrder(order)
-    schedule = removal_schedule(scenario, order)
+    ensure_valid(scenario)
+    schedule = scenario.valuation.ranked(order is RemovalOrder.MOST_FIRST)
     ideal = ideal_connectivity(scenario)
     if ideal == 0:
         raise ComputationError("ideal connectivity is zero; quality trajectory is undefined")
-    if max_steps is not None:
-        if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:
-            raise ValueError(f"max_steps must be a non-negative integer, got {max_steps!r}")
-        schedule = schedule[:max_steps]
-
     scores, efficiencies = scenario.valuation.removal(schedule)
     steps = tuple(map(_new_step, count(1), schedule, scores, efficiencies))
     return QualityTrajectory(order=order, ideal=ideal, steps=steps)

@@ -38,11 +38,6 @@ class Band(str, Enum):
     SATISFACTORY = "satisfactory"
     HIGH = "high"
 
-    @property
-    def rank(self) -> int:
-        """Position in the total order failing < satisfactory < high."""
-        return list(Band).index(self)
-
 
 class ConfusionCause(str, Enum):
     MISSING_ENTITY_INFO = "missing_entity_info"

@@ -29,13 +29,13 @@ __all__ = [
     "DEFAULT_ATTRIBUTE", "MAGNITUDE_MAX", "MAGNITUDE_MIN", "AttributeVector", "Connection",
     "ConnectionKind", "Entity", "EntityKind", "RosterHypothetical", "RosterRef", "Scenario",
     "ScoringMode", "Violation", "connection_value", "ensure_valid", "impact_factor",
-    "make_entity", "to_rational", "validate_scenario", "with_connection",
+    "to_rational", "validate_scenario",
 ]
 
 import decimal
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -293,9 +293,6 @@ class Connection:
         if type(self.magnitude) is not Fraction:
             object.__setattr__(self, "magnitude", to_rational(self.magnitude))
 
-    def endpoints(self) -> frozenset[str]:
-        return frozenset((self.src, self.dst))
-
 
 def _builder(cls):
     """A function making ``cls(*values)`` in one frame, every field given with its
@@ -387,9 +384,6 @@ class Scenario:
             return self._connections_by_id[conn_id]
         except KeyError:
             raise IntegrityError(f"unknown connection id: {conn_id!r}") from None
-
-    def has_entity(self, entity_id: str) -> bool:
-        return entity_id in self._entities_by_id
 
     def has_connection(self, conn_id: str) -> bool:
         return conn_id in self._connections_by_id
@@ -586,21 +580,6 @@ class Violation:
         return f"{self.subject}.{self.field}: {self.message}"
 
 
-def make_entity(
-    entity_id: str,
-    kind: EntityKind | str,
-    attributes: AttributeVector | None = None,
-) -> Entity:
-    """Build an entity; omitted attributes default every field to 0.75."""
-    if not entity_id:
-        raise ValidationError("entity id must be nonempty")
-    return Entity(
-        id=entity_id,
-        kind=EntityKind(kind),
-        attributes=attributes if attributes is not None else AttributeVector(),
-    )
-
-
 def impact_factor(entity: Entity) -> Fraction:
     """Arithmetic mean of the four attribute values; strictly inside (0, 1)."""
     values = entity.attributes.as_tuple()
@@ -657,6 +636,8 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     # checked once. The scenario keeps every magnitude alive, so no id repeats.
     checked: dict[int, str | None] = {}
 
+    # Only string ids are collected, so each lookup below tests for a string first: a
+    # list or dict in an id's place is then reported, where the lookup would raise.
     entity_ids: set[str] = set()
     for entity in scenario.entities:
         if type(entity.id) is not str and not isinstance(entity.id, str):
@@ -667,6 +648,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(Violation(entity.id, "id", "duplicate entity id"))
         else:
             entity_ids.add(entity.id)
+        if not isinstance(entity.attributes, AttributeVector):
+            subject = entity.id if isinstance(entity.id, str) and entity.id else "<entity>"
+            violations.append(
+                Violation(subject, "attributes", "attributes must be an AttributeVector")
+            )
 
     desired = scenario.desired_connectivity
     if desired is not None:
@@ -675,31 +661,32 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         except ComputationError as exc:
             violations.append(Violation("<scenario>", "desired_connectivity", str(exc)))
 
-    if not scenario.host:
+    host = scenario.host
+    if not host:
         violations.append(Violation("<scenario>", "host", "host id must be nonempty"))
-    elif scenario.host not in entity_ids:
-        violations.append(
-            Violation(scenario.host, "host", "host id does not name an entity")
-        )
+    elif not isinstance(host, str) or host not in entity_ids:
+        violations.append(Violation(str(host), "host", "host id does not name an entity"))
 
     conn_ids: set[str] = set()
     self_kind = ConnectionKind.SELF  # read once, as in ``real_links``
     for conn in scenario.connections:
-        subject = conn.id or "<connection>"
         if type(conn.id) is not str and not isinstance(conn.id, str):
             subject = "<connection>"
             violations.append(Violation(subject, "id", "connection id must be a string"))
-        elif not conn.id:
-            violations.append(Violation(subject, "id", "connection id must be nonempty"))
-        elif conn.id in conn_ids:
-            violations.append(Violation(conn.id, "id", "duplicate connection id"))
-        conn_ids.add(conn.id)
+        else:
+            subject = conn.id or "<connection>"
+            if not conn.id:
+                violations.append(Violation(subject, "id", "connection id must be nonempty"))
+            elif conn.id in conn_ids:
+                violations.append(Violation(conn.id, "id", "duplicate connection id"))
+            conn_ids.add(conn.id)
 
-        if conn.src not in entity_ids:
-            violations.append(Violation(subject, "src", f"endpoint {conn.src!r} is not an entity"))
-        if conn.dst not in entity_ids:
-            violations.append(Violation(subject, "dst", f"endpoint {conn.dst!r} is not an entity"))
-        is_loop = conn.src == conn.dst
+        src, dst = conn.src, conn.dst
+        if not isinstance(src, str) or src not in entity_ids:
+            violations.append(Violation(subject, "src", f"endpoint {src!r} is not an entity"))
+        if not isinstance(dst, str) or dst not in entity_ids:
+            violations.append(Violation(subject, "dst", f"endpoint {dst!r} is not an entity"))
+        is_loop = src == dst
         if is_loop and conn.kind is not self_kind:
             violations.append(
                 Violation(subject, "kind", "connection with src = dst must have kind self")
@@ -732,13 +719,16 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         for i, entry in enumerate(scenario.ideal_roster):
             subject = f"ideal_roster[{i}]"
             if isinstance(entry, RosterRef):
-                if entry.ref not in conn_ids:
+                if not isinstance(entry.ref, str) or entry.ref not in conn_ids:
                     violations.append(
                         Violation(subject, "ref", f"no connection with id {entry.ref!r}")
                     )
+            elif not isinstance(entry, RosterHypothetical):
+                message = "entry must be a RosterRef or a RosterHypothetical"
+                violations.append(Violation(subject, "entry", message))
             else:
                 for which, endpoint in (("src", entry.src), ("dst", entry.dst)):
-                    if endpoint not in entity_ids:
+                    if not isinstance(endpoint, str) or endpoint not in entity_ids:
                         violations.append(
                             Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
                         )
@@ -759,10 +749,3 @@ def ensure_valid(scenario: Scenario) -> None:
         if len(violations) > 3:
             summary += f"; and {len(violations) - 3} more"
         raise ValidationError(f"invalid scenario: {summary}", violations)
-
-
-def with_connection(scenario: Scenario, conn: Connection) -> Scenario:
-    """Return a scenario with ``conn`` appended; its id must be fresh."""
-    if scenario.has_connection(conn.id):
-        raise IntegrityError(f"connection id already in use: {conn.id!r}")
-    return replace(scenario, connections=scenario.connections + (conn,))

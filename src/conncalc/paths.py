@@ -40,10 +40,6 @@ class Path:
         if len(self.hops) != expected:
             raise ValidationError("hop count must match the entity sequence")
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.hops)
-
 
 @dataclass(frozen=True, slots=True)
 class PathsReport:

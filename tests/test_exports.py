@@ -44,6 +44,29 @@ def test_package_list_is_the_sorted_union():
     assert conncalc.__all__ == sorted(union) + ["__version__"]
 
 
+# Each public name is one more entry point that the library-input contract covers,
+# so adding or removing one is an edit here.
+PUBLIC_NAMES = [
+    "AttributeVector", "Band", "ComputationError", "ConfigurationError", "ConfusionCause",
+    "ConfusionReport", "ConncalcError", "Connection", "ConnectionKind", "ConnectivityReport",
+    "DEFAULT_ATTRIBUTE", "Entity", "EntityKind", "IntegrityError", "MAGNITUDE_MAX",
+    "MAGNITUDE_MIN", "ParseDiagnostic", "ParseResult", "Path", "QualityTrajectory",
+    "RemovalOrder", "ReplacementReport", "RosterHypothetical", "RosterRef", "Scenario",
+    "ScoringMode", "Severity", "StateError", "TrajectoryStep", "ValidationError", "Violation",
+    "block", "classify_quality", "confirm_silent", "connection_value", "connectivity_score",
+    "detect_confusion", "distance_sum", "efficiency", "emit_report", "ensure_valid",
+    "export_dot", "find_paths", "format_rational", "ideal_connectivity", "impact_factor",
+    "importance", "law_holds", "parse_connection_doc", "parse_scenario", "path_viability",
+    "quality", "resolve_self_conflict", "run_removal", "run_replacement", "serialize_scenario",
+    "silent_closure", "to_rational", "unblock", "validate_scenario",
+]
+
+
+def test_package_list_is_pinned():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert conncalc.__all__ == PUBLIC_NAMES + ["__version__"]
+
+
 def test_wildcard_import_binds_exactly_the_package_list():
     namespace: dict = {}
     exec("from conncalc import *", namespace)

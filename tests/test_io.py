@@ -54,7 +54,6 @@ from conncalc import (
     export_dot,
     find_paths,
     format_rational,
-    make_entity,
     parse_connection_doc,
     parse_scenario,
     run_removal,
@@ -614,7 +613,7 @@ class TestConnectionInitCount:
 
     def test_closure_calls_it_never(self, monkeypatch):
         s = Scenario(
-            entities=tuple(make_entity(f"e{i:02}", "known") for i in range(60)),
+            entities=tuple(Entity(f"e{i:02}", "known") for i in range(60)),
             connections=(conn("c", "e00", "e01"),),
             host="e00",
         )
@@ -1057,7 +1056,7 @@ class TestReadProof:
 # An id that ``support.hostile_ids`` can draw: its high and low surrogates
 # read back from JSON text as one character, so it cannot be written.
 PAIRED_ID_SCENARIO = Scenario(
-    entities=(make_entity("\ud800\udc00", "known"),), connections=(), host="\ud800\udc00"
+    entities=(Entity("\ud800\udc00", "known"),), connections=(), host="\ud800\udc00"
 )
 
 
@@ -1069,7 +1068,7 @@ class TestSerializeScenario:
             assert serialize_scenario(result.scenario) == text
 
     def test_minimal_scenario_exact_bytes(self):
-        s = Scenario(entities=(make_entity("a", "known"),), connections=(), host="a")
+        s = Scenario(entities=(Entity("a", "known"),), connections=(), host="a")
         assert serialize_scenario(s) == (
             "{\n"
             '  "version": 1,\n'
@@ -1122,12 +1121,12 @@ class TestSerializeScenario:
             serialize_scenario(s)
 
     @given(support.scenarios(ids=support.hostile_ids))
-    @example(Scenario(entities=(make_entity("a", "known"),), connections=(), host="a"))
+    @example(Scenario(entities=(Entity("a", "known"),), connections=(), host="a"))
     @example(
         Scenario(
             entities=(
-                make_entity("a", "known", AttributeVector(existence="0.5", inner_state="1/3")),
-                make_entity("b", "hidden"),
+                Entity("a", "known", AttributeVector(existence="0.5", inner_state="1/3")),
+                Entity("b", "hidden"),
             ),
             connections=(
                 conn("ab", "a", "b", magnitude="7.25", time_index=3, blocked=True),
@@ -1189,7 +1188,7 @@ class TestRoundTrip:
 
     def test_an_id_that_would_read_back_as_another_is_refused(self):
         def named(entity_id: str) -> Scenario:
-            return Scenario((make_entity(entity_id, "known"),), (), host=entity_id)
+            return Scenario((Entity(entity_id, "known"),), (), host=entity_id)
 
         # JSON reads the escapes of a high then a low surrogate as one character.
         with pytest.raises(ComputationError, match="surrogate pair"):
@@ -1236,10 +1235,10 @@ class TestExportDot:
             conn('a"b', 'he said "hi"', "b\\c", magnitude=2),
             conn('c\\"d', 'q\\"r', "t\\", magnitude=3),
             entities=(
-                make_entity('he said "hi"', "known"),
-                make_entity("b\\c", "known"),
-                make_entity('q\\"r', "known"),
-                make_entity("t\\", "known"),
+                Entity('he said "hi"', "known"),
+                Entity("b\\c", "known"),
+                Entity('q\\"r', "known"),
+                Entity("t\\", "known"),
             ),
             host='he said "hi"',
         )

@@ -28,16 +28,15 @@ from conncalc import (
     ValidationError,
     connection_value,
     connectivity_score,
+    efficiency,
     ensure_valid,
     export_dot,
     impact_factor,
-    make_entity,
     parse_scenario,
     serialize_scenario,
     silent_closure,
     to_rational,
     validate_scenario,
-    with_connection,
 )
 
 from . import support
@@ -48,7 +47,7 @@ def scenario_of(*connections, entities=None, host="a", **kwargs) -> Scenario:
         ids = {host}
         for c in connections:
             ids.update((c.src, c.dst))
-        entities = tuple(make_entity(i, EntityKind.KNOWN) for i in sorted(ids))
+        entities = tuple(Entity(i, EntityKind.KNOWN) for i in sorted(ids))
     return Scenario(entities=entities, connections=tuple(connections), host=host, **kwargs)
 
 
@@ -325,14 +324,6 @@ class TestEntityAndConnection:
         assert c.kind is ConnectionKind.REAL
         assert c.magnitude == Fraction(5, 2)
 
-    def test_endpoints_are_unordered(self):
-        c = conn("c", "a", "b")
-        assert c.endpoints() == frozenset(("a", "b"))
-
-    def test_make_entity_defaults_and_empty_id(self):
-        assert make_entity("x", "known").attributes == AttributeVector()
-        with pytest.raises(ValidationError):
-            make_entity("", "known")
 
 
 def _builder_values(which: str) -> tuple:
@@ -342,7 +333,7 @@ def _builder_values(which: str) -> tuple:
 
         record = Connection(**PLAIN_SAMPLES["connections"])
     else:
-        entities = (make_entity("a", "known"), make_entity("b", "known"))
+        entities = (Entity("a", "known"), Entity("b", "known"))
         record = silent_closure(scenario_of(entities=entities)).connection("sc:a:b:0")
     return tuple(getattr(record, f.name) for f in fields(Connection))
 
@@ -370,7 +361,7 @@ class TestNewConnection:
 class TestScenarioContainer:
     def test_sorts_entities_and_connections_by_id(self):
         s = Scenario(
-            entities=(make_entity("b", "known"), make_entity("a", "known")),
+            entities=(Entity("b", "known"), Entity("a", "known")),
             connections=(conn("z", "a", "a"), conn("m", "a", "b")),
             host="a",
         )
@@ -381,20 +372,11 @@ class TestScenarioContainer:
         s = scenario_of(conn("c", "a", "a"))
         assert s.entity("a").id == "a"
         assert s.connection("c").id == "c"
-        assert s.has_entity("a") and not s.has_entity("zz")
         assert s.has_connection("c") and not s.has_connection("zz")
         with pytest.raises(IntegrityError, match="unknown entity"):
             s.entity("zz")
         with pytest.raises(IntegrityError, match="unknown connection"):
             s.connection("zz")
-
-    def test_with_connection_appends_and_rejects_duplicates(self):
-        s = scenario_of(conn("c", "a", "a"))
-        grown = with_connection(s, conn("d", "a", "a", polarity=-1))
-        assert [c.id for c in grown.connections] == ["c", "d"]
-        assert s.has_connection("c") and not s.has_connection("d")
-        with pytest.raises(IntegrityError, match="already in use"):
-            with_connection(grown, conn("c", "a", "a"))
 
     def test_desired_connectivity_is_coerced(self):
         s = scenario_of(conn("c", "a", "a"), desired_connectivity="12.5")
@@ -462,7 +444,7 @@ class TestValidation:
 
     def test_duplicate_entity_ids(self):
         bad = Scenario(
-            entities=(make_entity("a", "known"), make_entity("a", "hidden")),
+            entities=(Entity("a", "known"), Entity("a", "hidden")),
             connections=(),
             host="a",
         )
@@ -523,7 +505,7 @@ class TestValidation:
                 use(bad)
 
     def test_an_entity_id_must_be_a_string(self):
-        bad = Scenario(entities=(make_entity(7, "known"),), connections=(), host=7)
+        bad = Scenario(entities=(Entity(7, "known"),), connections=(), host=7)
         message = "<entity>.id: entity id must be a string"
         assert [str(v) for v in validate_scenario(bad)] == [
             message, "7.host: host id does not name an entity",
@@ -544,7 +526,7 @@ class TestValidation:
             ensure_valid(bad)
 
     def test_entity_ids_of_mixed_types_are_reported(self):
-        entities = (make_entity("a", "known"), make_entity(7, "known"))
+        entities = (Entity("a", "known"), Entity(7, "known"))
         bad = Scenario(entities=entities, connections=(), host="a")
         assert [e.id for e in bad.entities] == ["a", 7]
         self._reports(bad, self.ENTITY_ID_MESSAGE)
@@ -555,12 +537,13 @@ class TestValidation:
         self._reports(bad, self.CONNECTION_ID_MESSAGE)
 
     def test_with_connection_of_another_id_type_is_reported(self):
-        bad = with_connection(scenario_of(conn("c", "a", "b")), conn(7, "a", "b"))
+        s = scenario_of(conn("c", "a", "b"))
+        bad = replace(s, connections=s.connections + (conn(7, "a", "b"),))
         self._reports(bad, self.CONNECTION_ID_MESSAGE)
 
     def test_replace_with_ids_of_mixed_types_is_reported(self):
         s = scenario_of(conn("c", "a", "b"))
-        bad = replace(s, entities=s.entities + (make_entity(7, "known"),))
+        bad = replace(s, entities=s.entities + (Entity(7, "known"),))
         self._reports(bad, self.ENTITY_ID_MESSAGE)
 
     @pytest.mark.parametrize("magnitude,ok", [(1, True), (10, True), ("0.5", False), (11, False)])
@@ -612,6 +595,80 @@ class TestValidation:
         )
         fields = {v.field for v in validate_scenario(s)}
         assert "dst" in fields and "magnitude" in fields
+
+    @staticmethod
+    def _reports_only(bad: Scenario, message: str) -> None:
+        assert [str(v) for v in validate_scenario(bad)] == [message]
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ensure_valid(bad)
+
+    # A list or dict in an id's place once raised a bare ``TypeError: unhashable type``
+    # from the lookup that validation makes of it.
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda ab: scenario_of(conn(["c"], "a", "b")),
+                "<connection>.id: connection id must be a string",
+            ),
+            (
+                lambda ab: scenario_of(conn("c", ["a"], "b"), entities=ab),
+                "c.src: endpoint ['a'] is not an entity",
+            ),
+            (
+                lambda ab: scenario_of(conn("c", "a", {"b": 1}), entities=ab),
+                "c.dst: endpoint {'b': 1} is not an entity",
+            ),
+            (
+                lambda ab: Scenario(entities=ab, connections=(), host=["a"]),
+                "['a'].host: host id does not name an entity",
+            ),
+            (
+                lambda ab: scenario_of(conn("c", "a", "b"), ideal_roster=(RosterRef(["c"]),)),
+                "ideal_roster[0].ref: no connection with id ['c']",
+            ),
+            (
+                lambda ab: scenario_of(
+                    conn("c", "a", "b"), ideal_roster=(RosterHypothetical(["a"], "b", 2),)
+                ),
+                "ideal_roster[0].src: endpoint ['a'] is not an entity",
+            ),
+            (
+                lambda ab: scenario_of(
+                    conn("c", "a", "b"), ideal_roster=(RosterHypothetical("a", {"b": 1}, 2),)
+                ),
+                "ideal_roster[0].dst: endpoint {'b': 1} is not an entity",
+            ),
+        ],
+        ids=["connection-id", "src", "dst", "host", "roster-ref", "roster-src", "roster-dst"],
+    )
+    def test_an_unhashable_id_is_reported(self, build, message):
+        self._reports_only(build((Entity("a", "known"), Entity("b", "known"))), message)
+
+    def test_a_roster_entry_of_another_type_is_reported(self):
+        bad = scenario_of(conn("c", "a", "b"), ideal_roster=("c",))
+        message = "ideal_roster[0].entry: entry must be a RosterRef or a RosterHypothetical"
+        self._reports_only(bad, message)
+
+    # Attributes that are not an AttributeVector once validated, and then failed the
+    # writer and impact-weighted scoring with an AttributeError.
+    ATTRIBUTES_MESSAGE = "a.attributes: attributes must be an AttributeVector"
+
+    def test_missing_attributes_fail_serialization_as_invalid(self):
+        bad = scenario_of(entities=(Entity("a", EntityKind.KNOWN, None),))
+        self._reports_only(bad, self.ATTRIBUTES_MESSAGE)
+        with pytest.raises(ValidationError, match=self.ATTRIBUTES_MESSAGE):
+            serialize_scenario(bad)
+
+    def test_missing_attributes_fail_impact_weighted_efficiency_as_invalid(self):
+        bad = scenario_of(
+            conn("c", "a", "b"),
+            entities=(Entity("a", EntityKind.KNOWN, None), Entity("b", "known")),
+            scoring_mode=ScoringMode.IMPACT_WEIGHTED,
+        )
+        self._reports_only(bad, self.ATTRIBUTES_MESSAGE)
+        with pytest.raises(ValidationError, match=self.ATTRIBUTES_MESSAGE):
+            efficiency(bad)
 
     def test_ensure_valid_summarizes_and_carries_all_violations(self):
         bad = scenario_of(
@@ -698,14 +755,12 @@ class TestSharedValueCounts:
 
     def test_impact_factors_value_each_distinct_vector_once(self, monkeypatch):
         rng = support.random.Random(2024)
+
+        def drawn() -> AttributeVector:
+            return AttributeVector(*(Fraction(rng.randint(1, 99), 100) for _ in range(4)))
+
         entities = [
-            make_entity(
-                f"e{i:04d}",
-                "known",
-                AttributeVector(*(Fraction(rng.randint(1, 99), 100) for _ in range(4)))
-                if i % 5 == 0
-                else None,
-            )
+            Entity(f"e{i:04d}", "known", drawn()) if i % 5 == 0 else Entity(f"e{i:04d}", "known")
             for i in range(1000)
         ]
         # Parsed, the 800 entities without attributes share the one default vector.
