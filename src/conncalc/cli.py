@@ -69,7 +69,7 @@ def _replace_spec(text: str) -> ReplaceSpec:
     if not isinstance(doc, dict) or set(doc) != {"blocked", "connection"}:
         raise argparse.ArgumentTypeError("needs exactly the keys 'blocked' and 'connection'")
     blocked = doc["blocked"]
-    if not isinstance(blocked, str) or not blocked:
+    if type(blocked) is not str or not blocked:
         raise argparse.ArgumentTypeError("'blocked' must be a connection id string")
     connection, diagnostics = parse_connection_doc(doc["connection"], "connection")
     if connection is None:
@@ -102,7 +102,7 @@ _MODES = {"raw": ScoringMode.RAW, "impact": ScoringMode.IMPACT_WEIGHTED}
 
 
 def _write_output(args: argparse.Namespace, result) -> None:
-    if not isinstance(result, str):
+    if type(result) is not str:
         result = emit_report(result, _REPORT_FORMATS[args.format]) + "\n"
     # Encoded first, so text with no UTF-8 form (a lone surrogate from a JSON
     # escape) writes nothing, neither to stdout nor to an ``-o`` file.

@@ -204,6 +204,17 @@ def _number_text(value, text=str) -> str:
         return "<number too long to print>"
 
 
+def _member(enum: type[Enum], value):
+    """``value`` as a member of the ``str`` enum ``enum``: the member itself, or the one a
+    ``str`` names (``ValueError`` if none does). Any other value is a ``TypeError``,
+    raised before the enum hashes or compares it."""
+    if type(value) is enum:
+        return value
+    if type(value) is not str:
+        raise TypeError(f"{enum.__name__} takes a member or a str, not {type(value).__name__}")
+    return enum(value)
+
+
 class EntityKind(str, Enum):
     KNOWN = "known"
     HIDDEN = "hidden"
@@ -265,7 +276,7 @@ class Entity:
 
     def __post_init__(self):
         if type(self.kind) is not EntityKind:
-            object.__setattr__(self, "kind", EntityKind(self.kind))
+            object.__setattr__(self, "kind", _member(EntityKind, self.kind))
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,7 +300,7 @@ class Connection:
 
     def __post_init__(self):
         if type(self.kind) is not ConnectionKind:
-            object.__setattr__(self, "kind", ConnectionKind(self.kind))
+            object.__setattr__(self, "kind", _member(ConnectionKind, self.kind))
         if type(self.magnitude) is not Fraction:
             object.__setattr__(self, "magnitude", to_rational(self.magnitude))
 
@@ -355,11 +366,11 @@ class Scenario:
     desired_connectivity: Fraction | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "entities", _by_id(self.entities))
-        object.__setattr__(self, "connections", _by_id(self.connections))
+        object.__setattr__(self, "entities", _by_id(self.entities, Entity))
+        object.__setattr__(self, "connections", _by_id(self.connections, Connection))
         if self.ideal_roster is not None:
             object.__setattr__(self, "ideal_roster", tuple(self.ideal_roster))
-        object.__setattr__(self, "scoring_mode", ScoringMode(self.scoring_mode))
+        object.__setattr__(self, "scoring_mode", _member(ScoringMode, self.scoring_mode))
         if self.desired_connectivity is not None:
             object.__setattr__(
                 self, "desired_connectivity", to_rational(self.desired_connectivity)
@@ -423,14 +434,19 @@ class Scenario:
         return Valuation(self)
 
 
-def _by_id(records) -> tuple:
-    """``records`` sorted by id, or in their given order when ids of different
-    types cannot be compared (``"a"`` and ``7``): validation then reports each id
-    that is not a string."""
+def _by_id(records, record_type: type) -> tuple:
+    """``records`` sorted by id, or in their given order when their ids cannot be
+    compared (``"a"`` and ``7``, or an id whose ``__lt__`` raises): validation then
+    reports each id that is not a string. A record that is not a ``record_type``
+    is a ``TypeError``."""
     records = tuple(records)
     try:
         return tuple(sorted(records, key=attrgetter("id")))
-    except TypeError:
+    except Exception:
+        for record in records:
+            if type(record) is not record_type:
+                name = record_type.__name__
+                raise TypeError(f"expected {name} records, got {type(record).__name__}") from None
         return records
 
 
@@ -453,7 +469,7 @@ def with_scoring_mode(scenario: Scenario, mode: ScoringMode) -> Scenario:
     validated again. Its fields are already sorted and typed, so it is built
     without ``__post_init__``."""
     rescored = object.__new__(Scenario)
-    rescored.__dict__.update(vars(scenario), scoring_mode=ScoringMode(mode))
+    rescored.__dict__.update(vars(scenario), scoring_mode=_member(ScoringMode, mode))
     rescored.__dict__.pop("valuation", None)
     return rescored
 
@@ -636,11 +652,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     # checked once. The scenario keeps every magnitude alive, so no id repeats.
     checked: dict[int, str | None] = {}
 
-    # Only string ids are collected, so each lookup below tests for a string first: a
-    # list or dict in an id's place is then reported, where the lookup would raise.
+    # Each value is tested by its exact type, as the read's walks test it, before it is
+    # hashed, compared or printed: only a ``str`` is an id, and only ids are collected.
     entity_ids: set[str] = set()
     for entity in scenario.entities:
-        if type(entity.id) is not str and not isinstance(entity.id, str):
+        if type(entity.id) is not str:
             violations.append(Violation("<entity>", "id", "entity id must be a string"))
         elif not entity.id:
             violations.append(Violation("<entity>", "id", "entity id must be nonempty"))
@@ -649,7 +665,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         else:
             entity_ids.add(entity.id)
         if not isinstance(entity.attributes, AttributeVector):
-            subject = entity.id if isinstance(entity.id, str) and entity.id else "<entity>"
+            subject = entity.id if type(entity.id) is str and entity.id else "<entity>"
             violations.append(
                 Violation(subject, "attributes", "attributes must be an AttributeVector")
             )
@@ -662,15 +678,15 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(Violation("<scenario>", "desired_connectivity", str(exc)))
 
     host = scenario.host
-    if not host:
+    if type(host) is str and not host:
         violations.append(Violation("<scenario>", "host", "host id must be nonempty"))
-    elif not isinstance(host, str) or host not in entity_ids:
-        violations.append(Violation(str(host), "host", "host id does not name an entity"))
+    elif type(host) is not str or host not in entity_ids:
+        violations.append(Violation(_number_text(host), "host", "host id does not name an entity"))
 
     conn_ids: set[str] = set()
     self_kind = ConnectionKind.SELF  # read once, as in ``real_links``
     for conn in scenario.connections:
-        if type(conn.id) is not str and not isinstance(conn.id, str):
+        if type(conn.id) is not str:
             subject = "<connection>"
             violations.append(Violation(subject, "id", "connection id must be a string"))
         else:
@@ -682,34 +698,37 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             conn_ids.add(conn.id)
 
         src, dst = conn.src, conn.dst
-        if not isinstance(src, str) or src not in entity_ids:
-            violations.append(Violation(subject, "src", f"endpoint {src!r} is not an entity"))
-        if not isinstance(dst, str) or dst not in entity_ids:
-            violations.append(Violation(subject, "dst", f"endpoint {dst!r} is not an entity"))
-        is_loop = src == dst
-        if is_loop and conn.kind is not self_kind:
-            violations.append(
-                Violation(subject, "kind", "connection with src = dst must have kind self")
-            )
-        if not is_loop and conn.kind is self_kind:
-            violations.append(
-                Violation(subject, "kind", "kind self requires src = dst")
-            )
+        if type(src) is not str or src not in entity_ids:
+            shown = _number_text(src, repr)
+            violations.append(Violation(subject, "src", f"endpoint {shown} is not an entity"))
+        if type(dst) is not str or dst not in entity_ids:
+            shown = _number_text(dst, repr)
+            violations.append(Violation(subject, "dst", f"endpoint {shown} is not an entity"))
+        # Endpoints that are not strings are reported above and never compared.
+        if type(src) is str and type(dst) is str and (src == dst) is not (conn.kind is self_kind):
+            message = "connection with src = dst must have kind self"
+            if src != dst:
+                message = "kind self requires src = dst"
+            violations.append(Violation(subject, "kind", message))
         p = conn.polarity
-        if type(p) is not int and (type(p) is bool or not isinstance(p, int)) or p not in (1, -1):
-            violations.append(Violation(subject, "polarity", f"polarity must be +1 or -1, got {p}"))
+        if type(p) is not int or p not in (1, -1):
+            message = f"polarity must be +1 or -1, got {_number_text(p)}"
+            violations.append(Violation(subject, "polarity", message))
         key = id(conn.magnitude)
         if key not in checked:
             checked[key] = _check_magnitude(conn.magnitude)
         if checked[key] is not None:
             violations.append(Violation(subject, "magnitude", checked[key]))
         t = conn.time_index
-        if not (type(t) is int and t >= 0) and (
-            not isinstance(t, int) or isinstance(t, bool) or t < 0
-        ):
+        if type(t) is not int or t < 0:
             violations.append(
                 Violation(subject, "time_index", "time_index must be a non-negative integer")
             )
+        elif t.bit_length() > _PRINTABLE_BITS:
+            try:
+                _check_printable(t, 1)
+            except ComputationError as exc:
+                violations.append(Violation(subject, "time_index", str(exc)))
         if type(conn.blocked) is not bool:
             violations.append(Violation(subject, "blocked", "blocked must be true or false"))
         if type(conn.confirmed) is not bool:
@@ -719,19 +738,17 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         for i, entry in enumerate(scenario.ideal_roster):
             subject = f"ideal_roster[{i}]"
             if isinstance(entry, RosterRef):
-                if not isinstance(entry.ref, str) or entry.ref not in conn_ids:
-                    violations.append(
-                        Violation(subject, "ref", f"no connection with id {entry.ref!r}")
-                    )
+                if type(entry.ref) is not str or entry.ref not in conn_ids:
+                    message = f"no connection with id {_number_text(entry.ref, repr)}"
+                    violations.append(Violation(subject, "ref", message))
             elif not isinstance(entry, RosterHypothetical):
                 message = "entry must be a RosterRef or a RosterHypothetical"
                 violations.append(Violation(subject, "entry", message))
             else:
                 for which, endpoint in (("src", entry.src), ("dst", entry.dst)):
-                    if not isinstance(endpoint, str) or endpoint not in entity_ids:
-                        violations.append(
-                            Violation(subject, which, f"endpoint {endpoint!r} is not an entity")
-                        )
+                    if type(endpoint) is not str or endpoint not in entity_ids:
+                        message = f"endpoint {_number_text(endpoint, repr)} is not an entity"
+                        violations.append(Violation(subject, which, message))
                 key = id(entry.magnitude)
                 if key not in checked:
                     checked[key] = _check_magnitude(entry.magnitude)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import IntegrityError, StateError, ValidationError
-from .model import Connection, ConnectionKind, Scenario, _best_links, _new_connection
+from .model import Connection, ConnectionKind, Scenario, _best_links, _new_connection, _number_text
 
 _ONE = Fraction(1)
 
@@ -74,7 +74,7 @@ def find_paths(
     """
     scenario.entity(src)
     scenario.entity(dst)
-    if not isinstance(max_hops, int) or isinstance(max_hops, bool) or max_hops < 1:
+    if type(max_hops) is not int or max_hops < 1:
         raise ValueError(f"max_hops must be a positive integer, got {max_hops!r}")
 
     if src == dst:
@@ -193,10 +193,9 @@ def confirm_silent(scenario: Scenario, connection_id: str, observed_polarity: in
         raise StateError(f"connection {connection_id!r} is not silent")
     if conn.confirmed:
         raise StateError(f"silent connection {connection_id!r} is already confirmed")
-    if isinstance(observed_polarity, bool) or not isinstance(observed_polarity, int) or (
-        observed_polarity not in (1, -1)
-    ):
-        raise ValidationError(f"observed polarity must be 1 or -1, got {observed_polarity!r}")
+    if type(observed_polarity) is not int or observed_polarity not in (1, -1):
+        shown = _number_text(observed_polarity, repr)
+        raise ValidationError(f"observed polarity must be 1 or -1, got {shown}")
     real_id = f"rc:{connection_id}"
     if scenario.has_connection(real_id):
         raise IntegrityError(f"connection id already in use: {real_id!r}")

@@ -180,7 +180,7 @@ def _decode(literals: dict, text: str) -> Fraction:
 
 
 def _string(value, location, key: str, diags: list, literals: dict) -> str | None:
-    if isinstance(value, str):
+    if type(value) is str:
         return value
     if value is None:
         diags.append(_err(_at(location, key), "missing required key"))
@@ -194,7 +194,7 @@ def _choice(members: dict, what: str, *, strings_only: bool):
     a value that is not a string is reported as :func:`_string` reports it."""
 
     def decode(value, location, key: str, diags: list, literals: dict):
-        if isinstance(value, str):
+        if type(value) is str:
             member = members.get(value)
             if member is not None:
                 return member
@@ -215,7 +215,7 @@ def _number(value, location, key: str, diags: list, literals: dict) -> Fraction 
     except ValueError:
         message = f"not a numeric string: {value!r}"
     except TypeError:
-        shown = "a boolean" if isinstance(value, bool) else type(value).__name__
+        shown = "a boolean" if type(value) is bool else type(value).__name__
         message = f"expected a number as a decimal string, got {shown}"
     diags.append(_err(_at(location, key), message))
     return None
@@ -224,7 +224,7 @@ def _number(value, location, key: str, diags: list, literals: dict) -> Fraction 
 def _polarity(value, location, key: str, diags: list, literals: dict) -> int | None:
     if value is None:
         diags.append(_err(_at(location, key), "missing required key"))
-    elif isinstance(value, bool) or not isinstance(value, int) or value not in (1, -1):
+    elif type(value) is not int or value not in (1, -1):
         shown = _number_text(value, repr)
         diags.append(_err(_at(location, key), f"polarity must be 1 or -1, got {shown}"))
     else:
@@ -233,14 +233,14 @@ def _polarity(value, location, key: str, diags: list, literals: dict) -> int | N
 
 
 def _time_index(value, location, key: str, diags: list, literals: dict) -> int | None:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         diags.append(_err(_at(location, key), "time_index must be an integer"))
         return None
     return value
 
 
 def _flag(value, location, key: str, diags: list, literals: dict) -> bool | None:
-    if not isinstance(value, bool):
+    if type(value) is not bool:
         diags.append(_err(_at(location, key), f"{key} must be true or false"))
         return None
     return value
@@ -403,7 +403,7 @@ def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> Ros
         return None
     _warn_unknown(item, {"ref", "hypothetical"}, location, diags)
     if "ref" in item:
-        if isinstance(item["ref"], str):
+        if type(item["ref"]) is str:
             return RosterRef(ref=item["ref"])
         diags.append(_err(_at(location, "ref"), "ref must be a connection id string"))
         return None
@@ -513,7 +513,7 @@ def parse_scenario(text: str) -> ParseResult:
     version = doc.get("version")
     if version is None:
         diags.append(_err("version", "missing required key"))
-    elif isinstance(version, bool) or not isinstance(version, int) or version != FORMAT_VERSION:
+    elif type(version) is not int or version != FORMAT_VERSION:
         shown = _number_text(version, repr)
         diags.append(_err("version", f"unsupported format version {shown}; expected 1"))
 

@@ -500,3 +500,50 @@ def coprime_scenarios(**kwargs):
     return scenarios(
         attributes=coprime_attribute_vectors, magnitude_values=coprime_magnitudes, **kwargs
     )
+
+
+# Hostile values for a field of a scenario built in code (README's library contract):
+# values of the wrong type, numbers past every limit, and subclasses and objects whose
+# own methods raise when hashed, compared or ordered.
+def _raising(base: type, method: str) -> type:
+    """A subclass of ``base`` whose ``method`` raises. One raising ``__eq__``
+    keeps ``base``'s hash, so a set lookup reaches the comparison."""
+
+    def fail(self, *args):
+        raise RuntimeError(f"{method} of a hostile value")
+
+    namespace = {method: fail, "__hash__": base.__hash__} if method == "__eq__" else {method: fail}
+    return type(f"Raising{method.strip('_').title()}{base.__name__.title()}", (base,), namespace)
+
+
+_HOSTILE_METHODS = ("__eq__", "__hash__", "__lt__")
+_hostile_texts = st.text("nc01", max_size=3) | st.sampled_from(
+    ["n0", "n1", "c0", "known", "self", "raw", "impact_weighted", "2"]
+)
+_hostile_ints = st.integers(-2, 12) | st.just(10**5000)
+
+_other_types = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.decimals(),
+    st.fractions(),
+    _hostile_ints,
+    _hostile_texts,
+    st.sampled_from([*EntityKind, *ConnectionKind, *ScoringMode]),
+    st.lists(_hostile_ints, max_size=2),
+    st.dictionaries(_hostile_texts, _hostile_ints, max_size=1),
+    st.binary(max_size=2),
+)
+_subclass_values = st.sampled_from(
+    [type("Text", (str,), {}), type("Whole", (int,), {})]
+    + [_raising(base, method) for base in (str, int) for method in _HOSTILE_METHODS]
+).flatmap(lambda cls: (_hostile_texts if issubclass(cls, str) else _hostile_ints).map(cls))
+_raising_objects = st.sampled_from([_raising(object, m) for m in _HOSTILE_METHODS]).map(
+    lambda cls: cls()
+)
+# A third each: values of another type, subclasses of ``str`` and ``int``, and objects
+# whose own methods raise.
+hostile_values = st.sampled_from([_other_types, _subclass_values, _raising_objects]).flatmap(
+    lambda values: values
+)

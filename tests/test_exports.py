@@ -4,8 +4,9 @@
 wildcard import, so these checks keep the lists honest: no name is exported
 twice, each is exported by the module that defines it, the package list is
 their sorted union, and no module imports a name it neither uses nor exports.
-The private names one module imports from another are pinned in a list, and
-``model._builder`` is the one function that compiles code at run time.
+The private names one module imports from another are pinned in a list,
+``model._builder`` is the one function that compiles code at run time, and
+``model.to_rational`` the one that tests a value's type with ``isinstance``.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def test_the_private_name_check_sees_an_unread_name(tmp_path):
 # cross-module private import needs a one-line edit here.
 PRIVATE_IMPORTS = {
     "ablation": ["_builder"],
-    "paths": ["_best_links", "_new_connection"],
+    "paths": ["_best_links", "_new_connection", "_number_text"],
     "scenario_io": [
         "_LiteralTooLarge", "_new_connection", "_new_entity", "_number_text", "_proven_scenario",
         "_rational_texts", "_shortest_text",
@@ -227,6 +228,23 @@ def test_the_private_import_check_sees_a_private_import(tmp_path):
     assert private_imports([path]) == {"sample": ["_best_links", "_builder"]}
 
 
+def calls(path: Path) -> list[tuple[str, ast.Call]]:
+    """Each call in ``path``, in source order, with the name of its innermost
+    enclosing ``def``, or ``<module>`` outside any."""
+    found = []
+
+    def visit(node, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Call):
+            found.append((function, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
 # Calls that compile source at run time, by the name they are called by.
 DYNAMIC_CODE = {"exec", "eval", "compile"}
 
@@ -235,27 +253,18 @@ def dynamic_code_calls(path: Path) -> list[str]:
     """Each call in ``path`` that compiles source at run time, as ``file:function
     name``: ``exec``, ``eval`` or ``compile`` called by that name (not, say,
     ``re.compile``), or ``get_annotations`` given an ``eval_str`` that is not a
-    literal false. ``function`` is the innermost enclosing ``def``, or
-    ``<module>`` outside any."""
+    literal false. ``function`` is as :func:`calls` names it."""
     found = []
-
-    def visit(node, function: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in DYNAMIC_CODE:
-                found.append(f"{path.name}:{function} {func.id}")
-            elif getattr(func, "attr", getattr(func, "id", None)) == "get_annotations" and any(
-                keyword.arg == "eval_str"
-                and not (isinstance(keyword.value, ast.Constant) and not keyword.value.value)
-                for keyword in node.keywords
-            ):
-                found.append(f"{path.name}:{function} get_annotations")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    for function, node in calls(path):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in DYNAMIC_CODE:
+            found.append(f"{path.name}:{function} {func.id}")
+        elif getattr(func, "attr", getattr(func, "id", None)) == "get_annotations" and any(
+            keyword.arg == "eval_str"
+            and not (isinstance(keyword.value, ast.Constant) and not keyword.value.value)
+            for keyword in node.keywords
+        ):
+            found.append(f"{path.name}:{function} get_annotations")
     return found
 
 
@@ -285,4 +294,48 @@ def test_the_compile_check_sees_each_dynamic_call(tmp_path):
         "sample.py:outer get_annotations",
         "sample.py:outer get_annotations",
         "sample.py:outer compile",
+    ]
+
+
+# A field value is tested by its exact type (``type(x) is str``), as the read's walks
+# test it: ``isinstance`` would let a subclass through, whose own ``__eq__`` or
+# ``__hash__`` then runs. ``model.to_rational`` alone coerces by ``isinstance``, as
+# its docstring says.
+EXACT_TYPES = {"str", "int", "bool"}
+
+
+def isinstance_type_tests(path: Path) -> list[str]:
+    """Each ``isinstance`` call in ``path`` whose classes name ``str``, ``int`` or
+    ``bool``, alone or in a tuple, as ``file:function`` (see :func:`calls`)."""
+    found = []
+    for function, node in calls(path):
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
+            classes = node.args[1]
+            names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+            if any(isinstance(name, ast.Name) and name.id in EXACT_TYPES for name in names):
+                found.append(f"{path.name}:{function}")
+    return found
+
+
+def test_field_values_are_tested_by_exact_type():
+    found = [test for path in sorted(SOURCE.glob("*.py")) for test in isinstance_type_tests(path)]
+    assert [test for test in found if test != "model.py:to_rational"] == []
+
+
+def test_the_type_check_sees_each_isinstance_test(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from fractions import Fraction\n"
+        "FLAG = isinstance(1, (int,))\n"
+        "def check(x, y):\n"
+        "    if isinstance(x, (bytes, str)) or isinstance(y, dict):\n"
+        "        return isinstance(x, bool) and not isinstance(x, Fraction)\n"
+        "    return type(x) is str\n"
+        "class Text(str):\n"
+        "    def __eq__(self, other):\n"
+        "        return isinstance(other, str)\n",
+        encoding="utf-8",
+    )
+    assert isinstance_type_tests(path) == [
+        "sample.py:<module>", "sample.py:check", "sample.py:check", "sample.py:__eq__"
     ]

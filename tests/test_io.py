@@ -1094,11 +1094,14 @@ class TestSerializeScenario:
         assert "ideal_roster" not in doc
 
     def test_int_fields_print_as_ints(self):
-        # Validation takes any int subclass as a time index; it prints as the
-        # int it equals.
-        time_index = Enum("TimeIndex", {"LATE": 3}, type=int).LATE
-        doc = serialize_scenario(scenario_of(conn("ab", "a", "b", time_index=time_index)))
+        doc = serialize_scenario(scenario_of(conn("ab", "a", "b", time_index=3)))
         assert '"time_index": 3\n' in doc
+        # Validation refuses an int subclass as a time index, as the read refuses
+        # one, so the writer never meets one.
+        time_index = Enum("TimeIndex", {"LATE": 3}, type=int).LATE
+        message = "ab.time_index: time_index must be a non-negative integer"
+        with pytest.raises(ValidationError, match=message):
+            serialize_scenario(scenario_of(conn("ab", "a", "b", time_index=time_index)))
 
     @pytest.mark.parametrize("polarity", [True, False])
     def test_a_bool_polarity_is_invalid(self, polarity):
@@ -1590,6 +1593,26 @@ class TestParseConnectionDoc:
         assert [str(d) for d in diags] == [
             "error connection.time_index: time_index must be an integer",
             "error connection.blocked: blocked must be true or false",
+        ]
+
+    # A decoder tests a value by its exact type, as the walks do, so a subclass of
+    # ``str`` or ``int``, which JSON never yields, is a value of another type.
+    def test_subclass_values_are_reported(self):
+        class Text(str):
+            pass
+
+        class Whole(int):
+            pass
+
+        doc = {"id": Text("x"), "src": "a", "dst": "b", "kind": Text("real"),
+               "polarity": Whole(1), "magnitude": "7", "time_index": Whole(0)}
+        connection, diags = parse_connection_doc(doc)
+        assert connection is None
+        assert [str(d) for d in diags] == [
+            "error connection.id: expected a string, got Text",
+            "error connection.kind: expected a string, got Text",
+            "error connection.polarity: polarity must be 1 or -1, got 1",
+            "error connection.time_index: time_index must be an integer",
         ]
 
 

@@ -324,6 +324,35 @@ class TestEntityAndConnection:
         assert c.kind is ConnectionKind.REAL
         assert c.magnitude == Fraction(5, 2)
 
+    # A kind or mode that was neither its enum's member nor a str went to the enum's
+    # lookup, which hashed it: an error its ``__hash__`` raised escaped the constructor.
+    @pytest.mark.parametrize(
+        "build, enum",
+        [
+            (lambda value: Entity("a", value), "EntityKind"),
+            (lambda value: Connection("c", "a", "b", value, 1, 2), "ConnectionKind"),
+            (lambda value: scenario_of(scoring_mode=value), "ScoringMode"),
+            (
+                lambda value: conncalc.model.with_scoring_mode(scenario_of(), value),
+                "ScoringMode",
+            ),
+        ],
+        ids=["entity-kind", "connection-kind", "scoring-mode", "with-scoring-mode"],
+    )
+    def test_a_kind_that_is_not_a_str_is_a_type_error(self, build, enum):
+        class Unhashable:
+            def __hash__(self):
+                raise RuntimeError("hashed")
+
+        class Text(str):
+            pass
+
+        for value in (Unhashable(), 1, None, Text("raw")):
+            with pytest.raises(TypeError, match=f"{enum} takes a member or a str, not "):
+                build(value)
+        with pytest.raises(ValueError):
+            build("ghost")
+
 
 
 def _builder_values(which: str) -> tuple:
@@ -377,6 +406,34 @@ class TestScenarioContainer:
             s.entity("zz")
         with pytest.raises(IntegrityError, match="unknown connection"):
             s.connection("zz")
+
+    # A value that is not a record once raised a bare AttributeError from the id sort.
+    @pytest.mark.parametrize(
+        "field, record", [("entities", "Entity"), ("connections", "Connection")]
+    )
+    def test_a_value_that_is_not_a_record_is_a_type_error(self, field, record):
+        records = {"entities": (Entity("a", "known"),), "connections": (), field: ("a",)}
+        with pytest.raises(TypeError, match=f"expected {record} records, got str"):
+            Scenario(host="a", **records)
+        with pytest.raises(TypeError, match=f"expected {record} records, got str"):
+            Scenario(host="a", **{**records, field: ("a", 7)})
+
+    def test_ids_whose_comparison_raises_keep_their_order(self):
+        class Touchy(str):
+            def __lt__(self, other):
+                raise RuntimeError("compared")
+
+        s = Scenario(
+            entities=(Entity("b", "known"), Entity(Touchy("a"), "known")),
+            connections=(conn("d", "b", "b"), conn(Touchy("c"), "b", "b")),
+            host="b",
+        )
+        assert [e.id for e in s.entities] == ["b", "a"]
+        assert [c.id for c in s.connections] == ["d", "c"]
+        assert [str(v) for v in validate_scenario(s)] == [
+            "<entity>.id: entity id must be a string",
+            "<connection>.id: connection id must be a string",
+        ]
 
     def test_desired_connectivity_is_coerced(self):
         s = scenario_of(conn("c", "a", "a"), desired_connectivity="12.5")
@@ -489,10 +546,14 @@ class TestValidation:
             with pytest.raises(ValidationError, match=re.escape(message)):
                 use(bad)
 
+        # An int subclass is not an int: it is tested by its exact type, as a file's is.
         class Sign(int):
             pass
 
-        assert validate_scenario(scenario_of(conn("c", "a", "b", polarity=Sign(-1)))) == []
+        subclassed = scenario_of(conn("c", "a", "b", polarity=Sign(-1)))
+        assert [str(v) for v in validate_scenario(subclassed)] == [
+            "c.polarity: polarity must be +1 or -1, got -1"
+        ]
 
     # An id that is not a string once passed validation, and then failed the
     # writer with a bare TypeError and the DOT export with an AttributeError.
@@ -564,7 +625,8 @@ class TestValidation:
         class Tick(int):
             pass
 
-        for value, flagged in ((Tick(3), False), (Tick(-1), True), (Fraction(2), True), ("2", True)):
+        cases = ((3, False), (Tick(3), True), (Tick(-1), True), (Fraction(2), True), ("2", True))
+        for value, flagged in cases:
             s = scenario_of(conn("c", "a", "b", time_index=value))
             assert any(v.field == "time_index" for v in validate_scenario(s)) is flagged, value
 
@@ -644,6 +706,62 @@ class TestValidation:
     )
     def test_an_unhashable_id_is_reported(self, build, message):
         self._reports_only(build((Entity("a", "known"), Entity("b", "known"))), message)
+
+    # A time index too long to print once validated, and then failed the writer with a
+    # bare ValueError from ``int.__repr__``.
+    def test_a_time_index_too_long_to_print_is_reported(self):
+        bad = scenario_of(conn("c", "a", "a", time_index=10**5000))
+        message = "c.time_index: number too long to print exactly (over 4300 digits)"
+        self._reports_only(bad, message)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            serialize_scenario(bad)
+        longest = scenario_of(conn("c", "a", "a", time_index=10**4299))
+        assert f'"time_index": {10**4299}\n' in serialize_scenario(longest)
+
+    # Values that are not strings were once hashed, compared or printed by validation,
+    # and an error their own method raised escaped ``ensure_valid``.
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda odd: scenario_of(
+                    conn("c", "a", odd, kind=ConnectionKind.REAL), entities=(Entity("a", "known"),)
+                ),
+                "c.dst: endpoint 'a' is not an entity",
+            ),
+            (
+                lambda odd: scenario_of(entities=(Entity("a", "known"),), host=odd),
+                "a.host: host id does not name an entity",
+            ),
+            (
+                lambda odd: scenario_of(conn("a", "a", "a"), ideal_roster=(RosterRef(odd),)),
+                "ideal_roster[0].ref: no connection with id 'a'",
+            ),
+            (
+                lambda odd: scenario_of(
+                    conn("c", odd, "a", kind=ConnectionKind.SELF), entities=(Entity("a", "known"),)
+                ),
+                "c.src: endpoint 'a' is not an entity",
+            ),
+        ],
+        ids=["dst", "host", "roster-ref", "src-of-a-loop"],
+    )
+    def test_a_str_subclass_is_reported_without_calling_it(self, build, message):
+        class Touchy(str):
+            def __eq__(self, other):
+                raise RuntimeError("compared")
+
+            __hash__ = str.__hash__
+
+        self._reports_only(build(Touchy("a")), message)
+
+    def test_a_number_too_long_to_print_is_reported_as_a_placeholder(self):
+        huge = 10**5000
+        bad = scenario_of(conn("c", "a", huge, polarity=huge), entities=(Entity("a", "known"),))
+        assert [str(v) for v in validate_scenario(bad)] == [
+            "c.dst: endpoint <number too long to print> is not an entity",
+            "c.polarity: polarity must be +1 or -1, got <number too long to print>",
+        ]
 
     def test_a_roster_entry_of_another_type_is_reported(self):
         bad = scenario_of(conn("c", "a", "b"), ideal_roster=("c",))

@@ -117,8 +117,10 @@ class TestFindPaths:
             find_paths(office, "Ea", "nope", 2)
 
     def test_max_hops_must_be_positive(self, office):
-        with pytest.raises(ValueError):
-            find_paths(office, "Ea", "Eb", 0)
+        # An int subclass is not an int: max_hops is tested by its exact type.
+        for max_hops in (0, True, 2.0, type("Hops", (int,), {})(2)):
+            with pytest.raises(ValueError, match="max_hops must be a positive integer"):
+                find_paths(office, "Ea", "Eb", max_hops)
 
     @given(support.scenarios(min_entities=2, max_entities=5), st.data())
     def test_output_is_deterministic_simple_and_ordered(self, s, data):
@@ -319,7 +321,16 @@ class TestConfirmSilent:
         with pytest.raises(ValidationError):
             confirm_silent(s, "ab", 2)
 
-    @pytest.mark.parametrize("polarity", [1.0, -1.0, Fraction(1), True])
+    # An int subclass is not an int, and an int past the int-to-str limit prints as a
+    # placeholder in the message, where its repr once raised a bare ValueError.
+    @pytest.mark.parametrize(
+        "polarity",
+        [
+            1.0, -1.0, Fraction(1), True,
+            pytest.param(type("Sign", (int,), {})(1), id="int-subclass"),
+            pytest.param(10**5000, id="huge"),
+        ],
+    )
     def test_polarity_must_be_an_int(self, polarity):
         s = scenario_of(conn("ab", "a", "b", kind=ConnectionKind.SILENT, magnitude=2))
         with pytest.raises(ValidationError, match="observed polarity must be 1 or -1"):
