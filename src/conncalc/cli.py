@@ -66,14 +66,16 @@ def _replace_spec(text: str) -> ReplaceSpec:
     except (ValueError, RecursionError) as exc:
         # A literal past a limit, or nesting too deep.
         raise argparse.ArgumentTypeError(f"must be JSON: {exc}") from None
-    if not isinstance(doc, dict) or set(doc) != {"blocked", "connection"}:
+    if type(doc) is not dict or set(doc) != {"blocked", "connection"}:
         raise argparse.ArgumentTypeError("needs exactly the keys 'blocked' and 'connection'")
     blocked = doc["blocked"]
     if type(blocked) is not str or not blocked:
         raise argparse.ArgumentTypeError("'blocked' must be a connection id string")
-    connection, diagnostics = parse_connection_doc(doc["connection"], "connection")
+    connection, diagnostics = parse_connection_doc(doc["connection"])
     if connection is None:
         raise argparse.ArgumentTypeError("; ".join(str(d) for d in diagnostics))
+    for diag in diagnostics:  # only warnings: the connection was built
+        print(str(diag), file=sys.stderr)
     return ReplaceSpec(blocked=blocked, connection=connection)
 
 
@@ -251,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         except (ConncalcError, UnicodeEncodeError) as exc:  # computation errors; unencodable output
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return 1 if isinstance(result, ValidationReport) and not result.valid else 0
+        return 1 if type(result) is ValidationReport and not result.valid else 0
     finally:
         if enabled:
             gc.enable()

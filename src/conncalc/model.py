@@ -437,16 +437,15 @@ class Scenario:
 def _by_id(records, record_type: type) -> tuple:
     """``records`` sorted by id, or in their given order when their ids cannot be
     compared (``"a"`` and ``7``, or an id whose ``__lt__`` raises): validation then
-    reports each id that is not a string. A record that is not a ``record_type``
-    is a ``TypeError``."""
+    reports each id that is not a string. A record whose class is not exactly
+    ``record_type`` is a ``TypeError``."""
     records = tuple(records)
+    for record in records:
+        if type(record) is not record_type:
+            raise TypeError(f"expected {record_type.__name__} records, got {type(record).__name__}")
     try:
         return tuple(sorted(records, key=attrgetter("id")))
     except Exception:
-        for record in records:
-            if type(record) is not record_type:
-                name = record_type.__name__
-                raise TypeError(f"expected {name} records, got {type(record).__name__}") from None
         return records
 
 
@@ -508,7 +507,7 @@ class Valuation:
         self._weights = {k: w.numerator * (weight_lcm // w.denominator) for k, w in weights.items()}
         self._connections, self._roster = scenario.connections, scenario.ideal_roster
         # Each distinct magnitude object's units once; the scenario keeps each alive.
-        hypotheticals = (e for e in self._roster or () if isinstance(e, RosterHypothetical))
+        hypotheticals = (e for e in self._roster or () if type(e) is RosterHypothetical)
         magnitudes = {id(x.magnitude): x.magnitude for x in chain(self._connections, hypotheticals)}
         scale = lcm(*{m.denominator for m in magnitudes.values()})
         self._denominator = 2 * scale * weight_lcm
@@ -542,12 +541,12 @@ class Valuation:
         total = 0
         for entry in self._roster:
             try:
-                if isinstance(entry, RosterRef):
+                if type(entry) is RosterRef:
                     total += abs(values[entry.ref])
                 else:
                     total += abs(units[id(entry.magnitude)] * (w[entry.src] + w[entry.dst]))
             except KeyError as exc:
-                kind = "connection" if isinstance(entry, RosterRef) else "entity"
+                kind = "connection" if type(entry) is RosterRef else "entity"
                 raise IntegrityError(f"unknown {kind} id: {exc.args[0]!r}") from None
         return Fraction(total, self._denominator)
 
@@ -664,11 +663,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             violations.append(Violation(entity.id, "id", "duplicate entity id"))
         else:
             entity_ids.add(entity.id)
-        if not isinstance(entity.attributes, AttributeVector):
+        if type(entity.attributes) is not AttributeVector:
             subject = entity.id if type(entity.id) is str and entity.id else "<entity>"
-            violations.append(
-                Violation(subject, "attributes", "attributes must be an AttributeVector")
-            )
+            message = "attributes must be an AttributeVector"
+            violations.append(Violation(subject, "attributes", message))
 
     desired = scenario.desired_connectivity
     if desired is not None:
@@ -737,11 +735,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     if scenario.ideal_roster is not None:
         for i, entry in enumerate(scenario.ideal_roster):
             subject = f"ideal_roster[{i}]"
-            if isinstance(entry, RosterRef):
+            if type(entry) is RosterRef:
                 if type(entry.ref) is not str or entry.ref not in conn_ids:
                     message = f"no connection with id {_number_text(entry.ref, repr)}"
                     violations.append(Violation(subject, "ref", message))
-            elif not isinstance(entry, RosterHypothetical):
+            elif type(entry) is not RosterHypothetical:
                 message = "entry must be a RosterRef or a RosterHypothetical"
                 violations.append(Violation(subject, "entry", message))
             else:

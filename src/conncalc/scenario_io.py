@@ -303,7 +303,7 @@ def _fields(item, table: dict, what: str, location: str, diags: list, literals: 
     """Decode ``item``'s fields by ``table``, through the parse's ``literals``:
     a dict of key to decoded value (None where decoding failed), or None if
     ``item`` is not an object."""
-    if not isinstance(item, dict):
+    if type(item) is not dict:
         diags.append(_err(location, f"{what} must be an object, got {type(item).__name__}"))
         return None
     _warn_unknown(item, table.keys(), location, diags)
@@ -356,7 +356,7 @@ def _entity_list(raw, diags: list, literals: dict):
 
     A well-formed record is built through ``_new_entity``; any other goes to
     ``_parse_entity``, and the entity it builds counts toward the proof all the same."""
-    if not isinstance(raw, list):
+    if type(raw) is not list:
         diags.append(_err("entities", f"expected an array, got {type(raw).__name__}"))
         return None, None
     items, proven, previous = [], True, ""
@@ -395,7 +395,7 @@ def _entity_list(raw, diags: list, literals: dict):
 
 
 def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> RosterEntry | None:
-    if not isinstance(item, dict):
+    if type(item) is not dict:
         diags.append(_err(location, f"roster entry must be an object, got {type(item).__name__}"))
         return None
     if ("ref" in item) == ("hypothetical" in item):
@@ -409,7 +409,7 @@ def _parse_roster_entry(item, location: str, diags: list, literals: dict) -> Ros
         return None
     location = _at(location, "hypothetical")
     hypothetical = item["hypothetical"]
-    if not isinstance(hypothetical, dict):
+    if type(hypothetical) is not dict:
         diags.append(_err(location, "hypothetical must be an object"))
         return None
     values = _fields(hypothetical, _HYPOTHETICAL_FIELDS, "hypothetical", location, diags, literals)
@@ -426,7 +426,7 @@ def _connection_list(raw, diags: list, literals: dict, entity_ids: set | None):
     greater than the last (so nonempty, unique and sorted), both endpoints are entity
     ids, ``src == dst`` exactly when the kind is ``self``, ``time_index >= 0`` and each
     distinct magnitude literal passes ``model._check_magnitude``, checked once."""
-    if not isinstance(raw, list):
+    if type(raw) is not list:
         diags.append(_err("connections", f"expected an array, got {type(raw).__name__}"))
         return None, False
     items, proven, previous = [], entity_ids is not None, ""
@@ -504,7 +504,7 @@ def parse_scenario(text: str) -> ParseResult:
     except (ValueError, RecursionError) as exc:
         # A literal past a limit, or nesting too deep.
         return ParseResult(None, (_err("document", f"invalid JSON: {exc}"),))
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         return ParseResult(None, (_err("document", "top-level JSON value must be an object"),))
 
     diags: list[ParseDiagnostic] = []
@@ -550,7 +550,7 @@ def parse_scenario(text: str) -> ParseResult:
         connections, proven = _connection_list(doc["connections"], diags, literals, entity_ids)
     if "ideal_roster" in doc:
         raw = doc["ideal_roster"]
-        if isinstance(raw, list):  # an entry read as None left an error: the roster is not built
+        if type(raw) is list:  # an entry read as None left an error: the roster is not built
             roster = [
                 _parse_roster_entry(item, f"ideal_roster[{i}]", diags, literals)
                 for i, item in enumerate(raw)
@@ -676,7 +676,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     if scenario.ideal_roster is not None:
         roster = [
             _json_block("{}", [f'"ref": {_json_string(entry.ref)}'], "    ")
-            if isinstance(entry, RosterRef)
+            if type(entry) is RosterRef
             else _json_block("{}", [f'"hypothetical": {_hypothetical_json(entry, texts)}'], "    ")
             for entry in scenario.ideal_roster
         ]

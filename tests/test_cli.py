@@ -1243,6 +1243,17 @@ class TestUsageAndErrors:
         captured = capsys.readouterr()
         assert "unknown key ignored" in captured.err
 
+    def test_replace_spec_warnings_go_to_stderr(self, office_path, capsys):
+        spec = json.loads(_REPLACE_SPEC)
+        spec["connection"]["extra"] = 1
+        argv = ["ablate", str(office_path), "--order", "least-first", "--replace"]
+        assert main([*argv, _REPLACE_SPEC]) == 0
+        plain = capsys.readouterr()
+        assert main([*argv, json.dumps(spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out
+        assert captured.err == "warning connection.extra: unknown key ignored\n"
+
 
 HELP_COMMANDS = (
     "validate", "score", "quality", "confusion", "paths", "closure", "ablate", "export-dot"

@@ -6,7 +6,8 @@ twice, each is exported by the module that defines it, the package list is
 their sorted union, and no module imports a name it neither uses nor exports.
 The private names one module imports from another are pinned in a list,
 ``model._builder`` is the one function that compiles code at run time, and
-``model.to_rational`` the one that tests a value's type with ``isinstance``.
+``model.to_rational`` the one that calls ``isinstance``: every other value, record
+and JSON container is tested by its exact class.
 """
 
 from __future__ import annotations
@@ -297,29 +298,22 @@ def test_the_compile_check_sees_each_dynamic_call(tmp_path):
     ]
 
 
-# A field value is tested by its exact type (``type(x) is str``), as the read's walks
-# test it: ``isinstance`` would let a subclass through, whose own ``__eq__`` or
-# ``__hash__`` then runs. ``model.to_rational`` alone coerces by ``isinstance``, as
-# its docstring says.
-EXACT_TYPES = {"str", "int", "bool"}
-
-
-def isinstance_type_tests(path: Path) -> list[str]:
-    """Each ``isinstance`` call in ``path`` whose classes name ``str``, ``int`` or
-    ``bool``, alone or in a tuple, as ``file:function`` (see :func:`calls`)."""
-    found = []
-    for function, node in calls(path):
-        if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
-            classes = node.args[1]
-            names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
-            if any(isinstance(name, ast.Name) and name.id in EXACT_TYPES for name in names):
-                found.append(f"{path.name}:{function}")
-    return found
+# Every value, record and JSON container is tested by its exact class (``type(x) is
+# str``), as the read's walks test it: ``isinstance`` would let a subclass through,
+# whose own ``__eq__`` or ``__hash__`` then runs, or whose record reads back as its
+# base. ``model.to_rational`` alone coerces by ``isinstance``, as its docstring says.
+def isinstance_calls(path: Path) -> list[str]:
+    """Each ``isinstance`` call in ``path``, as ``file:function`` (see :func:`calls`)."""
+    return [
+        f"{path.name}:{function}"
+        for function, node in calls(path)
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+    ]
 
 
 def test_field_values_are_tested_by_exact_type():
-    found = [test for path in sorted(SOURCE.glob("*.py")) for test in isinstance_type_tests(path)]
-    assert [test for test in found if test != "model.py:to_rational"] == []
+    found = [call for path in sorted(SOURCE.glob("*.py")) for call in isinstance_calls(path)]
+    assert [call for call in found if call != "model.py:to_rational"] == []
 
 
 def test_the_type_check_sees_each_isinstance_test(tmp_path):
@@ -336,6 +330,11 @@ def test_the_type_check_sees_each_isinstance_test(tmp_path):
         "        return isinstance(other, str)\n",
         encoding="utf-8",
     )
-    assert isinstance_type_tests(path) == [
-        "sample.py:<module>", "sample.py:check", "sample.py:check", "sample.py:__eq__"
+    assert isinstance_calls(path) == [
+        "sample.py:<module>",
+        "sample.py:check",
+        "sample.py:check",
+        "sample.py:check",
+        "sample.py:check",
+        "sample.py:__eq__",
     ]

@@ -1,12 +1,13 @@
 """README's contract for a scenario built in code, under hostile values.
 
 One field of a valid scenario, or of one of its records, takes a value from
-``support.hostile_values``. A record constructor then either coerces the value
-or raises ``ValueError`` or ``TypeError`` (an ``AttributeVector`` also raises
-``ValidationError`` for a value outside (0, 1)); ``ensure_valid`` returns or
-raises ``ValidationError``; and a scenario that validates can be scored in both
-modes, rendered, serialized and read back equal, exported, closed and ablated,
-with no exception but ``ComputationError``.
+``support.hostile_values``, or, for an entity's attributes and the ideal roster, a
+record of a plain subclass (see :func:`hostile_values`). A record constructor then
+either coerces the value or raises ``ValueError`` or ``TypeError`` (an
+``AttributeVector`` also raises ``ValidationError`` for a value outside (0, 1));
+``ensure_valid`` returns or raises ``ValidationError``; and a scenario that
+validates can be scored in both modes, rendered, serialized and read back equal,
+exported, closed and ablated, with no exception but ``ComputationError``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,29 @@ FIELDS = [
     *(("ref", f.name) for f in fields(RosterRef)),
     *(("hypothetical", f.name) for f in fields(RosterHypothetical)),
 ]
+
+
+# Plain subclasses of the record classes that an entity's attributes and a roster entry
+# hold: each of their fields passes as its base's does, but the record is of another class.
+PlainVector = type("PlainVector", (AttributeVector,), {})
+PlainRef = type("PlainRef", (RosterRef,), {})
+PlainHypothetical = type("PlainHypothetical", (RosterHypothetical,), {})
+
+
+def hostile_values(scenario: Scenario, group: str, name: str):
+    """``support.hostile_values`` for field ``name`` of ``group`` (see ``FIELDS``), with
+    a ``PlainVector`` for an entity's attributes and a one-entry roster of a
+    ``PlainRef`` or ``PlainHypothetical`` for the ideal roster, each valid but for
+    its class."""
+    if (group, name) == ("entities", "attributes"):
+        return support.hostile_values | st.just(PlainVector())
+    if (group, name) == ("scenario", "ideal_roster"):
+        entries = [
+            PlainRef(scenario.connections[0].id),
+            PlainHypothetical(scenario.host, scenario.host, 2),
+        ]
+        return support.hostile_values | st.sampled_from(entries).map(lambda entry: (entry,))
+    return support.hostile_values
 
 
 def with_value(scenario: Scenario, group: str, index: int, name: str, value) -> Scenario:
@@ -101,7 +125,7 @@ def use(scenario: Scenario) -> None:
 @given(scenario=support.scenarios(require_connection=True), data=st.data())
 def test_a_hostile_value_in_one_field_keeps_the_contract(group, name, scenario, data):
     index = data.draw(st.integers(0, 7), label="index")
-    value = data.draw(support.hostile_values, label="value")
+    value = data.draw(hostile_values(scenario, group, name), label="value")
     refused = (ValueError, TypeError)
     if group == "attributes":
         refused += (ValidationError,)

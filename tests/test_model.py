@@ -407,16 +407,30 @@ class TestScenarioContainer:
         with pytest.raises(IntegrityError, match="unknown connection"):
             s.connection("zz")
 
-    # A value that is not a record once raised a bare AttributeError from the id sort.
+    # A value that is not a record once raised a bare AttributeError from the id sort,
+    # a record of the other class raised one from validation, and a subclass's record
+    # validated, then read back unequal.
     @pytest.mark.parametrize(
         "field, record", [("entities", "Entity"), ("connections", "Connection")]
     )
     def test_a_value_that_is_not_a_record_is_a_type_error(self, field, record):
-        records = {"entities": (Entity("a", "known"),), "connections": (), field: ("a",)}
-        with pytest.raises(TypeError, match=f"expected {record} records, got str"):
-            Scenario(host="a", **records)
-        with pytest.raises(TypeError, match=f"expected {record} records, got str"):
-            Scenario(host="a", **{**records, field: ("a", 7)})
+        entity = Entity("a", "known")
+        plain = type(f"Plain{record}", (getattr(conncalc.model, record),), {})
+        # A record of the other class and one of a plain subclass, each with an id that
+        # sorts after the valid record's.
+        if field == "entities":
+            valid, other, subclassed = entity, conn("b", "a", "a"), plain("b", "known")
+        else:
+            valid, other = conn("a", "a", "a"), Entity("b", "known")
+            subclassed = plain("b", "a", "a", "self", 1, 2)
+        for values, got in [
+            (("a",), "str"),
+            (("a", 7), "str"),
+            ((valid, other), type(other).__name__),
+            ((valid, subclassed), f"Plain{record}"),
+        ]:
+            with pytest.raises(TypeError, match=f"expected {record} records, got {got}$"):
+                Scenario(host="a", **{"entities": (entity,), "connections": (), field: values})
 
     def test_ids_whose_comparison_raises_keep_their_order(self):
         class Touchy(str):
