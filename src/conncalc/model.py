@@ -10,12 +10,13 @@ Each scenario keeps one lazily built index: its validation result, impact
 factors, each entity pair's best unblocked connection (over all kinds and over
 real ones only), and a ``Valuation``: connection values as integers over one
 denominator, and every exact sum of them (score, ideal, removal ranking, steps).
-A scenario that its file's read proved valid is built with its validation
-result, ``()`` (``_proven_scenario``).
+A scenario that its file's read proved valid, or the closure of a valid
+scenario, is built with its validation result, ``()`` (``_proven_scenario``).
 
-Records whose values are already typed (parsed entities and connections,
-closed connections, removal steps) are built in one frame by a function that
-``_builder`` generates, which skips the frozen ``__init__``'s setattr calls.
+Records whose values are already typed (parsed attribute vectors, entities and
+connections, closed connections, removal steps) are built in one frame by a
+function that ``_builder`` generates, which skips the frozen ``__init__``'s
+setattr calls.
 A plain decimal literal, and each removal step's score and efficiency, is reduced
 by one ``gcd`` and built by ``_coprime_fraction``, which skips ``Fraction``'s
 string parser and its constructor's checks.
@@ -322,7 +323,7 @@ def _builder(cls):
     return build
 
 
-_new_entity, _new_connection = _builder(Entity), _builder(Connection)
+_new_attributes, _new_entity, _new_connection = map(_builder, (AttributeVector, Entity, Connection))
 
 
 @dataclass(frozen=True, slots=True)
@@ -473,14 +474,17 @@ def with_scoring_mode(scenario: Scenario, mode: ScoringMode) -> Scenario:
     return rescored
 
 
-def _proven_scenario(entities, connections, host, scoring_mode, desired_connectivity) -> Scenario:
-    """The roster-free scenario of fields that are already sorted by id and typed,
-    which the walk that read them proved valid (see ``scenario_io``): built without
+def _proven_scenario(
+    entities, connections, host, ideal_roster, scoring_mode, desired_connectivity
+) -> Scenario:
+    """The scenario of fields that are already sorted by id and typed, and proven
+    valid by what built them (the walks of ``scenario_io`` that read them, or
+    ``paths.silent_closure`` from a valid scenario): built without
     ``__post_init__``, as :func:`with_scoring_mode` builds one, with its
     ``violations`` set to ``()``, so it is never validated."""
     scenario = object.__new__(Scenario)
     scenario.__dict__.update(
-        entities=entities, connections=connections, host=host, ideal_roster=None,
+        entities=entities, connections=connections, host=host, ideal_roster=ideal_roster,
         scoring_mode=scoring_mode, desired_connectivity=desired_connectivity, violations=(),
     )
     return scenario

@@ -18,9 +18,13 @@ __all__ = [
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import IntegrityError, StateError, ValidationError
-from .model import Connection, ConnectionKind, Scenario, _best_links, _new_connection, _number_text
+from .model import (
+    Connection, ConnectionKind, Scenario, _best_links, _new_connection, _number_text,
+    _proven_scenario,
+)
 
 _ONE = Fraction(1)
 
@@ -130,35 +134,44 @@ def law_holds(scenario: Scenario) -> bool:
     return next(_closure_gaps(scenario), None) is None
 
 
-def _fresh_id(base: str, used: set[str]) -> str:
-    n = 0
-    while f"{base}:{n}" in used:
-        n += 1
-    fresh = f"{base}:{n}"
-    used.add(fresh)
-    return fresh
-
-
 def silent_closure(scenario: Scenario) -> Scenario:
     """Materialize the connection law by adding silent placeholders.
 
     Every entity without a self-connection gains one (polarity +1,
     magnitude 1) and every unjoined entity pair gains a silent connection
     (polarity -1, magnitude 1, endpoints in lexicographic order). Generated
-    ids have the shape ``sc:<src>:<dst>:<n>``. The operation is idempotent:
-    a scenario already satisfying the law is returned unchanged.
+    ids have the shape ``sc:<src>:<dst>:<n>``, n the least not in use. The
+    operation is idempotent: a scenario already satisfying the law is
+    returned unchanged.
+
+    The closure of a valid scenario is valid: each addition joins two
+    entities under a fresh id with in-range values. So when the input
+    validates (a parsed scenario keeps its result; any other is validated
+    here), the closure is sorted once and built with its validation result
+    ``()`` (``model._proven_scenario``). An invalid input is closed through
+    ``Scenario(...)``, which keeps every check and diagnostic.
     """
     used = {c.id for c in scenario.connections}
-    additions = tuple(
-        _new_connection(
-            _fresh_id(f"sc:{a}:{b}", used), a, b, kind,
-            1 if a == b else -1, _ONE, 0, False, False,  # +1 on a self-connection
-        )
-        for kind, a, b in _closure_gaps(scenario)
-    )
+    additions = []
+    for kind, a, b in _closure_gaps(scenario):
+        conn_id, n = f"sc:{a}:{b}:0", 0
+        while conn_id in used:  # taken, or two pairs share a base: ("a:b", "c"), ("a", "b:c")
+            n += 1
+            conn_id = f"sc:{a}:{b}:{n}"
+        used.add(conn_id)
+        additions.append(_new_connection(
+            conn_id, a, b, kind, 1 if a == b else -1, _ONE, 0, False, False,  # +1 on a loop
+        ))
     if not additions:
         return scenario
-    return replace(scenario, connections=scenario.connections + additions)
+    if scenario.violations:
+        return replace(scenario, connections=scenario.connections + tuple(additions))
+    additions += scenario.connections
+    additions.sort(key=attrgetter("id"))
+    return _proven_scenario(
+        scenario.entities, tuple(additions), scenario.host, scenario.ideal_roster,
+        scenario.scoring_mode, scenario.desired_connectivity,
+    )
 
 
 def _set_blocked(scenario: Scenario, connection_id: str, flag: bool) -> Scenario:

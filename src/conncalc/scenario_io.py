@@ -13,10 +13,11 @@ The field tables (``_ENTITY_FIELDS``, ``_ATTRIBUTE_FIELDS``, ``_CONNECTION_FIELD
 order, decoders and defaults. ``_fields`` reads any record by its table and is the one
 path that writes a diagnostic. The entities and the connections are each read by one walk
 over their array (``_entity_list``, ``_connection_list``), which builds each well-formed
-record in one frame, through ``model._new_entity`` or ``_new_connection``, as ``_fields``
-would build it, and leaves any other record to ``_fields``. Each parse has one literal
-table (``_decode``), shared by the walks, ``_number`` and the JSON float hook: a distinct
-literal decodes once per parse, and no decoded value outlives the parse.
+record in one frame, through ``model._new_entity`` (its attributes through
+``_new_attributes``) or ``_new_connection``, as ``_fields`` would build it, and leaves any
+other record to ``_fields``. Each parse has one literal table (``_decode``), shared by the
+walks, ``_number`` and the JSON float hook: a distinct literal decodes once per parse, and
+no decoded value outlives the parse.
 
 A file without an ideal roster is proven valid as it is read, by the rules of
 ``model.validate_scenario``: each walk checks its records while their values are in
@@ -73,7 +74,9 @@ from .model import (
     RosterRef,
     Scenario,
     ScoringMode,
+    _PRINTABLE_BITS,
     _LiteralTooLarge,
+    _new_attributes,
     _new_connection,
     _new_entity,
     _number_text,
@@ -260,6 +263,9 @@ def _attributes(value, location, key: str, diags: list, literals: dict) -> Attri
 
 _REQUIRED = object()  # default of a field whose absence is an error
 _DEFAULT_ATTRIBUTES = AttributeVector()  # shared by every entity read without any
+# A value in (0, 1) over a smaller denominator prints, as ``model._check_printable``
+# finds; the entity walk leaves any other to ``AttributeVector`` to judge.
+_PRINTABLE_DENOMINATORS = 1 << _PRINTABLE_BITS
 # Each enum's value-to-member map, read by its decoder and by a walk.
 _ENTITY_KINDS = {kind.value: kind for kind in EntityKind}
 _CONNECTION_KINDS = {kind.value: kind for kind in ConnectionKind}
@@ -373,16 +379,18 @@ def _entity_list(raw, diags: list, literals: dict):
                 e, i, x, c = _ATTRIBUTE_KEYS(attributes)
                 if not (type(e) is str and type(i) is str and type(x) is str and type(c) is str):
                     raise _Refused
-                attributes = AttributeVector(  # the public class checks every value
-                    literals[e] if e in literals else _decode(literals, e),
-                    literals[i] if i in literals else _decode(literals, i),
-                    literals[x] if x in literals else _decode(literals, x),
-                    literals[c] if c in literals else _decode(literals, c),
-                )
+                e = literals[e] if e in literals else _decode(literals, e)
+                i = literals[i] if i in literals else _decode(literals, i)
+                x = literals[x] if x in literals else _decode(literals, x)
+                c = literals[c] if c in literals else _decode(literals, c)
+                for value in (e, i, x, c):  # ``AttributeVector``'s rules, inline
+                    if not 0 < value.numerator < value.denominator < _PRINTABLE_DENOMINATORS:
+                        raise _Refused
+                attributes = _new_attributes(e, i, x, c)
             if not (type(entity_id) is str and type(kind) is str and kind in _ENTITY_KINDS):
                 raise _Refused
             record = _new_entity(entity_id, _ENTITY_KINDS[kind], attributes)
-        except (_Refused, KeyError, ValueError, ValidationError):  # _fields reports it
+        except (_Refused, KeyError, ValueError):  # _fields reports it
             record = _parse_entity(item, f"entities[{index}]", diags, literals)
             if record is None:
                 continue
@@ -561,7 +569,7 @@ def parse_scenario(text: str) -> ParseResult:
     if any(d.severity is Severity.ERROR for d in diags):
         return ParseResult(None, tuple(diags))
     if proven:
-        scenario = _proven_scenario(tuple(entities), tuple(connections), host, mode, desired)
+        scenario = _proven_scenario(tuple(entities), tuple(connections), host, None, mode, desired)
         return ParseResult(scenario, tuple(diags))
 
     scenario = Scenario(

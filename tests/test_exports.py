@@ -185,10 +185,10 @@ def test_the_private_name_check_sees_an_unread_name(tmp_path):
 # cross-module private import needs a one-line edit here.
 PRIVATE_IMPORTS = {
     "ablation": ["_builder"],
-    "paths": ["_best_links", "_new_connection", "_number_text"],
+    "paths": ["_best_links", "_new_connection", "_number_text", "_proven_scenario"],
     "scenario_io": [
-        "_LiteralTooLarge", "_new_connection", "_new_entity", "_number_text", "_proven_scenario",
-        "_rational_texts", "_shortest_text",
+        "_LiteralTooLarge", "_PRINTABLE_BITS", "_new_attributes", "_new_connection", "_new_entity",
+        "_number_text", "_proven_scenario", "_rational_texts", "_shortest_text",
     ],
 }
 

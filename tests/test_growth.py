@@ -19,6 +19,10 @@ Parsing is counted per record: the Python ``call`` events of one
 connections, stay near the frames each record needs: its builder, called from
 the one walk over its array.
 
+Closure is also counted per connection it adds: the Python ``call`` events of
+one ``silent_closure`` of a parsed, generated ``transform`` file, divided by the
+connections added.
+
 Ablation is counted per step: the Python ``call`` events of a warm
 ``run_removal`` on a generated 400-connection ``ablate`` file, and of each
 rendering of its trajectory, divided by the steps.
@@ -42,6 +46,7 @@ from pathlib import Path
 
 import pytest
 
+import conncalc.paths
 import conncalc.scenario_io
 from conncalc import RemovalOrder, emit_report, find_paths, parse_scenario, run_removal
 from conncalc import silent_closure
@@ -70,8 +75,8 @@ CYCLE_COMMANDS = {**COMMANDS, "closure": ["closure", "{file}"]}
 # The ratios read 2.8-3.8; 5 leaves room for changes that stay linear, and a
 # quadratic step reads near 16.
 MAX_RATIO = 5
-# Closure's events per connection written read 30.1 and 17.6, a ratio of
-# 0.59: its fixed work spreads over more connections, so linear work reads at
+# Closure's events per connection written read 21.6 and 13.2, a ratio of
+# 0.61: its fixed work spreads over more connections, so linear work reads at
 # most about 1. A generator scan of the entities per connection written reads
 # 2.2, and one of the connections 12.6.
 MAX_CLOSURE_RATIO = 1.5
@@ -177,11 +182,12 @@ def test_a_cycle_per_record_fails_the_cycle_guard(jobs, monkeypatch):
 
 
 # Python calls per record in a parse of the canonical 2,000-connection file
-# read 1.59: a builder per record, and a few calls per distinct literal and
-# attribute vector. They read 1.68 when each entity took a plain step of its
-# own, 2.59 when each connection did as well, and 5.19 when a connection
-# passed through four frames and an entity through the field table. One more
-# call per connection reads 2.5.
+# read 1.26: a builder per record, and a few calls per distinct literal and
+# per attribute vector. They read 1.58 when each of the file's 41 attribute
+# vectors was built through the public ``AttributeVector``, 1.68 when each
+# entity also took a plain step of its own, 2.59 when each connection did as
+# well, and 5.19 when a connection passed through four frames and an entity
+# through the field table. One more call per connection reads 2.17.
 PARSE_CONNECTIONS = 2000
 MAX_PARSE_CALLS_PER_RECORD = 2
 
@@ -195,6 +201,42 @@ def test_parsing_makes_few_calls_per_record(tmp_path):
     result, calls = counted_events(lambda: parse_scenario(text), ("call",))
     assert result.ok and len(result.scenario.connections) == PARSE_CONNECTIONS
     assert calls / records <= MAX_PARSE_CALLS_PER_RECORD, calls / records
+
+
+# Python calls per connection that ``silent_closure`` adds to a generated
+# 60-entity ``transform`` file read 2.10: a step of the gap scan and the
+# builder. They read 4.11 when each gap also took a ``_fresh_id`` call and a
+# generator step of its own; one more call per gap, as a ``_fresh_id`` call
+# per gap makes, reads 3.10.
+CLOSURE_ENTITIES = 60
+MAX_CLOSURE_CALLS_PER_ADDITION = 2.5
+
+
+@pytest.fixture(scope="module")
+def transform_input(tmp_path_factory):
+    """The parsed scenario of a generated ``transform`` file, with its validation kept."""
+    (job,) = gen.generate(
+        "transform", 3, tmp_path_factory.mktemp("transform"), (CLOSURE_ENTITIES,)
+    )
+    return parse_scenario(Path(job["file"]).read_text(encoding="ascii")).scenario
+
+
+def closure_calls_per_addition(scenario) -> float:
+    closed, calls = counted_events(lambda: silent_closure(scenario), ("call",))
+    added = len(closed.connections) - len(scenario.connections)
+    assert added > CLOSURE_ENTITIES**2 // 4
+    return calls / added
+
+
+def test_closure_makes_few_calls_per_added_connection(transform_input):
+    calls = closure_calls_per_addition(transform_input)
+    assert calls <= MAX_CLOSURE_CALLS_PER_ADDITION, calls
+
+
+def test_a_call_per_gap_fails_the_closure_guard(transform_input, monkeypatch):
+    original = conncalc.paths._new_connection
+    monkeypatch.setattr(conncalc.paths, "_new_connection", lambda *values: original(*values))
+    assert closure_calls_per_addition(transform_input) > MAX_CLOSURE_CALLS_PER_ADDITION
 
 
 # Per step of a warm run_removal on the 400-connection file, Python calls read

@@ -852,6 +852,35 @@ class TestPlainStep:
         result = parse_doc(connections=[item])
         assert [str(d).replace("connections[0]", "c") for d in result.diagnostics] == diagnostics
 
+    # An attribute literal against the walk's inline form of ``AttributeVector``'s
+    # rules: whether the walk builds the entity, and the one error a read reports.
+    @pytest.mark.parametrize(
+        "literal, walked, error",
+        [
+            ("1/2", True, None),
+            ("0.999", True, None),
+            (f"1/{2**PRINTABLE_BITS - 1}", True, None),
+            ("0", False, "attribute out of open interval (0,1): existence=0"),
+            ("1", False, "attribute out of open interval (0,1): existence=1"),
+            ("-1/2", False, "attribute out of open interval (0,1): existence=-1/2"),
+            ("3/2", False, "attribute out of open interval (0,1): existence=3/2"),
+            # Past the bits the walk trusts, a value is left to the class.
+            (f"1/{2**PRINTABLE_BITS}", False, None),
+            (f"1/{2**6200}", False, "attribute existence: number too long to print exactly"),
+        ],
+        ids=["half", "0.999", "400-bits", "0", "1", "negative", "3/2", "401-bits", "1/2^6200"],
+    )
+    def test_the_walk_checks_an_attribute_as_the_class_does(self, literal, walked, error):
+        _, plain, table, cls, base = PLAIN_STEPS[1]
+        item = {**base, "id": "a", "attributes": {**ATTRIBUTES, "existence": literal}}
+        assert took_plain_step(plain, table, cls, item) == walked
+        result = parse_doc(entities=[item, {"id": "b", "kind": "known"}])
+        errors = [str(d) for d in result.errors]
+        if error is None:
+            assert result.ok and errors == []
+        else:
+            assert len(errors) == 1 and errors[0].startswith(f"error entities[0].attributes: {error}")
+
     def test_every_table_field_has_a_plain_sample(self):
         for name, plain, table, cls, _ in PLAIN_STEPS:
             samples = PLAIN_SAMPLES[name]

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+import pathlib
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conncalc.model
 from conncalc import (
+    ComputationError,
     Connection,
     ConnectionKind,
     Entity,
@@ -24,14 +28,19 @@ from conncalc import (
     connectivity_score,
     find_paths,
     law_holds,
+    parse_scenario,
     serialize_scenario,
     silent_closure,
     unblock,
+    validate_scenario,
 )
 from conncalc.paths import _closure_gaps
 
 from . import support
 from .test_model import conn, scenario_of
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
 
 
 class TestPathType:
@@ -235,6 +244,144 @@ class TestSilentClosure:
         assert law_holds(closed)
         assert validate_scenario(closed) == []
         assert silent_closure(closed) == closed
+
+
+def reference_closure(s: Scenario) -> Scenario:
+    """The closure as built before it was proven: each gap's id found by
+    counting ``n`` up from 0, and the result built through ``Scenario(...)``."""
+    used = {c.id for c in s.connections}
+    additions = []
+    for kind, a, b in _closure_gaps(s):
+        n = 0
+        while f"sc:{a}:{b}:{n}" in used:
+            n += 1
+        used.add(f"sc:{a}:{b}:{n}")
+        polarity = 1 if a == b else -1
+        additions.append(Connection(f"sc:{a}:{b}:{n}", a, b, kind, polarity, Fraction(1)))
+    if not additions:
+        return s
+    return replace(s, connections=s.connections + tuple(additions))
+
+
+def field_values(s: Scenario) -> list:
+    return [getattr(s, f.name) for f in fields(Scenario)]
+
+
+def written(s: Scenario) -> str:
+    """What ``serialize_scenario`` writes, or the text of the ``ComputationError``
+    it raises for an id it cannot write."""
+    try:
+        return serialize_scenario(s)
+    except ComputationError as exc:
+        return str(exc)
+
+
+# Ids whose closure ids collide: ``sc:a:b:0`` is both a connection id and the
+# base of the pair (a, b), and the pairs (a, b:a) and (a:b, a) share a base.
+COLLIDING_IDS = st.sampled_from(
+    ("a", "b", "a:b", "b:a", "sc:a:a:0", "sc:a:b:0", "sc:a:b:a:0", "sc:a:a:b:0")
+)
+
+
+def breakages(s: Scenario):
+    """Invalid copies of the valid scenario ``s``, each breaking one rule."""
+    yield replace(s, host="<nobody>")
+    if s.connections:
+        first, *rest = s.connections
+        yield replace(s, connections=(replace(first, polarity=2), *rest))
+        yield replace(s, connections=(replace(first, magnitude=Fraction(11)), *rest))
+        yield replace(s, connections=(first, replace(first, time_index=-1), *rest))
+
+
+class TestClosureProof:
+    """The closure of a valid scenario is built with its validation result
+    ``()``; these hold that result to ``validate_scenario``, and the closure to
+    the one built before it was proven: the same fields, in the same order,
+    written to the same bytes."""
+
+    def check(self, s: Scenario) -> None:
+        closed, reference = silent_closure(s), reference_closure(s)
+        assert type(closed) is Scenario and field_values(closed) == field_values(reference)
+        if closed is s:
+            return
+        assert vars(closed)["violations"] == ()  # built proven
+        assert validate_scenario(closed) == []
+        assert written(closed) == written(reference)
+
+    @given(support.scenarios())
+    def test_a_valid_closure_is_proven_and_matches_the_reference(self, s):
+        self.check(s)
+
+    @given(support.scenarios(max_entities=5, ids=COLLIDING_IDS))
+    def test_colliding_ids_match_the_reference(self, s):
+        self.check(s)
+
+    @given(support.scenarios(ids=support.hostile_ids))
+    def test_hostile_ids_match_the_reference(self, s):
+        self.check(s)
+
+    def test_a_library_scenario_is_validated_once(self, office, monkeypatch):
+        calls = []
+        original = conncalc.model.validate_scenario
+        monkeypatch.setattr(
+            conncalc.model, "validate_scenario", lambda s: calls.append(s) or original(s)
+        )
+        built = Scenario(**{f.name: getattr(office, f.name) for f in fields(Scenario)})
+        closed = silent_closure(built)
+        serialize_scenario(closed)
+        assert calls == [built]
+        assert closed == reference_closure(office)
+
+    @pytest.mark.parametrize("sizes", [gen.TINY_SIZES["transform"], gen.SIZES["transform"][:1]])
+    def test_generated_transform_inputs(self, sizes, tmp_path):
+        for job in gen.generate("transform", 3, tmp_path, sizes):
+            parsed = parse_scenario(pathlib.Path(job["file"]).read_text(encoding="ascii")).scenario
+            built = Scenario(**{f.name: getattr(parsed, f.name) for f in fields(Scenario)})
+            for s in (parsed, built):
+                self.check(s)
+
+    @given(support.scenarios(ids=COLLIDING_IDS))
+    def test_an_invalid_input_keeps_the_old_path(self, s):
+        for bad in breakages(s):
+            assert bad.violations
+            closed, reference = silent_closure(bad), reference_closure(bad)
+            assert field_values(closed) == field_values(reference)
+            if closed is not bad:
+                assert "violations" not in vars(closed)  # built through Scenario(...)
+            with pytest.raises(ValidationError) as got:
+                serialize_scenario(closed)
+            with pytest.raises(ValidationError) as expected:
+                serialize_scenario(reference)
+            assert str(got.value) == str(expected.value)
+
+    def test_bases_that_coincide_take_the_next_n(self):
+        # (x, y:z) and (x:y, z) both have the base sc:x:y:z.
+        s = Scenario(
+            entities=tuple(Entity(i, "known") for i in ("x:y", "z", "x", "y:z")),
+            connections=(),
+            host="x",
+        )
+        closed = silent_closure(s)
+        ids = [c.id for c in closed.connections]
+        assert {"sc:x:y:z:0", "sc:x:y:z:1"} <= set(ids)
+        assert (closed.connection("sc:x:y:z:0").src, closed.connection("sc:x:y:z:1").src) == (
+            "x", "x:y"
+        )
+        assert len(set(ids)) == len(ids) == 4 + 6
+        assert closed == reference_closure(s)
+
+    def test_taken_ids_take_the_next_n(self):
+        s = scenario_of(
+            conn("sc:a:b:0", "a", "c", kind=ConnectionKind.SILENT, polarity=-1, magnitude=1),
+            conn("sc:a:a:0", "c", "c"),
+            conn("sc:a:a:1", "b", "c"),
+            entities=tuple(Entity(i, "known") for i in ("a", "b", "c")),
+        )
+        closed = silent_closure(s)
+        ids = [c.id for c in closed.connections]
+        assert {"sc:a:a:2", "sc:a:b:1", "sc:b:b:0"} <= set(ids)
+        assert len(set(ids)) == len(ids)
+        assert closed == reference_closure(s)
 
 
 class TestBlocking:
